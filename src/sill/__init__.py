@@ -22,9 +22,8 @@ Typical use::
 from . import ast
 from .ast import NEG, POS, Polarity
 from .domain import (BOT, STAR, CommValue, FuncValue, NotEnumerable,
-                     bottom, conforms, down, enumerate_values, equal, fold,
-                     format_value, leq, lub2, meet2, parse_value, truncate,
-                     unfold, up)
+                     conforms, down, enumerate_values, fold, format_value, leq,
+                     lub2, meet2, parse_value, truncate, unfold, up)
 from .equiv import Verdict, check_equiv, term_equiv
 from .laws import (conway_identity_suite, law_suite, trace_axiom_suite,
                    trace_oracle_suite)
@@ -43,9 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ast", "Polarity", "POS", "NEG",
     "BOT", "STAR", "CommValue", "FuncValue", "NotEnumerable",
-    "bottom", "conforms", "down", "enumerate_values", "equal", "fold",
-    "format_value", "leq", "lub2", "meet2", "parse_value", "truncate",
-    "unfold", "up",
+    "conforms", "down", "enumerate_values", "fold", "format_value", "leq",
+    "lub2", "meet2", "parse_value", "truncate", "unfold", "up",
     "Verdict", "check_equiv", "term_equiv",
     "law_suite", "trace_axiom_suite", "conway_identity_suite",
     "trace_oracle_suite",

@@ -39,6 +39,10 @@ EXIT_APPROX = 2
 EXIT_USAGE = 3
 
 
+class UsageError(Exception):
+    """Bad command-line input; reported in one line with exit code 3."""
+
+
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -80,7 +84,7 @@ def cmd_check(args) -> int:
 def _find_proc(program, name: str) -> ProcDecl:
     procs = program.procs()
     if name not in procs:
-        raise SystemExit(f"no proc named {name!r}; available: {sorted(procs)}")
+        raise UsageError(f"no proc named {name!r}; available: {sorted(procs)}")
     return procs[name]
 
 
@@ -105,7 +109,7 @@ def _parse_input_row(text: str, aspects) -> dict:
         if not part.strip():
             continue
         if "=" not in part:
-            raise SystemExit(f"bad input entry {part!r}; write key = value")
+            raise UsageError(f"bad input entry {part!r}; write key = value")
         key, _, val = part.partition("=")
         entries[key.strip()] = val.strip()
     row = {}
@@ -114,14 +118,14 @@ def _parse_input_row(text: str, aspects) -> dict:
             try:
                 row[key] = D.parse_value(entries.pop(key), aspect[0], aspect[1])
             except D.ValueNotationError as exc:
-                raise SystemExit(
+                raise UsageError(
                     f"input {key}: {exc} (expected a value of type "
                     f"{pp_type(aspect[0])} at polarity {aspect[1]})"
                 )
         else:
             row[key] = D.BOT
     if entries:
-        raise SystemExit(
+        raise UsageError(
             f"unknown input keys {sorted(entries)}; interface has {sorted(aspects)}"
         )
     return row
@@ -350,8 +354,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SillSyntaxError, T.TypeCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # values are nested trees: a stream of a few hundred messages is
+        # deeper than the interpreter's recursion limit
+        print("error: input too deeply nested to evaluate", file=sys.stderr)
         return EXIT_USAGE
 
 

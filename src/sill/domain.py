@@ -1,21 +1,36 @@
 """Finite approximants of the communication domains that session types denote.
 
 Each closed session type ``A`` and polarity ``p`` determines a pointed
-domain of unidirectional communications.  This module represents the
-finite elements of those domains as trees:
+domain of unidirectional communications: the *aspect* of ``A`` at ``p``.
+:func:`aspect` compiles a ``(type, polarity)`` pair once into a shape tree
+built from the constructors such domains are made of:
+
+* ``UnitShape``: the unit; at ``1+`` it also holds the close message.
+* ``LiftShape``: lifting, one message boundary.
+* ``SumShape``: the coalesced sum of lifted branches, on the side of a
+  choice that sends the label.
+* ``RecordShape``, ``PairShape``, ``ValPairShape``: products, for the
+  passive side of a choice and for channel and value transmission.
+* ``FoldShape``: the recursive solution.  Its body is compiled lazily, so
+  a recursive type gives a finite tree.
+
+The neutral connectives (``down`` at -, ``up`` at +, ``/\\`` at -, ``=>`` at
++) take their body's shape, and a sent channel or value is a lifted
+product.  Conformance, enumeration, chain heights and the text notation
+are traversals of the shape tree.
+
+The finite elements of an aspect are trees of values:
 
 * ``BOT`` is the least element of every aspect: the absence of
   communication.  Product-shaped aspects have their all-bottom tuple
   identified with ``BOT``; the smart constructors normalize on the way in,
   so structural equality decides the domain's equality.
-* ``STAR`` is the close message, the one non-trivial element of the
-  positive aspect of the unit type.
+* ``STAR`` is the close message.
 * ``Lift(v)`` is the image of ``v`` under lifting: one message boundary.
   ``Lift(BOT)`` is *not* ``BOT``; lifting is not strict.
 * ``Tag(k, Lift(v))`` is an element of a coalesced sum: the label ``k``
   followed by the communication ``v``.
-* ``Pair``/``ValPair``/``Record`` are the product shapes used by channel
-  and value transmission and by the passive side of choices.
+* ``Pair``/``ValPair``/``Record`` are the elements of the product shapes.
 * ``Fold(v)`` marks an element of a recursive type via the canonical
   isomorphism with its unfolding.
 
@@ -23,12 +38,16 @@ Observation depth counts message boundaries: every ``Lift`` is one unit.
 ``Fold`` is transparent for depth, so one labelled message on a recursive
 stream costs exactly one unit; recursive occurrences reachable without
 crossing a message boundary contribute only ``BOT`` to enumeration, which
-matches the least solution of the corresponding domain equation.
+matches the least solution of the corresponding domain equation.  Shapes
+compare by identity and :func:`aspect` never evicts, so each aspect is one
+object and a traversal finds such an occurrence by the node it revisits.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import ast as A
@@ -100,12 +119,6 @@ class ValPair(CommValue):
 @dataclass(frozen=True)
 class Record(CommValue):
     entries: tuple[tuple[str, CommValue], ...]
-
-    def get(self, key: str) -> CommValue:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise KeyError(key)
 
     def to_dict(self) -> dict[str, CommValue]:
         return dict(self.entries)
@@ -240,11 +253,6 @@ def down(v: CommValue) -> CommValue:
     raise DomainError(f"cannot lower {v!r}")
 
 
-def bottom(ty: A.SType, pol: Polarity) -> CommValue:
-    """Least element of the aspect; products of bottoms are identified with BOT."""
-    return BOT
-
-
 # ---------------------------------------------------------------------------
 # Splitting values against an expected shape (BOT stands for any product of
 # bottoms, so consumers ask for the components they need)
@@ -278,7 +286,7 @@ def split_valpair(v: CommValue) -> tuple[FuncValue, CommValue]:
 
 
 # ---------------------------------------------------------------------------
-# Order, join, meet, equality
+# Order, join, meet
 
 
 def func_leq(f: FuncValue, g: FuncValue) -> bool:
@@ -317,10 +325,6 @@ def leq(v: CommValue, w: CommValue) -> bool:
         case (Pair(), Record()) | (Record(), Pair()):
             raise DomainError(f"shape mismatch: {v!r} vs {w!r}")
     return False
-
-
-def equal(v: CommValue, w: CommValue) -> bool:
-    return v == w
 
 
 def _func_lub(f: FuncValue, g: FuncValue) -> FuncValue:
@@ -450,6 +454,88 @@ def height(v: CommValue) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Aspects as shape trees
+
+
+@dataclass(frozen=True, eq=False)
+class Shape:
+    """A node of a compiled aspect; nodes compare by identity."""
+
+
+@dataclass(frozen=True, eq=False)
+class UnitShape(Shape):
+    star: bool  # whether the close message flows this way
+
+
+@dataclass(frozen=True, eq=False)
+class LiftShape(Shape):
+    inner: Shape
+
+
+@dataclass(frozen=True, eq=False)
+class SumShape(Shape):
+    branches: dict[str, Shape]  # each branch under a lift
+
+
+@dataclass(frozen=True, eq=False)
+class RecordShape(Shape):
+    fields: dict[str, Shape]
+
+
+@dataclass(frozen=True, eq=False)
+class PairShape(Shape):
+    left: Shape
+    right: Shape
+
+
+@dataclass(frozen=True, eq=False)
+class ValPairShape(Shape):
+    val: A.FType
+    rest: Shape
+
+
+@dataclass(frozen=True, eq=False)
+class FoldShape(Shape):
+    rec: A.Rec
+    pol: Polarity
+    labelled: bool  # the unfolding is a choice, so k·v is written without fold(...)
+
+    @cached_property
+    def body(self) -> Shape:
+        return aspect(A.unfold_rec(self.rec), self.pol)
+
+
+@lru_cache(maxsize=None)
+def aspect(ty: A.SType, pol: Polarity) -> Shape:
+    """The shape of the aspect of ``ty`` at ``pol``.
+
+    Cached and never evicted, so an aspect is always the same object: the
+    cycle cut of enumeration and chain heights relies on that.
+    """
+    match ty, pol:
+        case A.Unit(), _:
+            return UnitShape(pol == POS)
+        case (A.Down(body=b), Polarity.POS) | (A.Up(body=b), Polarity.NEG):
+            return LiftShape(aspect(b, pol))
+        case (A.Plus(branches=bs), Polarity.POS) | (A.With(branches=bs), Polarity.NEG):
+            return SumShape({k: aspect(t, pol) for k, t in bs})
+        case (A.Plus(branches=bs), _) | (A.With(branches=bs), _):
+            return RecordShape({k: aspect(t, pol) for k, t in bs})
+        case (A.Tensor(carried=l, cont=r), Polarity.POS) | (A.Lolly(carried=l, cont=r), Polarity.NEG):
+            return LiftShape(PairShape(aspect(l, POS), aspect(r, pol)))
+        case (A.Tensor(carried=l, cont=r), _) | (A.Lolly(carried=l, cont=r), _):
+            return PairShape(aspect(l, NEG), aspect(r, pol))
+        case (A.AndVal(val=tau, cont=r), Polarity.POS) | (A.ImpVal(val=tau, cont=r), Polarity.NEG):
+            return LiftShape(ValPairShape(tau, aspect(r, pol)))
+        case (A.Down(body=b) | A.Up(body=b) | A.AndVal(cont=b) | A.ImpVal(cont=b)), _:
+            return aspect(b, pol)
+        case A.Rec(), _:
+            choice = A.Plus if pol == POS else A.With
+            return FoldShape(ty, pol, isinstance(A.unfold_rec(ty), choice))
+    raise DomainError(f"no aspect for {ty!r} at {pol}")
+
+
+# ---------------------------------------------------------------------------
 # Conformance
 
 
@@ -465,82 +551,34 @@ def conforms(v: CommValue, ty: A.SType, pol: Polarity) -> bool:
 
 
 def check_conforms(v: CommValue, ty: A.SType, pol: Polarity) -> None:
+    _check(v, aspect(ty, pol))
+
+
+def _check(v: CommValue, s: Shape) -> None:
     if v == BOT:
         return
-    match ty, pol:
-        case A.Unit(), Polarity.POS:
-            if not isinstance(v, StarValue):
-                raise DomainError(f"expected * or _ at 1+, got {v!r}")
-        case A.Unit(), Polarity.NEG:
-            raise DomainError(f"only _ inhabits 1-, got {v!r}")
-        case A.Down(body=b), Polarity.POS:
-            _check_lifted(v, b, POS)
-        case A.Down(body=b), Polarity.NEG:
-            check_conforms(v, b, NEG)
-        case A.Up(body=b), Polarity.NEG:
-            _check_lifted(v, b, NEG)
-        case A.Up(body=b), Polarity.POS:
-            check_conforms(v, b, POS)
-        case (A.Plus(branches=bs), Polarity.POS) | (A.With(branches=bs), Polarity.NEG):
-            if not (isinstance(v, Tag) and isinstance(v.inner, Lift)):
-                raise DomainError(f"expected a tagged message, got {v!r}")
-            mapping = dict(bs)
-            if v.label not in mapping:
-                raise DomainError(f"label {v.label!r} not in {sorted(mapping)}")
-            check_conforms(v.inner.inner, mapping[v.label], pol)
-        case (A.Plus(branches=bs), Polarity.NEG) | (A.With(branches=bs), Polarity.POS):
-            if not isinstance(v, Record):
-                raise DomainError(f"expected a record over labels, got {v!r}")
-            d = split_record(v, [k for k, _ in bs])
-            for k, t in bs:
-                check_conforms(d[k], t, pol)
-        case A.Tensor(carried=l, cont=r), Polarity.POS:
-            _check_lifted_pair(v, l, POS, r, POS)
-        case A.Tensor(carried=l, cont=r), Polarity.NEG:
-            a, b = split_pair(v)
-            check_conforms(a, l, NEG)
-            check_conforms(b, r, NEG)
-        case A.Lolly(carried=l, cont=r), Polarity.NEG:
-            _check_lifted_pair(v, l, POS, r, NEG)
-        case A.Lolly(carried=l, cont=r), Polarity.POS:
-            a, b = split_pair(v)
-            check_conforms(a, l, NEG)
-            check_conforms(b, r, POS)
-        case A.AndVal(cont=r), Polarity.POS:
-            _check_lifted_valpair(v, r, POS)
-        case A.AndVal(cont=r), Polarity.NEG:
-            check_conforms(v, r, NEG)
-        case A.ImpVal(cont=r), Polarity.NEG:
-            _check_lifted_valpair(v, r, NEG)
-        case A.ImpVal(cont=r), Polarity.POS:
-            check_conforms(v, r, POS)
-        case A.Rec(), _:
-            if not isinstance(v, Fold):
-                raise DomainError(f"expected fold(...) at a recursive type, got {v!r}")
-            check_conforms(v.inner, A.unfold_rec(ty), pol)
+    match s, v:
+        case UnitShape(star=True), StarValue():
+            pass
+        case LiftShape(inner=i), Lift(inner=x):
+            _check(x, i)
+        case SumShape(branches=bs), Tag(label=k, inner=Lift(inner=x)):
+            if k not in bs:
+                raise DomainError(f"label {k!r} not in {sorted(bs)}")
+            _check(x, bs[k])
+        case RecordShape(fields=fs), Record():
+            d = split_record(v, fs)
+            for k, f in fs.items():
+                _check(d[k], f)
+        case PairShape(left=l, right=r), Pair(left=a, right=b):
+            _check(a, l)
+            _check(b, r)
+        case ValPairShape(rest=r), ValPair(rest=x):
+            _check(x, r)
+        case FoldShape(), Fold(inner=x):
+            _check(x, s.body)
         case _:
-            raise DomainError(f"no aspect for {ty!r} at {pol}")
-
-
-def _check_lifted(v: CommValue, ty: A.SType, pol: Polarity) -> None:
-    if not isinstance(v, Lift):
-        raise DomainError(f"expected up(...) or _, got {v!r}")
-    check_conforms(v.inner, ty, pol)
-
-
-def _check_lifted_pair(v, lty, lpol, rty, rpol) -> None:
-    if not isinstance(v, Lift):
-        raise DomainError(f"expected up((_, _)) or _, got {v!r}")
-    a, b = split_pair(v.inner)
-    check_conforms(a, lty, lpol)
-    check_conforms(b, rty, rpol)
-
-
-def _check_lifted_valpair(v, rty, rpol) -> None:
-    if not isinstance(v, Lift):
-        raise DomainError(f"expected up((value, _)) or _, got {v!r}")
-    _, rest = split_valpair(v.inner)
-    check_conforms(rest, rty, rpol)
+            raise DomainError(f"{v!r} does not conform to a {type(s).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -566,97 +604,39 @@ def enumerate_values(ty: A.SType, pol: Polarity, depth: int,
     the enumeration equation), matching the degenerate domains such types
     denote.
     """
-    fe = func_enum or default_func_enum
+    return list(_enumerate(aspect(ty, pol), depth, func_enum or default_func_enum))
 
-    def go(t: A.SType, p: Polarity, d: int, seen: frozenset) -> list[CommValue]:
-        key = (t, p)
-        if key in seen:
+
+@lru_cache(maxsize=None)
+def _enumerate(shape: Shape, depth: int, fe: FuncEnum) -> tuple[CommValue, ...]:
+    """The sorted values of ``shape`` up to ``depth``, memoized at each
+    message boundary, where the cycle cut starts afresh."""
+
+    def below(s: Shape) -> Sequence[CommValue]:
+        return _enumerate(s, depth - 1, fe) if depth > 0 else ()
+
+    def go(s: Shape, seen: frozenset) -> list[CommValue]:
+        if s in seen:
             return [BOT]
-        seen = seen | {key}
-        match t, p:
-            case A.Unit(), Polarity.POS:
-                return [BOT, STAR]
-            case A.Unit(), Polarity.NEG:
-                return [BOT]
-            case A.Down(body=b), Polarity.POS:
-                return _lifted(go(b, POS, d - 1, frozenset()) if d > 0 else None)
-            case A.Down(body=b), Polarity.NEG:
-                return go(b, NEG, d, seen)
-            case A.Up(body=b), Polarity.NEG:
-                return _lifted(go(b, NEG, d - 1, frozenset()) if d > 0 else None)
-            case A.Up(body=b), Polarity.POS:
-                return go(b, POS, d, seen)
-            case (A.Plus(branches=bs), Polarity.POS) | (A.With(branches=bs), Polarity.NEG):
-                out: list[CommValue] = [BOT]
-                if d > 0:
-                    for k, bt in bs:
-                        out.extend(tag(k, x) for x in go(bt, p, d - 1, frozenset()))
-                return out
-            case (A.Plus(branches=bs), Polarity.NEG) | (A.With(branches=bs), Polarity.POS):
-                per = [(k, go(bt, p, d, seen)) for k, bt in bs]
-                combos = [{}]
-                for k, vals in per:
-                    combos = [{**c, k: v} for c in combos for v in vals]
-                return _dedup(record(c) for c in combos)
-            case A.Tensor(carried=l, cont=r), Polarity.POS:
-                return _lifted_pairs(l, POS, r, POS, d, go)
-            case A.Tensor(carried=l, cont=r), Polarity.NEG:
-                return _dedup(
-                    pair(x, y)
-                    for x in go(l, NEG, d, seen)
-                    for y in go(r, NEG, d, seen)
-                )
-            case A.Lolly(carried=l, cont=r), Polarity.NEG:
-                return _lifted_pairs(l, POS, r, NEG, d, go)
-            case A.Lolly(carried=l, cont=r), Polarity.POS:
-                return _dedup(
-                    pair(x, y)
-                    for x in go(l, NEG, d, seen)
-                    for y in go(r, POS, d, seen)
-                )
-            case A.AndVal(val=vt, cont=r), Polarity.POS:
-                return _lifted_valpairs(vt, r, POS, d, go, fe)
-            case A.AndVal(cont=r), Polarity.NEG:
-                return go(r, NEG, d, seen)
-            case A.ImpVal(val=vt, cont=r), Polarity.NEG:
-                return _lifted_valpairs(vt, r, NEG, d, go, fe)
-            case A.ImpVal(cont=r), Polarity.POS:
-                return go(r, POS, d, seen)
-            case A.Rec(), _:
-                return _dedup(fold(x) for x in go(A.unfold_rec(t), p, d, seen))
-        raise DomainError(f"no aspect for {t!r} at {p}")
+        seen = seen | {s}
+        match s:
+            case UnitShape(star=star):
+                return [BOT, STAR] if star else [BOT]
+            case LiftShape(inner=i):
+                return [BOT, *(Lift(x) for x in below(i))]
+            case SumShape(branches=bs):
+                return [BOT, *(tag(k, x) for k, b in bs.items() for x in below(b))]
+            case RecordShape(fields=fs):
+                pools = [go(f, seen) for f in fs.values()]
+                return [record(zip(fs, combo)) for combo in itertools.product(*pools)]
+            case PairShape(left=l, right=r):
+                return [pair(x, y) for x in go(l, seen) for y in go(r, seen)]
+            case ValPairShape(val=tau, rest=r):
+                return [valpair(f, y) for f in fe(tau) for y in go(r, seen)]
+            case FoldShape():
+                return [fold(x) for x in go(s.body, seen)]
 
-    out = go(ty, pol, depth, frozenset())
-    return sorted(set(out), key=value_key)
-
-
-def _lifted(inner: Optional[list[CommValue]]) -> list[CommValue]:
-    out: list[CommValue] = [BOT]
-    if inner is not None:
-        out.extend(Lift(x) for x in inner)
-    return out
-
-
-def _lifted_pairs(lty, lpol, rty, rpol, d, go) -> list[CommValue]:
-    out: list[CommValue] = [BOT]
-    if d > 0:
-        lefts = go(lty, lpol, d - 1, frozenset())
-        rights = go(rty, rpol, d - 1, frozenset())
-        out.extend(Lift(pair(x, y)) for x in lefts for y in rights)
-    return out
-
-
-def _lifted_valpairs(vt, rty, rpol, d, go, fe) -> list[CommValue]:
-    out: list[CommValue] = [BOT]
-    if d > 0:
-        vals = list(fe(vt))
-        rights = go(rty, rpol, d - 1, frozenset())
-        out.extend(Lift(valpair(f, y)) for f in vals for y in rights)
-    return out
-
-
-def _dedup(vals: Iterable[CommValue]) -> list[CommValue]:
-    return list(dict.fromkeys(vals))
+    return tuple(sorted(set(go(shape, frozenset())), key=value_key))
 
 
 def value_key(v: CommValue):
@@ -702,55 +682,30 @@ def chain_steps(ty: A.SType, pol: Polarity, depth: int) -> int:
     """An upper bound on the number of strict steps any ascending chain can
     take in the depth-truncated aspect."""
 
-    def go(t: A.SType, p: Polarity, d: int, seen: frozenset) -> int:
-        key = (t, p)
-        if key in seen:
+    def go(s: Shape, d: int, seen: frozenset) -> int:
+        if s in seen:
             return 0
-        seen = seen | {key}
-        match t, p:
-            case A.Unit(), Polarity.POS:
-                return 1
-            case A.Unit(), Polarity.NEG:
-                return 0
-            case A.Down(body=b), Polarity.POS:
-                return 1 + go(b, POS, d - 1, frozenset()) if d > 0 else 0
-            case A.Down(body=b), Polarity.NEG:
-                return go(b, NEG, d, seen)
-            case A.Up(body=b), Polarity.NEG:
-                return 1 + go(b, NEG, d - 1, frozenset()) if d > 0 else 0
-            case A.Up(body=b), Polarity.POS:
-                return go(b, POS, d, seen)
-            case (A.Plus(branches=bs), Polarity.POS) | (A.With(branches=bs), Polarity.NEG):
+        seen = seen | {s}
+        match s:
+            case UnitShape(star=star):
+                return int(star)
+            case LiftShape(inner=i):
+                return 1 + go(i, d - 1, frozenset()) if d > 0 else 0
+            case SumShape(branches=bs):
                 if d <= 0:
                     return 0
-                return 1 + max(go(bt, p, d - 1, frozenset()) for _, bt in bs)
-            case (A.Plus(branches=bs), Polarity.NEG) | (A.With(branches=bs), Polarity.POS):
-                return sum(go(bt, p, d, seen) for _, bt in bs)
-            case A.Tensor(carried=l, cont=r), Polarity.POS:
-                if d <= 0:
-                    return 0
-                return 1 + go(l, POS, d - 1, frozenset()) + go(r, POS, d - 1, frozenset())
-            case A.Tensor(carried=l, cont=r), Polarity.NEG:
-                return go(l, NEG, d, seen) + go(r, NEG, d, seen)
-            case A.Lolly(carried=l, cont=r), Polarity.NEG:
-                if d <= 0:
-                    return 0
-                return 1 + go(l, POS, d - 1, frozenset()) + go(r, NEG, d - 1, frozenset())
-            case A.Lolly(carried=l, cont=r), Polarity.POS:
-                return go(l, NEG, d, seen) + go(r, POS, d, seen)
-            case A.AndVal(cont=r), Polarity.POS:
-                return 3 + go(r, POS, d - 1, frozenset()) if d > 0 else 0
-            case A.AndVal(cont=r), Polarity.NEG:
-                return go(r, NEG, d, seen)
-            case A.ImpVal(cont=r), Polarity.NEG:
-                return 3 + go(r, NEG, d - 1, frozenset()) if d > 0 else 0
-            case A.ImpVal(cont=r), Polarity.POS:
-                return go(r, POS, d, seen)
-            case A.Rec(), _:
-                return go(A.unfold_rec(t), p, d, seen)
-        raise DomainError(f"no aspect for {t!r} at {p}")
+                return 1 + max(go(b, d - 1, frozenset()) for b in bs.values())
+            case RecordShape(fields=fs):
+                return sum(go(f, d, seen) for f in fs.values())
+            case PairShape(left=l, right=r):
+                return go(l, d, seen) + go(r, d, seen)
+            case ValPairShape(rest=r):
+                # absent < stuck < a quoted process
+                return 2 + go(r, d, seen)
+            case FoldShape():
+                return go(s.body, d, seen)
 
-    return go(ty, pol, depth, frozenset())
+    return go(aspect(ty, pol), depth, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -767,71 +722,35 @@ def chain_steps(ty: A.SType, pol: Polarity, depth: int) -> int:
 
 
 def format_value(v: CommValue, ty: A.SType, pol: Polarity) -> str:
-    match ty, pol:
-        case A.Unit(), Polarity.POS:
-            return "*" if isinstance(v, StarValue) else "_"
-        case A.Unit(), Polarity.NEG:
-            return "_"
-        case A.Down(body=b), Polarity.POS:
-            return "_" if v == BOT else f"up({format_value(down(v), b, POS)})"
-        case A.Down(body=b), Polarity.NEG:
-            return format_value(v, b, NEG)
-        case A.Up(body=b), Polarity.NEG:
-            return "_" if v == BOT else f"up({format_value(down(v), b, NEG)})"
-        case A.Up(body=b), Polarity.POS:
-            return format_value(v, b, POS)
-        case (A.Plus(branches=bs), Polarity.POS) | (A.With(branches=bs), Polarity.NEG):
+    return _format(v, aspect(ty, pol))
+
+
+def _format(v: CommValue, s: Shape) -> str:
+    match s:
+        case UnitShape():
+            return "*" if v == STAR else "_"
+        case LiftShape(inner=i):
+            return "_" if v == BOT else f"up({_format(down(v), i)})"
+        case SumShape(branches=bs):
             if v == BOT:
                 return "_"
-            assert isinstance(v, Tag)
-            cont = dict(bs)[v.label]
-            return f"{v.label}·{format_value(v.inner.inner, cont, pol)}"
-        case (A.Plus(branches=bs), Polarity.NEG) | (A.With(branches=bs), Polarity.POS):
-            d = split_record(v, [k for k, _ in bs])
-            inner = ", ".join(f"{k}: {format_value(d[k], t, pol)}" for k, t in bs)
-            return "{" + inner + "}"
-        case A.Tensor(carried=l, cont=r), Polarity.POS:
-            if v == BOT:
-                return "_"
-            a, b = split_pair(down(v))
-            return f"up(({format_value(a, l, POS)}, {format_value(b, r, POS)}))"
-        case A.Tensor(carried=l, cont=r), Polarity.NEG:
+            return f"{v.label}·{_format(v.inner.inner, bs[v.label])}"
+        case RecordShape(fields=fs):
+            d = split_record(v, fs)
+            return "{" + ", ".join(f"{k}: {_format(d[k], f)}" for k, f in fs.items()) + "}"
+        case PairShape(left=l, right=r):
             a, b = split_pair(v)
-            return f"({format_value(a, l, NEG)}, {format_value(b, r, NEG)})"
-        case A.Lolly(carried=l, cont=r), Polarity.NEG:
-            if v == BOT:
-                return "_"
-            a, b = split_pair(down(v))
-            return f"up(({format_value(a, l, POS)}, {format_value(b, r, NEG)}))"
-        case A.Lolly(carried=l, cont=r), Polarity.POS:
-            a, b = split_pair(v)
-            return f"({format_value(a, l, NEG)}, {format_value(b, r, POS)})"
-        case A.AndVal(cont=r), Polarity.POS:
-            if v == BOT:
-                return "_"
-            f, rest = split_valpair(down(v))
-            return f"up(({format_func_value(f)}, {format_value(rest, r, POS)}))"
-        case A.AndVal(cont=r), Polarity.NEG:
-            return format_value(v, r, NEG)
-        case A.ImpVal(cont=r), Polarity.NEG:
-            if v == BOT:
-                return "_"
-            f, rest = split_valpair(down(v))
-            return f"up(({format_func_value(f)}, {format_value(rest, r, NEG)}))"
-        case A.ImpVal(cont=r), Polarity.POS:
-            return format_value(v, r, POS)
-        case A.Rec(), _:
+            return f"({_format(a, l)}, {_format(b, r)})"
+        case ValPairShape(rest=r):
+            f, rest = split_valpair(v)
+            return f"({format_func_value(f)}, {_format(rest, r)})"
+        case FoldShape(labelled=labelled):
             if v == BOT:
                 return "_"
             inner = unfold(v)
-            unfolded = A.unfold_rec(ty)
-            sum_shaped = (
-                isinstance(unfolded, A.Plus) and pol == POS
-            ) or (isinstance(unfolded, A.With) and pol == NEG)
-            if sum_shaped and isinstance(inner, Tag):
-                return format_value(inner, unfolded, pol)
-            return f"fold({format_value(inner, unfolded, pol)})"
-    raise DomainError(f"no aspect for {ty!r} at {pol}")
+            if labelled and isinstance(inner, Tag):
+                return _format(inner, s.body)
+            return f"fold({_format(inner, s.body)})"
 
 
 def format_func_value(f: FuncValue) -> str:
@@ -1000,111 +919,50 @@ def parse_value(text: str, ty: A.SType, pol: Polarity) -> CommValue:
     raw, pos = _parse_raw(tokens, 0)
     if pos != len(tokens):
         raise ValueNotationError(f"trailing input in value: {tokens[pos:]}")
-    return _coerce(raw, ty, pol)
+    return _coerce(raw, aspect(ty, pol))
 
 
-def _coerce(raw: _Raw, ty: A.SType, pol: Polarity) -> CommValue:
+_EXPECTED = {
+    UnitShape: "the unit type carries only _ or *",
+    LiftShape: "expected up(...) or _",
+    SumShape: "expected a labelled value k·v",
+    RecordShape: "expected a record {label: value, ...}",
+    PairShape: "expected a pair (v, w)",
+    ValPairShape: "expected a pair (value, w)",
+}
+
+
+def _coerce(raw: _Raw, s: Shape) -> CommValue:
     if isinstance(raw, _RBot):
         return BOT
-    match ty, pol:
-        case A.Unit(), Polarity.POS:
-            if isinstance(raw, _RStar):
-                return STAR
-            raise ValueNotationError("the unit type carries only _ or *")
-        case A.Unit(), Polarity.NEG:
+    match s, raw:
+        case UnitShape(star=False), _:
             raise ValueNotationError("nothing flows this way on a unit channel; use _")
-        case A.Down(body=b), Polarity.POS:
-            return _coerce_lift(raw, b, POS)
-        case A.Down(body=b), Polarity.NEG:
-            return _coerce(raw, b, NEG)
-        case A.Up(body=b), Polarity.NEG:
-            return _coerce_lift(raw, b, NEG)
-        case A.Up(body=b), Polarity.POS:
-            return _coerce(raw, b, POS)
-        case (A.Plus(branches=bs), Polarity.POS) | (A.With(branches=bs), Polarity.NEG):
-            if isinstance(raw, _RDot):
-                mapping = dict(bs)
-                if raw.label not in mapping:
-                    raise ValueNotationError(
-                        f"label {raw.label!r} not among {sorted(mapping)}"
-                    )
-                return tag(raw.label, _coerce(raw.inner, mapping[raw.label], pol))
-            raise ValueNotationError("expected a labelled value k·v")
-        case (A.Plus(branches=bs), Polarity.NEG) | (A.With(branches=bs), Polarity.POS):
-            if isinstance(raw, _RMap):
-                mapping = dict(bs)
-                got = dict(raw.items)
-                if set(got) - set(mapping):
-                    raise ValueNotationError(
-                        f"unknown labels {sorted(set(got) - set(mapping))}"
-                    )
-                return record({
-                    k: _coerce(got[k], t, pol) if k in got else BOT
-                    for k, t in bs
-                })
-            raise ValueNotationError("expected a record {label: value, ...}")
-        case A.Tensor(carried=l, cont=r), Polarity.POS:
-            return _coerce_lift_pair(raw, l, POS, r, POS)
-        case A.Tensor(carried=l, cont=r), Polarity.NEG:
-            return _coerce_pair(raw, l, NEG, r, NEG)
-        case A.Lolly(carried=l, cont=r), Polarity.NEG:
-            return _coerce_lift_pair(raw, l, POS, r, NEG)
-        case A.Lolly(carried=l, cont=r), Polarity.POS:
-            return _coerce_pair(raw, l, NEG, r, POS)
-        case A.AndVal(cont=r), Polarity.POS:
-            return _coerce_lift_valpair(raw, r, POS)
-        case A.AndVal(cont=r), Polarity.NEG:
-            return _coerce(raw, r, NEG)
-        case A.ImpVal(cont=r), Polarity.NEG:
-            return _coerce_lift_valpair(raw, r, NEG)
-        case A.ImpVal(cont=r), Polarity.POS:
-            return _coerce(raw, r, POS)
-        case A.Rec(), _:
-            unfolded = A.unfold_rec(ty)
-            if isinstance(raw, _RFold):
-                return fold(_coerce(raw.inner, unfolded, pol))
-            # k·v is accepted directly for fold-of-label values
-            return fold(_coerce(raw, unfolded, pol))
-    raise ValueNotationError(f"no aspect for {ty!r} at {pol}")
-
-
-def _coerce_lift(raw: _Raw, ty: A.SType, pol: Polarity) -> CommValue:
-    if isinstance(raw, _RUp):
-        return Lift(_coerce(raw.inner, ty, pol))
-    raise ValueNotationError("expected up(...) or _")
-
-
-def _coerce_lift_pair(raw, lty, lpol, rty, rpol) -> CommValue:
-    if isinstance(raw, _RUp):
-        return Lift(_coerce_pair(raw.inner, lty, lpol, rty, rpol))
-    raise ValueNotationError("expected up((v, w)) or _")
-
-
-def _coerce_pair(raw, lty, lpol, rty, rpol) -> CommValue:
-    if isinstance(raw, _RBot):
-        return BOT
-    if isinstance(raw, _RTuple) and len(raw.items) == 2:
-        return pair(
-            _coerce(raw.items[0], lty, lpol), _coerce(raw.items[1], rty, rpol)
-        )
-    raise ValueNotationError("expected a pair (v, w)")
-
-
-def _coerce_lift_valpair(raw, rty, rpol) -> CommValue:
-    if isinstance(raw, _RUp):
-        inner = raw.inner
-        if isinstance(inner, _RBot):
-            return Lift(BOT)
-        if isinstance(inner, _RTuple) and len(inner.items) == 2:
-            fraw, rraw = inner.items
-            if isinstance(fraw, _RBot):
-                fval: FuncValue = FBOT
-            elif isinstance(fraw, _RStuck):
-                fval = QPROC_BOT
-            else:
+        case UnitShape(), _RStar():
+            return STAR
+        case LiftShape(inner=i), _RUp(inner=r):
+            return Lift(_coerce(r, i))
+        case SumShape(branches=bs), _RDot(label=k, inner=r):
+            if k not in bs:
+                raise ValueNotationError(f"label {k!r} not among {sorted(bs)}")
+            return tag(k, _coerce(r, bs[k]))
+        case RecordShape(fields=fs), _RMap(items=items):
+            got = dict(items)
+            if set(got) - set(fs):
+                raise ValueNotationError(f"unknown labels {sorted(set(got) - set(fs))}")
+            return record({k: _coerce(got[k], f) if k in got else BOT
+                           for k, f in fs.items()})
+        case PairShape(left=l, right=r), _RTuple(items=(a, b)):
+            return pair(_coerce(a, l), _coerce(b, r))
+        case ValPairShape(rest=r), _RTuple(items=(f, rest)):
+            if not isinstance(f, (_RBot, _RStuck)):
                 raise ValueNotationError(
                     "functional values have no notation beyond _ and <stuck>"
                 )
-            return Lift(valpair(fval, _coerce(rraw, rty, rpol)))
-        raise ValueNotationError("expected up((value, w))")
-    raise ValueNotationError("expected up((value, w)) or _")
+            return valpair(FBOT if isinstance(f, _RBot) else QPROC_BOT, _coerce(rest, r))
+        case FoldShape(), _RFold(inner=r):
+            return fold(_coerce(r, s.body))
+        case FoldShape(), _:
+            # k·v is accepted directly for fold-of-label values
+            return fold(_coerce(raw, s.body))
+    raise ValueNotationError(_EXPECTED[type(s)])

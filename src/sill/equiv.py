@@ -12,7 +12,6 @@ environment space could only be sampled.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -20,7 +19,6 @@ from . import ast as A
 from . import domain as D
 from . import semantics as S
 from . import typecheck as T
-from .ast import NEG, POS
 
 
 @dataclass
@@ -60,13 +58,7 @@ def _format_row(row: S.Row, aspects: Mapping[str, S.Aspect]) -> dict:
 
 def input_grid(delta: Mapping[str, A.SType], c: str, cty: A.SType, depth: int,
                func_enum: Optional[D.FuncEnum] = None) -> list[S.Row]:
-    aspects = S.proc_inputs(delta, c, cty)
-    keys = sorted(aspects)
-    pools = [
-        D.enumerate_values(aspects[k][0], aspects[k][1], depth, func_enum)
-        for k in keys
-    ]
-    return [S.Row(dict(zip(keys, combo))) for combo in itertools.product(*pools)]
+    return list(S.row_grid(S.proc_inputs(delta, c, cty), depth, func_enum))
 
 
 def check_equiv(left: A.Process, right: A.Process,
@@ -171,22 +163,16 @@ def _func_values_equal(vl: D.FuncValue, vr: D.FuncValue, ty: A.FType,
                        cfg: S.EvalConfig) -> Optional[bool]:
     if vl == vr:
         return True
-    if isinstance(vl, D.QProc) and isinstance(vr, D.QProc) and isinstance(ty, A.ProcType):
-        try:
-            return S._qproc_extensionally_equal(vl.den, vr.den, ty, cfg)
-        except D.NotEnumerable:
-            return None
-    both_stuckish = {type(vl), type(vr)} <= {D.QProcBot, D.QProc}
-    if both_stuckish and isinstance(ty, A.ProcType):
-        # one side is the literal stuck process: compare extensionally too
+    stuckish = (D.QProcBot, D.QProc)
+    if isinstance(vl, stuckish) and isinstance(vr, stuckish) and isinstance(ty, A.ProcType):
+        # the literal stuck process is the quoted process that never outputs,
+        # at the interface of the other side (one side is quoted, as vl != vr)
+        quoted = vl if isinstance(vl, D.QProc) else vr
+
         def as_den(v):
             if isinstance(v, D.QProc):
                 return v.den
-            ins = {S._canon_used(i): (t, POS) for i, (_, t) in enumerate(ty.used)}
-            ins[S._PROV_KEY] = (ty.provided, NEG)
-            outs = {S._canon_used(i): (t, NEG) for i, (_, t) in enumerate(ty.used)}
-            outs[S._PROV_KEY] = (ty.provided, POS)
-            return S.constant_bot(ins, outs)
+            return S.constant_bot(quoted.den.inputs, quoted.den.outputs)
 
         try:
             return S._qproc_extensionally_equal(as_den(vl), as_den(vr), ty, cfg)

@@ -10,11 +10,10 @@ input order) and check each axiom instance by exhaustive evaluation.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import ast as A
 from . import domain as D
@@ -474,10 +473,7 @@ class FinGrid:
 def _grid_cached(aspect_items: tuple, depth: int) -> FinGrid:
     aspects = dict(aspect_items)
     keys = tuple(sorted(aspects))
-    pools = [
-        D.enumerate_values(aspects[k][0], aspects[k][1], depth) for k in keys
-    ]
-    rows = [S.Row(dict(zip(keys, combo))) for combo in itertools.product(*pools)]
+    rows = list(S.row_grid(aspects, depth))
     n = len(rows)
     leq = [[S.row_leq(rows[i], rows[j]) for j in range(n)] for i in range(n)]
     preds = [[j for j in range(n) if j != i and leq[j][i]] for i in range(n)]
@@ -540,11 +536,6 @@ def random_monotone_den(rng: random.Random, in_aspects: Mapping[str, S.Aspect],
     return S.Denotation(dict(in_aspects), dict(out_aspects), fn, label="table")
 
 
-def den_lambda(inputs: Mapping[str, S.Aspect], outputs: Mapping[str, S.Aspect],
-               fn: Callable[[S.Row], S.Row], label: str = "lambda") -> S.Denotation:
-    return S.Denotation(dict(inputs), dict(outputs), fn, label=label)
-
-
 @lru_cache(maxsize=1)
 def aspect_battery(depth: int = 2) -> list[tuple[S.Aspect, int]]:
     """Small aspects (with their element counts at the battery depth)."""
@@ -602,7 +593,18 @@ class AxiomReport:
             bad = sum(1 for f in self.failures if f.axiom == ax)
             n = self.checked.get(ax, 0)
             lines.append(f"{ax}: {n - bad}/{n} instances pass")
+        lines.extend(f.detail for f in self.failures if f.axiom not in self.axioms)
         return lines
+
+
+def _fail_on_fuel_out(report: AxiomReport, cfg: S.EvalConfig) -> AxiomReport:
+    """A fixed point that ran out of fuel fails the suite: its checks then
+    compared iterates, not fixed points."""
+    if cfg.diag.nonconverged:
+        report.failures.append(AxiomFailure(
+            "convergence", report.rounds,
+            "did not converge: a fixed point ran out of fuel"))
+    return report
 
 
 def _den_equal_on_grid(d1: S.Denotation, d2: S.Denotation, depth: int) -> Optional[str]:
@@ -642,14 +644,14 @@ def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> Axiom
         g = random_monotone_den(rng, {"a2": asp_a2}, {"a": asp_a}, depth)
 
         # left tightening: Tr(f . (g x id)) == Tr(f) . g
-        fg = den_lambda(
+        fg = S.Denotation(
             {"a2": asp_a2, "u": asp_u}, {"b": asp_b, "u": asp_u},
             lambda row, f=f, g=g: f(S.Row({"a": g(row.project(["a2"]))["a"],
                                            "u": row["u"]})),
         )
         lhs = S.trace(fg, ["u"], cfg)
         tr_f = S.trace(f, ["u"], cfg)
-        rhs = den_lambda(
+        rhs = S.Denotation(
             {"a2": asp_a2}, {"b": asp_b},
             lambda row, tr_f=tr_f, g=g: tr_f(S.Row({"a": g(row)["a"]})),
         )
@@ -657,14 +659,14 @@ def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> Axiom
 
         # right tightening: Tr((h x id) . f) == h . Tr(f)
         h = random_monotone_den(rng, {"b": asp_b}, {"b2": asp_a2}, depth)
-        hf = den_lambda(
+        hf = S.Denotation(
             {"a": asp_a, "u": asp_u}, {"b2": asp_a2, "u": asp_u},
             lambda row, f=f, h=h: (lambda out: S.Row(
                 {"b2": h(out.project(["b"]))["b2"], "u": out["u"]}
             ))(f(row)),
         )
         lhs = S.trace(hf, ["u"], cfg)
-        rhs = den_lambda(
+        rhs = S.Denotation(
             {"a": asp_a}, {"b2": asp_a2},
             lambda row, tr_f=tr_f, h=h: h(tr_f(row)),
         )
@@ -675,13 +677,13 @@ def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> Axiom
         f2 = random_monotone_den(rng, {"a": asp_a, "u": asp_u},
                                  {"b": asp_b, "v": asp_v}, depth)
         g2 = random_monotone_den(rng, {"v": asp_v}, {"u": asp_u}, depth)
-        lhs_inner = den_lambda(
+        lhs_inner = S.Denotation(
             {"a": asp_a, "u": asp_u}, {"b": asp_b, "u": asp_u},
             lambda row, f2=f2, g2=g2: (lambda out: S.Row(
                 {"b": out["b"], "u": g2(out.project(["v"]))["u"]}
             ))(f2(row)),
         )
-        rhs_inner = den_lambda(
+        rhs_inner = S.Denotation(
             {"a": asp_a, "v": asp_v}, {"b": asp_b, "v": asp_v},
             lambda row, f2=f2, g2=g2: f2(S.Row(
                 {"a": row["a"], "u": g2(row.project(["v"]))["u"]}
@@ -703,14 +705,14 @@ def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> Axiom
 
         # superposing: Tr(id_C x f) == id_C x Tr(f)
         asp_c = _pick_aspect(rng, depth, 5)
-        big = den_lambda(
+        big = S.Denotation(
             {"cc": asp_c, "a": asp_a, "u": asp_u},
             {"cc": asp_c, "b": asp_b, "u": asp_u},
             lambda row, f=f: S.Row({**dict(f(row.project(["a", "u"]))),
                                     "cc": row["cc"]}),
         )
         lhs = S.trace(big, ["u"], cfg)
-        rhs = den_lambda(
+        rhs = S.Denotation(
             {"cc": asp_c, "a": asp_a}, {"cc": asp_c, "b": asp_b},
             lambda row, tr_f=tr_f: S.Row({**dict(tr_f(row.project(["a"]))),
                                           "cc": row["cc"]}),
@@ -719,15 +721,15 @@ def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> Axiom
 
         # yanking: the trace of the swap is the identity
         asp_x = _pick_aspect(rng, depth, 9)
-        swap = den_lambda(
+        swap = S.Denotation(
             {"a": asp_x, "u": asp_x}, {"b": asp_x, "u": asp_x},
             lambda row: S.Row({"b": row["u"], "u": row["a"]}),
         )
-        ident = den_lambda({"a": asp_x}, {"b": asp_x},
-                           lambda row: S.Row({"b": row["a"]}))
+        ident = S.Denotation({"a": asp_x}, {"b": asp_x},
+                             lambda row: S.Row({"b": row["a"]}))
         check("yanking", i, S.trace(swap, ["u"], cfg), ident)
 
-    return report
+    return _fail_on_fuel_out(report, cfg)
 
 
 def conway_identity_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> AxiomReport:
@@ -753,9 +755,9 @@ def conway_identity_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> A
         # naturality: sfix(f) . g == sfix(f . (g x id))
         g = random_monotone_den(rng, {"y": asp_y}, {"x": asp_x}, depth)
         sf = S.sfix_row(f, {"a": "ao"}, cfg)
-        lhs = den_lambda({"y": asp_y}, {"ao": asp_a},
-                         lambda row, sf=sf, g=g: sf(S.Row({"x": g(row)["x"]})))
-        fg = den_lambda(
+        lhs = S.Denotation({"y": asp_y}, {"ao": asp_a},
+                           lambda row, sf=sf, g=g: sf(S.Row({"x": g(row)["x"]})))
+        fg = S.Denotation(
             {"y": asp_y, "a": asp_a}, {"ao": asp_a},
             lambda row, f=f, g=g: f(S.Row({"x": g(row.project(["y"]))["x"],
                                            "a": row["a"]})),
@@ -764,7 +766,7 @@ def conway_identity_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> A
         check("naturality", i, lhs, rhs)
 
         # parametrized fixed-point property: f . <id, sfix f> == sfix f
-        lhs = den_lambda(
+        lhs = S.Denotation(
             {"x": asp_x}, {"ao": asp_a},
             lambda row, f=f, sf=sf: f(S.Row({"x": row["x"],
                                              "a": sf(row)["ao"]})),
@@ -775,18 +777,18 @@ def conway_identity_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> A
         asp_b = _pick_aspect(rng, depth, 5)
         fb = random_monotone_den(rng, {"x": asp_x, "b": asp_b}, {"ao": asp_a}, depth)
         gb = random_monotone_den(rng, {"x": asp_x, "a": asp_a}, {"bo": asp_b}, depth)
-        gf = den_lambda(
+        gf = S.Denotation(
             {"x": asp_x, "b": asp_b}, {"bo": asp_b},
             lambda row, fb=fb, gb=gb: gb(S.Row({"x": row["x"],
                                                 "a": fb(row)["ao"]})),
         )
         s1 = S.sfix_row(gf, {"b": "bo"}, cfg)
-        lhs = den_lambda(
+        lhs = S.Denotation(
             {"x": asp_x}, {"ao": asp_a},
             lambda row, fb=fb, s1=s1: fb(S.Row({"x": row["x"],
                                                 "b": s1(row)["bo"]})),
         )
-        fg2 = den_lambda(
+        fg2 = S.Denotation(
             {"x": asp_x, "a": asp_a}, {"ao": asp_a},
             lambda row, fb=fb, gb=gb: fb(S.Row({"x": row["x"],
                                                 "b": gb(row)["bo"]})),
@@ -798,7 +800,7 @@ def conway_identity_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> A
         fd = random_monotone_den(
             rng, {"x": asp_x, "a1": asp_a, "a2": asp_a}, {"ao": asp_a}, depth
         )
-        dup = den_lambda(
+        dup = S.Denotation(
             {"x": asp_x, "a": asp_a}, {"ao": asp_a},
             lambda row, fd=fd: fd(S.Row({"x": row["x"], "a1": row["a"],
                                          "a2": row["a"]})),
@@ -808,7 +810,7 @@ def conway_identity_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> A
         rhs = S.sfix_row(inner, {"a1": "ao"}, cfg)
         check("diagonal", i, lhs, rhs)
 
-    return report
+    return _fail_on_fuel_out(report, cfg)
 
 
 def trace_oracle_suite(seed: int = 0, rounds: int = 500, depth: int = 2,
@@ -832,4 +834,4 @@ def trace_oracle_suite(seed: int = 0, rounds: int = 500, depth: int = 2,
             report.failures.append(
                 AxiomFailure("kleene-vs-knaster-tarski", i, detail)
             )
-    return report
+    return _fail_on_fuel_out(report, cfg)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import ast as A
 from . import domain as D
@@ -89,6 +89,14 @@ def row_meet(a: Row, b: Row) -> Row:
 
 def row_truncate(a: Row, depth: int) -> Row:
     return Row({k: D.truncate(v, depth) for k, v in a.items()})
+
+
+def row_grid(aspects: Mapping[str, Aspect], depth: int,
+             func_enum: Optional[D.FuncEnum] = None) -> Iterator[Row]:
+    """Every row over ``aspects`` whose values have height at most ``depth``."""
+    keys = sorted(aspects)
+    pools = [D.enumerate_values(*aspects[k], depth, func_enum) for k in keys]
+    return (Row(dict(zip(keys, combo))) for combo in itertools.product(*pools))
 
 
 def kplus(chan: str) -> str:
@@ -181,16 +189,6 @@ def tensor(f: Denotation, g: Denotation) -> Denotation:
         return Row({**dict(a), **dict(b)})
 
     return Denotation(inputs, outputs, fn, label=f"({f.label}*{g.label})")
-
-
-def compose(g: Denotation, f: Denotation) -> Denotation:
-    """Sequential composition g after f; key sets must match exactly."""
-    if set(f.outputs) != set(g.inputs):
-        raise ValueError(
-            f"cannot compose: {sorted(f.outputs)} vs {sorted(g.inputs)}"
-        )
-    return Denotation(f.inputs, g.outputs, lambda row: g(f(row)),
-                      label=f"({g.label}.{f.label})")
 
 
 def relabel(den: Denotation, in_map: Mapping[str, str], out_map: Mapping[str, str]) -> Denotation:
@@ -287,16 +285,8 @@ def knaster_tarski_trace(den: Denotation, fb_keys, depth: int,
     inputs = {k: v for k, v in den.inputs.items() if k not in fb}
     outputs = {k: v for k, v in den.outputs.items() if k not in fb}
 
-    def grid(aspects: Mapping[str, Aspect]) -> list[Row]:
-        keys = sorted(aspects)
-        pools = [
-            D.enumerate_values(aspects[k][0], aspects[k][1], depth, func_enum)
-            for k in keys
-        ]
-        return [Row(dict(zip(keys, combo))) for combo in itertools.product(*pools)]
-
-    x_grid = grid({k: den.inputs[k] for k in fb})
-    b_grid = grid(outputs)
+    x_grid = list(row_grid({k: den.inputs[k] for k in fb}, depth, func_enum))
+    b_grid = list(row_grid(outputs, depth, func_enum))
 
     def fn(row: Row) -> Row:
         post: list[tuple[Row, Row]] = []
@@ -500,14 +490,7 @@ def _func_converged(v: D.FuncValue, w: D.FuncValue, ty: A.FType, cfg: EvalConfig
 
 def _qproc_extensionally_equal(d1: Denotation, d2: Denotation,
                                ty: A.ProcType, cfg: EvalConfig) -> bool:
-    fe = cfg.func_enum or D.default_func_enum
-    keys = sorted(d1.inputs)
-    pools = [
-        D.enumerate_values(d1.inputs[k][0], d1.inputs[k][1], cfg.depth, fe)
-        for k in keys
-    ]
-    for combo in itertools.product(*pools):
-        row = Row(dict(zip(keys, combo)))
+    for row in row_grid(d1.inputs, cfg.depth, cfg.func_enum):
         if row_truncate(d1(row), cfg.depth) != row_truncate(d2(row), cfg.depth):
             return False
     return True
@@ -544,7 +527,10 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
 
     The derivation is syntax-directed, so the clause to apply is read off
     the process and the evolving types; receiving clauses are wrapped with
-    the strictness operator on the awaited component.
+    the strictness operator on the awaited component.  Each message clause
+    is both the right rule (on the provided channel) and the left rule (on
+    a used one): the two differ only in which keys carry the channel's
+    incoming and outgoing aspects, and in which type the message advances.
     """
     delta = dict(delta)
     inputs = proc_inputs(delta, c, cty)
@@ -552,6 +538,18 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
 
     def clause(fn, label) -> Denotation:
         return Denotation(inputs, outputs, fn, label=label)
+
+    def side(a: str):
+        """The input key, output key and current type of channel ``a``, and
+        a builder for the continuation with ``a`` retyped."""
+        if a == c:
+            def cont(p, ty, delta=delta, psi=psi, env=env) -> Denotation:
+                return denote_process(p, delta, c, ty, psi, env, cfg)
+            return kminus(c), kplus(c), cty, cont
+
+        def cont(p, ty, delta=delta, psi=psi, env=env) -> Denotation:
+            return denote_process(p, {**delta, a: ty}, c, cty, psi, env, cfg)
+        return kplus(a), kminus(a), delta[a], cont
 
     match proc:
         case A.Fwd(provided=b, used=a):
@@ -573,299 +571,125 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
             return strictify(clause(wait_fn, "wait"), kplus(a))
 
         case A.SendShift(channel=a, cont=p):
-            if a == c:
-                assert isinstance(cty, A.Down)
-                inner = denote_process(p, delta, c, cty.body, psi, env, cfg)
+            _, o, ty, cont = side(a)
+            assert isinstance(ty, (A.Down, A.Up))
+            inner = cont(p, ty.body)
 
-                def down_r(row: Row) -> Row:
-                    out = inner(row)
-                    return Row({**dict(out), kplus(c): D.up(out[kplus(c)])})
-
-                return clause(down_r, "downR")
-            aty = delta[a]
-            assert isinstance(aty, A.Up)
-            inner = denote_process(p, {**delta, a: aty.body}, c, cty, psi, env, cfg)
-
-            def up_l(row: Row) -> Row:
+            def send_shift(row: Row) -> Row:
                 out = inner(row)
-                return Row({**dict(out), kminus(a): D.up(out[kminus(a)])})
+                return Row({**dict(out), o: D.up(out[o])})
 
-            return clause(up_l, "upL")
+            return clause(send_shift, "send-shift")
 
         case A.RecvShift(channel=a, cont=p):
-            if a == c:
-                assert isinstance(cty, A.Up)
-                inner = denote_process(p, delta, c, cty.body, psi, env, cfg)
+            i, _, ty, cont = side(a)
+            assert isinstance(ty, (A.Up, A.Down))
+            inner = cont(p, ty.body)
 
-                def up_r(row: Row) -> Row:
-                    return inner(row.updated({kminus(c): D.down(row[kminus(c)])}))
+            def recv_shift(row: Row) -> Row:
+                return inner(row.updated({i: D.down(row[i])}))
 
-                return strictify(clause(up_r, "upR"), kminus(c))
-            aty = delta[a]
-            assert isinstance(aty, A.Down)
-            inner = denote_process(p, {**delta, a: aty.body}, c, cty, psi, env, cfg)
-
-            def down_l(row: Row) -> Row:
-                return inner(row.updated({kplus(a): D.down(row[kplus(a)])}))
-
-            return strictify(clause(down_l, "downL"), kplus(a))
+            return strictify(clause(recv_shift, "recv-shift"), i)
 
         case A.SendLabel(channel=a, label=k, cont=p):
-            if a == c:
-                assert isinstance(cty, A.Plus)
-                labels = [l for l, _ in cty.branches]
-                inner = denote_process(p, delta, c, dict(cty.branches)[k], psi, env, cfg)
+            i, o, ty, cont = side(a)
+            assert isinstance(ty, (A.Plus, A.With))
+            labels = [l for l, _ in ty.branches]
+            inner = cont(p, dict(ty.branches)[k])
 
-                def plus_r(row: Row) -> Row:
-                    akm = D.split_record(row[kminus(c)], labels)[k]
-                    out = inner(row.updated({kminus(c): akm}))
-                    return Row({**dict(out), kplus(c): D.tag(k, out[kplus(c)])})
+            def send_label(row: Row) -> Row:
+                out = inner(row.updated({i: D.split_record(row[i], labels)[k]}))
+                return Row({**dict(out), o: D.tag(k, out[o])})
 
-                return clause(plus_r, "plusR")
-            aty = delta[a]
-            assert isinstance(aty, A.With)
-            labels = [l for l, _ in aty.branches]
-            inner = denote_process(
-                p, {**delta, a: dict(aty.branches)[k]}, c, cty, psi, env, cfg
-            )
-
-            def with_l(row: Row) -> Row:
-                akp = D.split_record(row[kplus(a)], labels)[k]
-                out = inner(row.updated({kplus(a): akp}))
-                return Row({**dict(out), kminus(a): D.tag(k, out[kminus(a)])})
-
-            return clause(with_l, "withL")
+            return clause(send_label, "send-label")
 
         case A.Case(channel=a, branches=bs):
-            if a == c:
-                assert isinstance(cty, A.With)
-                tys = dict(cty.branches)
-                inners = {
-                    k: denote_process(p, delta, c, tys[k], psi, env, cfg)
-                    for k, p in bs
-                }
-                labels = sorted(tys)
-
-                def with_r(row: Row) -> Row:
-                    v = row[kminus(c)]
-                    assert isinstance(v, D.Tag)
-                    k, payload = v.label, v.inner.inner
-                    out = inners[k](row.updated({kminus(c): payload}))
-                    branch_out = {
-                        kplus(c): D.record({
-                            l: out[kplus(c)] if l == k else D.BOT for l in labels
-                        })
-                    }
-                    return Row({**dict(out), **branch_out})
-
-                return strictify(clause(with_r, "withR"), kminus(c))
-            aty = delta[a]
-            assert isinstance(aty, A.Plus)
-            tys = dict(aty.branches)
-            inners = {
-                k: denote_process(p, {**delta, a: tys[k]}, c, cty, psi, env, cfg)
-                for k, p in bs
-            }
+            i, o, ty, cont = side(a)
+            assert isinstance(ty, (A.With, A.Plus))
+            tys = dict(ty.branches)
+            inners = {k: cont(p, tys[k]) for k, p in bs}
             labels = sorted(tys)
 
-            def plus_l(row: Row) -> Row:
-                v = row[kplus(a)]
+            def recv_label(row: Row) -> Row:
+                v = row[i]
                 assert isinstance(v, D.Tag)
                 k, payload = v.label, v.inner.inner
-                out = inners[k](row.updated({kplus(a): payload}))
-                branch_out = {
-                    kminus(a): D.record({
-                        l: out[kminus(a)] if l == k else D.BOT for l in labels
-                    })
-                }
-                return Row({**dict(out), **branch_out})
+                out = inners[k](row.updated({i: payload}))
+                chosen = D.record({l: out[o] if l == k else D.BOT for l in labels})
+                return Row({**dict(out), o: chosen})
 
-            return strictify(clause(plus_l, "plusL"), kplus(a))
+            return strictify(clause(recv_label, "case"), i)
 
         case A.SendChan(channel=a, sent=b, cont=p):
-            if a == c:
-                assert isinstance(cty, A.Tensor)
-                rest = {d: t for d, t in delta.items() if d != b}
-                inner = denote_process(p, rest, c, cty.cont, psi, env, cfg)
+            i, o, ty, cont = side(a)
+            assert isinstance(ty, (A.Tensor, A.Lolly))
+            inner = cont(p, ty.cont, {d: t for d, t in delta.items() if d != b})
 
-                def tensor_r(row: Row) -> Row:
-                    ab_m, aa_m = D.split_pair(row[kminus(c)])
-                    out = inner(row.without(kplus(b)).updated({kminus(c): aa_m}))
-                    return Row({
-                        **dict(out),
-                        kminus(b): ab_m,
-                        kplus(c): D.up(D.pair(row[kplus(b)], out[kplus(c)])),
-                    })
-
-                return clause(tensor_r, "tensorR")
-            aty = delta[a]
-            assert isinstance(aty, A.Lolly)
-            rest = {d: t for d, t in delta.items() if d != b}
-            rest[a] = aty.cont
-            inner = denote_process(p, rest, c, cty, psi, env, cfg)
-
-            def lolly_l(row: Row) -> Row:
-                b_neg, aa_p = D.split_pair(row[kplus(a)])
-                out = inner(row.without(kplus(b)).updated({kplus(a): aa_p}))
+            def send_chan(row: Row) -> Row:
+                b_neg, a_in = D.split_pair(row[i])
+                out = inner(row.without(kplus(b)).updated({i: a_in}))
                 return Row({
                     **dict(out),
                     kminus(b): b_neg,
-                    kminus(a): D.up(D.pair(row[kplus(b)], out[kminus(a)])),
+                    o: D.up(D.pair(row[kplus(b)], out[o])),
                 })
 
-            return clause(lolly_l, "lollyL")
+            return clause(send_chan, "send-chan")
 
         case A.RecvChan(bound=b, channel=a, cont=p):
-            if a == c:
-                assert isinstance(cty, A.Lolly)
-                inner = denote_process(
-                    p, {**delta, b: cty.carried}, c, cty.cont, psi, env, cfg
-                )
+            i, o, ty, cont = side(a)
+            assert isinstance(ty, (A.Lolly, A.Tensor))
+            inner = cont(p, ty.cont, {**delta, b: ty.carried})
 
-                def lolly_r(row: Row) -> Row:
-                    ab_p, aa_m = D.split_pair(D.down(row[kminus(c)]))
-                    out = inner(Row({
-                        **dict(row.without(kminus(c))),
-                        kplus(b): ab_p,
-                        kminus(c): aa_m,
-                    }))
-                    return Row({
-                        **dict(out.without(kminus(b))),
-                        kplus(c): D.pair(out[kminus(b)], out[kplus(c)]),
-                    })
-
-                return strictify(clause(lolly_r, "lollyR"), kminus(c))
-            aty = delta[a]
-            assert isinstance(aty, A.Tensor)
-            inner = denote_process(
-                p, {**delta, a: aty.cont, b: aty.carried}, c, cty, psi, env, cfg
-            )
-
-            def tensor_l(row: Row) -> Row:
-                ab_p, aa_p = D.split_pair(D.down(row[kplus(a)]))
-                out = inner(Row({
-                    **dict(row),
-                    kplus(a): aa_p,
-                    kplus(b): ab_p,
-                }))
+            def recv_chan(row: Row) -> Row:
+                b_pos, a_in = D.split_pair(D.down(row[i]))
+                out = inner(row.updated({i: a_in, kplus(b): b_pos}))
                 return Row({
                     **dict(out.without(kminus(b))),
-                    kminus(a): D.pair(out[kminus(b)], out[kminus(a)]),
+                    o: D.pair(out[kminus(b)], out[o]),
                 })
 
-            return strictify(clause(tensor_l, "tensorL"), kplus(a))
+            return strictify(clause(recv_chan, "recv-chan"), i)
 
         case A.SendVal(channel=a, term=m, cont=p):
-            if a == c:
-                assert isinstance(cty, A.AndVal)
-                v = denote_term(m, cty.val, psi, env, cfg)
-                inner = denote_process(p, delta, c, cty.cont, psi, env, cfg)
+            _, o, ty, cont = side(a)
+            assert isinstance(ty, (A.AndVal, A.ImpVal))
+            v = denote_term(m, ty.val, psi, env, cfg)
+            inner = cont(p, ty.cont)
 
-                def and_r(row: Row) -> Row:
-                    if v == D.FBOT:
-                        return bot_row(outputs)
-                    out = inner(row)
-                    return Row({
-                        **dict(out),
-                        kplus(c): D.up(D.valpair(v, out[kplus(c)])),
-                    })
-
-                return clause(and_r, "andR")
-            aty = delta[a]
-            assert isinstance(aty, A.ImpVal)
-            v = denote_term(m, aty.val, psi, env, cfg)
-            inner = denote_process(p, {**delta, a: aty.cont}, c, cty, psi, env, cfg)
-
-            def imp_l(row: Row) -> Row:
+            def send_val(row: Row) -> Row:
                 if v == D.FBOT:
                     return bot_row(outputs)
                 out = inner(row)
-                return Row({
-                    **dict(out),
-                    kminus(a): D.up(D.valpair(v, out[kminus(a)])),
-                })
+                return Row({**dict(out), o: D.up(D.valpair(v, out[o]))})
 
-            return clause(imp_l, "impL")
+            return clause(send_val, "send-val")
 
         case A.RecvVal(bound=x, channel=a, cont=p):
-            if a == c:
-                assert isinstance(cty, A.ImpVal)
-                tau, cont_ty = cty.val, cty.cont
-                inner_cache: dict[D.FuncValue, Denotation] = {}
+            i, _, ty, cont = side(a)
+            assert isinstance(ty, (A.ImpVal, A.AndVal))
+            inner_cache: dict[D.FuncValue, Denotation] = {}
 
-                def imp_r(row: Row) -> Row:
-                    v, rest_comm = D.split_valpair(D.down(row[kminus(c)]))
-                    inner = inner_cache.get(v)
-                    if inner is None:
-                        inner = denote_process(
-                            p, delta, c, cont_ty,
-                            {**psi, x: tau}, env.updated(x, v), cfg,
-                        )
-                        inner_cache[v] = inner
-                    return inner(row.updated({kminus(c): rest_comm}))
-
-                return strictify(clause(imp_r, "impR"), kminus(c))
-            aty = delta[a]
-            assert isinstance(aty, A.AndVal)
-            tau, cont_ty = aty.val, aty.cont
-            inner_cache = {}
-
-            def and_l(row: Row) -> Row:
-                v, rest_comm = D.split_valpair(D.down(row[kplus(a)]))
+            def recv_val(row: Row) -> Row:
+                v, a_in = D.split_valpair(D.down(row[i]))
                 inner = inner_cache.get(v)
                 if inner is None:
-                    inner = denote_process(
-                        p, {**delta, a: cont_ty}, c, cty,
-                        {**psi, x: tau}, env.updated(x, v), cfg,
-                    )
+                    inner = cont(p, ty.cont, psi={**psi, x: ty.val}, env=env.updated(x, v))
                     inner_cache[v] = inner
-                return inner(row.updated({kplus(a): rest_comm}))
+                return inner(row.updated({i: a_in}))
 
-            return strictify(clause(and_l, "andL"), kplus(a))
+            return strictify(clause(recv_val, "recv-val"), i)
 
-        case A.SendUnfold(channel=a, cont=p):
-            if a == c:
-                assert isinstance(cty, A.Rec)
-                inner = denote_process(p, delta, c, A.unfold_rec(cty), psi, env, cfg)
+        case A.SendUnfold(channel=a, cont=p) | A.RecvUnfold(channel=a, cont=p):
+            i, o, ty, cont = side(a)
+            assert isinstance(ty, A.Rec)
+            inner = cont(p, A.unfold_rec(ty))
 
-                def rho_pos_r(row: Row) -> Row:
-                    out = inner(row.updated({kminus(c): D.unfold(row[kminus(c)])}))
-                    return Row({**dict(out), kplus(c): D.fold(out[kplus(c)])})
+            def unfold_msg(row: Row) -> Row:
+                out = inner(row.updated({i: D.unfold(row[i])}))
+                return Row({**dict(out), o: D.fold(out[o])})
 
-                return clause(rho_pos_r, "rho+R")
-            aty = delta[a]
-            assert isinstance(aty, A.Rec)
-            inner = denote_process(
-                p, {**delta, a: A.unfold_rec(aty)}, c, cty, psi, env, cfg
-            )
-
-            def rho_neg_l(row: Row) -> Row:
-                out = inner(row.updated({kplus(a): D.unfold(row[kplus(a)])}))
-                return Row({**dict(out), kminus(a): D.fold(out[kminus(a)])})
-
-            return clause(rho_neg_l, "rho-L")
-
-        case A.RecvUnfold(channel=a, cont=p):
-            if a == c:
-                assert isinstance(cty, A.Rec)
-                inner = denote_process(p, delta, c, A.unfold_rec(cty), psi, env, cfg)
-
-                def rho_neg_r(row: Row) -> Row:
-                    out = inner(row.updated({kminus(c): D.unfold(row[kminus(c)])}))
-                    return Row({**dict(out), kplus(c): D.fold(out[kplus(c)])})
-
-                return clause(rho_neg_r, "rho-R")
-            aty = delta[a]
-            assert isinstance(aty, A.Rec)
-            inner = denote_process(
-                p, {**delta, a: A.unfold_rec(aty)}, c, cty, psi, env, cfg
-            )
-
-            def rho_pos_l(row: Row) -> Row:
-                out = inner(row.updated({kplus(a): D.unfold(row[kplus(a)])}))
-                return Row({**dict(out), kminus(a): D.fold(out[kminus(a)])})
-
-            return clause(rho_pos_l, "rho+L")
+            return clause(unfold_msg, "unfold")
 
         case A.Unquote(provided=a, term=m, used=us):
             mty = T.infer_term(dict(psi), m)

@@ -69,18 +69,36 @@ def test_eval_example51_plain_output(capsys):
     assert out.splitlines()[0] == "b- = (_, _), c+ = *"
 
 
+def usage_error(capsys, *argv):
+    """Run a command that must fail as a usage error; return its message."""
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
+
+
 def test_eval_rejects_nonconforming_input(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["eval", str(FIXTURES / "example51.sill"),
-              "--proc", "ex51", "--in", "b+ = 0·1·_"])
-    assert "expected" in str(err.value)
+    err = usage_error(capsys, "eval", str(FIXTURES / "example51.sill"),
+                      "--proc", "ex51", "--in", "b+ = 0·1·_")
+    assert "expected" in err
 
 
 def test_eval_unknown_key_reports_interface(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["eval", str(FIXTURES / "example51.sill"),
-              "--proc", "ex51", "--in", "zz+ = _"])
-    assert "interface" in str(err.value)
+    err = usage_error(capsys, "eval", str(FIXTURES / "example51.sill"),
+                      "--proc", "ex51", "--in", "zz+ = _")
+    assert "interface" in err
+
+
+def test_eval_unknown_proc_is_a_usage_error(capsys):
+    err = usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "nope")
+    assert "available" in err
+
+
+@pytest.mark.parametrize("bits", [300, 1200])
+def test_eval_long_input_is_a_usage_error(capsys, bits):
+    stream = "·".join("01"[i % 2] for i in range(bits)) + "·_"
+    usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
+                "--depth", "2", "--in", f"b+ = {stream}")
 
 
 def test_equiv_exit_codes(capsys):

@@ -1,6 +1,8 @@
 """Order, enumeration, truncation, and notation for communication values."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +10,18 @@ from sill import ast as A
 from sill import domain as D
 from sill.ast import NEG, POS
 from sill.parser import parse_type
+from sill.pretty import pp_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
 AMP = parse_type("&{j: up 1, k: up 1}")
 PLUSJK = parse_type("+{j: up 1, k: up 1}")
 
 QUIT_TY = A.ProcType("d", A.Unit(), ())
+REC_LOLLY = parse_type("rho t. (down up 1) -o t")
 
-# The battery of aspects the order laws are checked on.
+# The battery of aspects the order laws are checked on: every connective at
+# both polarities, plus a recursive occurrence reached without crossing a
+# message boundary.
 BATTERY = [
     (parse_type("1"), POS),
     (parse_type("down up 1"), POS),
@@ -28,7 +34,21 @@ BATTERY = [
     (parse_type("1 -o up 1"), POS),
     (A.AndVal(QUIT_TY, A.Unit()), POS),
     (A.ImpVal(QUIT_TY, A.Up(A.Unit())), NEG),
+    (parse_type("1"), NEG),
+    (parse_type("down up 1"), NEG),
+    (parse_type("up down 1"), POS),
+    (parse_type("up down 1"), NEG),
+    (PLUSJK, POS),
+    (BITS, NEG),
+    (parse_type("1 * 1"), NEG),
+    (A.AndVal(QUIT_TY, A.Unit()), NEG),
+    (A.ImpVal(QUIT_TY, A.Up(A.Unit())), POS),
+    (REC_LOLLY, POS),
+    (REC_LOLLY, NEG),
+    (A.Lolly(parse_type("down up 1"), REC_LOLLY), POS),
 ]
+
+GOLDEN = Path(__file__).resolve().parent / "domain_golden.json"
 
 
 def enum(ty, pol, d):
@@ -97,7 +117,7 @@ def test_leq_examples():
 def test_lub_unit_and_equality():
     x = D.parse_value("0·1·_", BITS, POS)
     assert D.lub2(D.BOT, x) == x
-    assert D.equal(D.STAR, D.STAR)
+    assert D.STAR == D.STAR
     assert D.lub2(D.parse_value("0·_", BITS, POS), x) == x
 
 
@@ -120,16 +140,13 @@ def test_order_laws_on_battery():
 
 def test_bottom_is_least_everywhere():
     for ty, pol in BATTERY:
-        bot = D.bottom(ty, pol)
-        assert bot == D.BOT
         for v in enum(ty, pol, 3):
-            assert D.leq(bot, v)
+            assert D.leq(D.BOT, v)
 
 
 def test_bottom_of_product_is_the_record_of_bottoms():
     assert D.record({"j": D.BOT, "k": D.BOT}) == D.BOT
     assert D.pair(D.BOT, D.BOT) == D.BOT
-    assert D.bottom(PLUSJK, NEG) == D.BOT
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +204,37 @@ def test_enumeration_conforms_and_heights():
             for v in enum(ty, pol, d):
                 assert D.conforms(v, ty, pol)
                 assert D.height(v) <= d
+
+
+def battery_key(ty, pol):
+    return f"{pp_type(ty)} @ {pol}"
+
+
+def test_enumeration_and_chain_steps_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(battery_key(ty, pol) for ty, pol in BATTERY)
+    for ty, pol in BATTERY:
+        want = golden[battery_key(ty, pol)]
+        for d in range(4):
+            got = [D.format_value(v, ty, pol) for v in enum(ty, pol, d)]
+            assert got == want["values"][d], (battery_key(ty, pol), d)
+            assert D.chain_steps(ty, pol, d) == want["chain_steps"][d]
+
+
+def longest_strict_chain(values):
+    """Strict steps on the longest ascending chain among ``values``."""
+    below = {v: [w for w in values if w != v and D.leq(w, v)] for v in values}
+    steps = {}
+    for v in sorted(values, key=lambda v: len(below[v])):
+        steps[v] = max((steps[w] + 1 for w in below[v]), default=0)
+    return max(steps.values())
+
+
+def test_chain_steps_bounds_the_longest_chain():
+    for ty, pol in BATTERY:
+        for d in range(4):
+            assert longest_strict_chain(enum(ty, pol, d)) <= D.chain_steps(ty, pol, d), (
+                battery_key(ty, pol), d)
 
 
 def test_degenerate_negative_aspect_of_bits():

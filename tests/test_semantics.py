@@ -1,5 +1,6 @@
 """Denotation clauses, strictness, monotonicity, and trace properties."""
 
+import functools
 import itertools
 import random
 
@@ -7,7 +8,8 @@ from sill import ast as A
 from sill import domain as D
 from sill import semantics as S
 from sill.ast import NEG, POS
-from sill.laws import corpus_processes, corpus_tables, den_lambda, random_monotone_den
+from sill.laws import (conway_identity_suite, corpus_processes, corpus_tables,
+                       random_monotone_den, trace_axiom_suite)
 from sill.parser import parse_process, parse_term, parse_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
@@ -293,8 +295,8 @@ def test_trace_matches_oracle_on_channel_cut():
 def test_yanking_on_truncated_bits():
     cfg = S.EvalConfig(depth=1)
     asp = (BITS, POS)
-    swap = den_lambda({"a": asp, "u": asp}, {"b": asp, "u": asp},
-                      lambda row: S.Row({"b": row["u"], "u": row["a"]}))
+    swap = S.Denotation({"a": asp, "u": asp}, {"b": asp, "u": asp},
+                        lambda row: S.Row({"b": row["u"], "u": row["a"]}))
     traced = S.trace(swap, ["u"], cfg)
     for v in D.enumerate_values(BITS, POS, 1):
         assert traced(S.Row({"a": v}))["b"] == v
@@ -313,7 +315,7 @@ def test_section_retraction_elimination():
     for _ in range(25):
         f = random_monotone_den(rng, {"a": inner_asp, "y": inner_asp},
                                 {"b": inner_asp, "y": inner_asp}, depth)
-        wrapped = den_lambda(
+        wrapped = S.Denotation(
             {"a": inner_asp, "y": lifted_asp}, {"b": inner_asp, "y": lifted_asp},
             lambda row, f=f: (lambda out: S.Row(
                 {"b": out["b"], "y": D.up(out["y"])}
@@ -389,8 +391,8 @@ def test_two_cell_pipeline_collapse():
 def test_strictness_operator_laws():
     one = (parse_type("1"), POS)
     onem = (parse_type("1"), NEG)
-    den = den_lambda({"d+": one, "a-": onem}, {"a+": one, "d-": onem},
-                     lambda row: S.Row({"a+": D.STAR, "d-": D.BOT}))
+    den = S.Denotation({"d+": one, "a-": onem}, {"a+": one, "d-": onem},
+                       lambda row: S.Row({"a+": D.STAR, "d-": D.BOT}))
 
     # constant functions become bottom on bottom input
     strict = S.strictify(den, "d+")
@@ -490,8 +492,8 @@ def test_trace_computes_the_least_fixed_point():
     # the bottom one
     cfg = S.EvalConfig(depth=2)
     asp = (parse_type("down 1"), POS)
-    ident = den_lambda({"a": asp, "u": asp}, {"b": asp, "u": asp},
-                       lambda row: S.Row({"b": row["u"], "u": row["u"]}))
+    ident = S.Denotation({"a": asp, "u": asp}, {"b": asp, "u": asp},
+                         lambda row: S.Row({"b": row["u"], "u": row["u"]}))
     traced = S.trace(ident, ["u"], cfg)
     oracle = S.knaster_tarski_trace(ident, ["u"], 2)
     for v in D.enumerate_values(*asp, 2):
@@ -518,12 +520,12 @@ def test_sfix_row_on_constant_and_identity():
     cfg = S.EvalConfig(depth=2)
     asp = (parse_type("down 1"), POS)
     c = D.up(D.BOT)
-    const = den_lambda({"x": asp, "a": asp}, {"ao": asp},
-                       lambda row: S.Row({"ao": c}))
+    const = S.Denotation({"x": asp, "a": asp}, {"ao": asp},
+                         lambda row: S.Row({"ao": c}))
     fixed = S.sfix_row(const, {"a": "ao"}, cfg)
     assert fixed(S.Row({"x": D.BOT}))["ao"] == c
-    ident = den_lambda({"x": asp, "a": asp}, {"ao": asp},
-                       lambda row: S.Row({"ao": row["a"]}))
+    ident = S.Denotation({"x": asp, "a": asp}, {"ao": asp},
+                         lambda row: S.Row({"ao": row["a"]}))
     fixed = S.sfix_row(ident, {"a": "ao"}, cfg)
     assert fixed(S.Row({"x": c}))["ao"] == D.BOT
 
@@ -531,9 +533,18 @@ def test_sfix_row_on_constant_and_identity():
 def test_oracle_with_no_feedback_is_the_map_itself():
     # tracing over the empty collection of feedback keys changes nothing
     one = (parse_type("1"), POS)
-    f = den_lambda({"a": one}, {"b": one}, lambda row: S.Row({"b": row["a"]}))
+    f = S.Denotation({"a": one}, {"b": one}, lambda row: S.Row({"b": row["a"]}))
     oracle = S.knaster_tarski_trace(f, [], 2)
     kleene = S.trace(f, [], S.EvalConfig(depth=2))
     for v in D.enumerate_values(*one, 2):
         row = S.Row({"a": v})
         assert oracle(row) == f(row) == kleene(row)
+
+
+def test_axiom_suites_fail_when_a_fixed_point_runs_out_of_fuel(monkeypatch):
+    monkeypatch.setattr(S, "EvalConfig", functools.partial(S.EvalConfig, fuel=0))
+    for suite in (trace_axiom_suite, conway_identity_suite):
+        report = suite(seed=0, rounds=5)
+        assert not report.ok
+        assert any("did not converge" in f.detail for f in report.failures)
+        assert any("did not converge" in line for line in report.summary_lines())
