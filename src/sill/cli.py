@@ -196,24 +196,15 @@ def cmd_equiv(args) -> int:
     )
 
 
-_ETA_LAWS = {"shift-eta", "choice-eta", "channel-eta", "value-eta",
-             "value-eta-negative", "unfold-eta"}
-_STRUCTURAL_LAWS = {"unit-eta", "quote-eta", "cut-assoc", "fix-subst"}
-
-
 def cmd_laws(args) -> int:
     suites = [args.suite] if args.suite else ["eta", "structural", "trace"]
     payload = {}
     ok = True
     approx = False
-    if "eta" in suites or "structural" in suites:
-        report = L.law_suite(depth=args.depth)
-        wanted = set()
-        if "eta" in suites:
-            wanted |= _ETA_LAWS
-        if "structural" in suites:
-            wanted |= _STRUCTURAL_LAWS
-        picked = [i for i in report.instances if i.law in wanted]
+    wanted = {law for s in suites for law in L.LAW_SUITES.get(s, ())}
+    if wanted:
+        report = L.law_suite(depth=args.depth, laws=wanted)
+        picked = report.instances
         ok = ok and all(i.ok for i in picked)
         approx = approx or any(i.verdict.kind == "approximate" for i in picked)
         payload["laws"] = [
@@ -222,12 +213,8 @@ def cmd_laws(args) -> int:
             for i in picked
         ]
         if not args.json:
-            by_law: dict[str, list] = {}
-            for i in picked:
-                by_law.setdefault(i.law, []).append(i)
-            for law, items in sorted(by_law.items()):
-                good = sum(1 for i in items if i.ok)
-                print(f"{law}: {good}/{len(items)} instances pass")
+            for line in report.summary_lines():
+                print(line)
     if "trace" in suites:
         t_rep = L.trace_axiom_suite(seed=args.seed, rounds=args.rounds)
         c_rep = L.conway_identity_suite(seed=args.seed, rounds=args.rounds)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from . import ast as A
 from . import domain as D
@@ -160,13 +160,23 @@ def _inst(report: LawReport, law: str, name: str, left: A.Process, right: A.Proc
     report.instances.append(LawInstance(law, name, expected, verdict))
 
 
+LAW_SUITES = {
+    "eta": ("shift-eta", "choice-eta", "channel-eta", "value-eta",
+            "value-eta-negative", "unfold-eta"),
+    "structural": ("unit-eta", "quote-eta", "cut-assoc", "fix-subst"),
+}
+
+
 def law_suite(depth: int = 4,
-              corpus: Optional[list[CorpusProc]] = None) -> LawReport:
+              corpus: Optional[list[CorpusProc]] = None,
+              laws: Collection[str] = LAW_SUITES["eta"] + LAW_SUITES["structural"],
+              ) -> LawReport:
     """Instantiate the eta and structural laws over the corpus.
 
     ``corpus`` extends or replaces the shipped processes for the laws that
     quantify over arbitrary typed processes (the unit and quote laws); the
-    per-connective laws use their own structured instantiations.
+    per-connective laws use their own structured instantiations.  Only the
+    laws named in ``laws`` are instantiated (by default, all of them).
     """
     report = LawReport()
     tables = corpus_tables()
@@ -175,283 +185,293 @@ def law_suite(depth: int = 4,
     nats = _t("nats")
     BITS = A.unfold_rec(bits)
     NATS = A.unfold_rec(nats)
+    quit_ty = A.ProcType("d", A.Unit(), ())
 
     # -- unit eta: P == cut z. (close z) (wait z; P)
-    for cp in corpus:
-        delta, c, cty = cp.as_args()
-        right = A.Cut("zz", A.Close("zz"), A.Wait("zz", cp.proc), A.Unit())
-        _inst(report, "unit-eta", cp.name, cp.proc, right, delta, c, cty, depth)
+    if "unit-eta" in laws:
+        for cp in corpus:
+            delta, c, cty = cp.as_args()
+            right = A.Cut("zz", A.Close("zz"), A.Wait("zz", cp.proc), A.Unit())
+            _inst(report, "unit-eta", cp.name, cp.proc, right, delta, c, cty, depth)
 
     # -- quote/unquote eta: P == spawn (quote P)
-    for cp in corpus:
-        delta, c, cty = cp.as_args()
-        used = tuple(sorted(delta))
-        quote = A.Quote(c, cp.proc, used)
-        ann = A.Anno(quote, A.ProcType(c, cty, tuple((u, delta[u]) for u in used)))
-        right = A.Unquote(c, ann, used)
-        _inst(report, "quote-eta", cp.name, cp.proc, right, delta, c, cty, depth)
+    if "quote-eta" in laws:
+        for cp in corpus:
+            delta, c, cty = cp.as_args()
+            used = tuple(sorted(delta))
+            quote = A.Quote(c, cp.proc, used)
+            ann = A.Anno(quote, A.ProcType(c, cty, tuple((u, delta[u]) for u in used)))
+            right = A.Unquote(c, ann, used)
+            _inst(report, "quote-eta", cp.name, cp.proc, right, delta, c, cty, depth)
 
     # -- shift eta (negative cut type): cut a. P Q == cut a. (send a shift; P) (recv a shift; Q)
-    shift_pairs = [
-        ("up1", "recv a shift; close a", "up 1", "send a shift; wait a; close c", {}, "c", "1"),
-        ("up1-b", "wait d; recv a shift; close a", "up 1",
-         "send a shift; wait a; close c", {"d": "1"}, "c", "1"),
-        ("choice-j", "case a { j => recv a shift; close a | k => recv a shift; close a }",
-         "&{j: up 1, k: up 1}", "a.j; send a shift; wait a; close c", {}, "c", "1"),
-        ("choice-k", "case a { j => recv a shift; close a | k => recv a shift; close a }",
-         "&{j: up 1, k: up 1}", "a.k; send a shift; wait a; close c", {}, "c", "1"),
-        ("lolly", "b <- recv a; wait b; recv a shift; close a", "1 -o up 1",
-         "send a d; send a shift; wait a; close c", {"d": "1"}, "c", "1"),
-    ]
-    for name, psrc, aty, qsrc, ddelta, c, ctysrc in shift_pairs:
-        P = _p(psrc)
-        Q = _p(qsrc)
-        at = _t(aty)
-        delta = {d: _t(t) for d, t in ddelta.items()}
-        cty = _t(ctysrc)
-        left = A.Cut("a", P, Q, at)
-        right = A.Cut("a", A.SendShift("a", P), A.RecvShift("a", Q), A.Down(at))
-        _inst(report, "shift-eta", name, left, right, delta, c, cty, depth)
-    # a couple of providers with used channels
-    for name, psrc, aty, qsrc, ddelta in [
-        ("up-fwd", "recv a shift; fwd a d", "up 1",
-         "send a shift; wait a; close c", {"d": "1"}),
-        ("up-pair", "recv a shift; a2 <- recv d; wait a2; wait d; close a", "up 1",
-         "send a shift; wait a; close c", {"d": "1 * 1"}),
-        ("choice-deep", "case a { j => recv a shift; wait d; close a | k => recv a shift; wait d; close a }",
-         "&{j: up 1, k: up 1}", "a.k; send a shift; wait a; close c", {"d": "1"}),
-        ("up-upper", "recv a shift; send a shift; recv a shift; close a", "up down up 1",
-         "send a shift; recv a shift; send a shift; wait a; close c", {}),
-        ("choice-upper", "case a { j => recv a shift; close a | k => recv a shift; close a }",
-         "&{j: up 1, k: up 1}", "a.j; send a shift; wait a; wait d; close c", {"d": "1"}),
-    ]:
-        P, Q, at = _p(psrc), _p(qsrc), _t(aty)
-        delta = {d: _t(t) for d, t in ddelta.items()}
-        left = A.Cut("a", P, Q, at)
-        right = A.Cut("a", A.SendShift("a", P), A.RecvShift("a", Q), A.Down(at))
-        _inst(report, "shift-eta", name, left, right, delta, "c", _t("1"), depth)
+    if "shift-eta" in laws:
+        shift_pairs = [
+            ("up1", "recv a shift; close a", "up 1", "send a shift; wait a; close c", {}, "c", "1"),
+            ("up1-b", "wait d; recv a shift; close a", "up 1",
+             "send a shift; wait a; close c", {"d": "1"}, "c", "1"),
+            ("choice-j", "case a { j => recv a shift; close a | k => recv a shift; close a }",
+             "&{j: up 1, k: up 1}", "a.j; send a shift; wait a; close c", {}, "c", "1"),
+            ("choice-k", "case a { j => recv a shift; close a | k => recv a shift; close a }",
+             "&{j: up 1, k: up 1}", "a.k; send a shift; wait a; close c", {}, "c", "1"),
+            ("lolly", "b <- recv a; wait b; recv a shift; close a", "1 -o up 1",
+             "send a d; send a shift; wait a; close c", {"d": "1"}, "c", "1"),
+        ]
+        for name, psrc, aty, qsrc, ddelta, c, ctysrc in shift_pairs:
+            P = _p(psrc)
+            Q = _p(qsrc)
+            at = _t(aty)
+            delta = {d: _t(t) for d, t in ddelta.items()}
+            cty = _t(ctysrc)
+            left = A.Cut("a", P, Q, at)
+            right = A.Cut("a", A.SendShift("a", P), A.RecvShift("a", Q), A.Down(at))
+            _inst(report, "shift-eta", name, left, right, delta, c, cty, depth)
+        # a couple of providers with used channels
+        for name, psrc, aty, qsrc, ddelta in [
+            ("up-fwd", "recv a shift; fwd a d", "up 1",
+             "send a shift; wait a; close c", {"d": "1"}),
+            ("up-pair", "recv a shift; a2 <- recv d; wait a2; wait d; close a", "up 1",
+             "send a shift; wait a; close c", {"d": "1 * 1"}),
+            ("choice-deep", "case a { j => recv a shift; wait d; close a | k => recv a shift; wait d; close a }",
+             "&{j: up 1, k: up 1}", "a.k; send a shift; wait a; close c", {"d": "1"}),
+            ("up-upper", "recv a shift; send a shift; recv a shift; close a", "up down up 1",
+             "send a shift; recv a shift; send a shift; wait a; close c", {}),
+            ("choice-upper", "case a { j => recv a shift; close a | k => recv a shift; close a }",
+             "&{j: up 1, k: up 1}", "a.j; send a shift; wait a; wait d; close c", {"d": "1"}),
+        ]:
+            P, Q, at = _p(psrc), _p(qsrc), _t(aty)
+            delta = {d: _t(t) for d, t in ddelta.items()}
+            left = A.Cut("a", P, Q, at)
+            right = A.Cut("a", A.SendShift("a", P), A.RecvShift("a", Q), A.Down(at))
+            _inst(report, "shift-eta", name, left, right, delta, "c", _t("1"), depth)
 
     # -- internal choice eta: cut a. P Q_k == cut a. (a.k; P) (case a {l => Q_l})
-    plus_cases = [
-        ("two-j", "j", {"j": "1", "k": "1"}, "close a",
-         {"j": "wait a; close c", "k": "wait a; close c"}, {}),
-        ("two-k", "k", {"j": "1", "k": "1"}, "close a",
-         {"j": "wait a; close c", "k": "wait a; close c"}, {}),
-        ("asym-j", "j", {"j": "1", "k": "down up 1"}, "close a",
-         {"j": "wait a; close c", "k": "recv a shift; send a shift; wait a; close c"}, {}),
-        ("asym-k", "k", {"j": "1", "k": "down up 1"},
-         "send a shift; recv a shift; close a",
-         {"j": "wait a; close c", "k": "recv a shift; send a shift; wait a; close c"}, {}),
-        ("three", "m", {"j": "1", "k": "1", "m": "1"}, "close a",
-         {"j": "wait a; close c", "k": "wait a; close c", "m": "wait a; close c"}, {}),
-        ("ambient", "j", {"j": "1", "k": "1"}, "close a",
-         {"j": "wait a; wait d; close c", "k": "wait d; wait a; close c"}, {"d": "1"}),
-        ("pair", "j", {"j": "1 * 1", "k": "1"}, "send a d; close a",
-         {"j": "a2 <- recv a; wait a2; wait a; close c", "k": "wait a; close c"}, {"d": "1"}),
-        ("bit0", "0", {"0": "bits", "1": "bits"}, "a <- zeros",
-         {"0": "c <- drain <- a", "1": "c <- drain <- a"}, {}),
-        ("bit1", "1", {"0": "bits", "1": "bits"}, "a <- ones",
-         {"0": "c <- drain <- a", "1": "c <- drain <- a"}, {}),
-        ("shifted", "k", {"j": "down up 1", "k": "down up 1"},
-         "send a shift; recv a shift; close a",
-         {"j": "recv a shift; send a shift; wait a; close c",
-          "k": "recv a shift; send a shift; wait a; close c"}, {}),
-    ]
-    for name, k, branch_tys, psrc, qsrcs, ddelta in plus_cases:
-        branch_types = {l: _t(t) for l, t in branch_tys.items()}
-        aty = A.plus(branch_types)
-        P = _p(psrc)
-        Qs = {l: _p(src) for l, src in qsrcs.items()}
-        delta = {d: _t(t) for d, t in ddelta.items()}
-        left = A.Cut("a", P, Qs[k], branch_types[k])
-        right = A.Cut("a", A.SendLabel("a", k, P), A.case("a", Qs), aty)
-        _inst(report, "choice-eta", name, left, right, delta, "c", _t("1"), depth)
+    if "choice-eta" in laws:
+        plus_cases = [
+            ("two-j", "j", {"j": "1", "k": "1"}, "close a",
+             {"j": "wait a; close c", "k": "wait a; close c"}, {}),
+            ("two-k", "k", {"j": "1", "k": "1"}, "close a",
+             {"j": "wait a; close c", "k": "wait a; close c"}, {}),
+            ("asym-j", "j", {"j": "1", "k": "down up 1"}, "close a",
+             {"j": "wait a; close c", "k": "recv a shift; send a shift; wait a; close c"}, {}),
+            ("asym-k", "k", {"j": "1", "k": "down up 1"},
+             "send a shift; recv a shift; close a",
+             {"j": "wait a; close c", "k": "recv a shift; send a shift; wait a; close c"}, {}),
+            ("three", "m", {"j": "1", "k": "1", "m": "1"}, "close a",
+             {"j": "wait a; close c", "k": "wait a; close c", "m": "wait a; close c"}, {}),
+            ("ambient", "j", {"j": "1", "k": "1"}, "close a",
+             {"j": "wait a; wait d; close c", "k": "wait d; wait a; close c"}, {"d": "1"}),
+            ("pair", "j", {"j": "1 * 1", "k": "1"}, "send a d; close a",
+             {"j": "a2 <- recv a; wait a2; wait a; close c", "k": "wait a; close c"}, {"d": "1"}),
+            ("bit0", "0", {"0": "bits", "1": "bits"}, "a <- zeros",
+             {"0": "c <- drain <- a", "1": "c <- drain <- a"}, {}),
+            ("bit1", "1", {"0": "bits", "1": "bits"}, "a <- ones",
+             {"0": "c <- drain <- a", "1": "c <- drain <- a"}, {}),
+            ("shifted", "k", {"j": "down up 1", "k": "down up 1"},
+             "send a shift; recv a shift; close a",
+             {"j": "recv a shift; send a shift; wait a; close c",
+              "k": "recv a shift; send a shift; wait a; close c"}, {}),
+        ]
+        for name, k, branch_tys, psrc, qsrcs, ddelta in plus_cases:
+            branch_types = {l: _t(t) for l, t in branch_tys.items()}
+            aty = A.plus(branch_types)
+            P = _p(psrc)
+            Qs = {l: _p(src) for l, src in qsrcs.items()}
+            delta = {d: _t(t) for d, t in ddelta.items()}
+            left = A.Cut("a", P, Qs[k], branch_types[k])
+            right = A.Cut("a", A.SendLabel("a", k, P), A.case("a", Qs), aty)
+            _inst(report, "choice-eta", name, left, right, delta, "c", _t("1"), depth)
 
     # -- channel transmission eta:
     #    cut a. P Q == cut a. (send a b; P) (b <- recv a; Q)  at B * A
-    tensor_cases = [
-        ("unit", "close a", "1", "b", "1", "wait a; wait b; close c", {}),
-        ("unit-rev", "close a", "1", "b", "1", "wait b; wait a; close c", {}),
-        ("shifty", "send a shift; recv a shift; close a", "down up 1", "b", "1",
-         "wait b; recv a shift; send a shift; wait a; close c", {}),
-        ("pairb", "close a", "1", "b", "1 * 1",
-         "b2 <- recv b; wait b2; wait a; wait b; close c", {}),
-        ("ambient", "wait d; close a", "1", "b", "1",
-         "wait a; wait b; close c", {"d": "1"}),
-        ("bitsb", "close a", "1", "b", "bits",
-         "wait a; c <- drain <- b", {}),
-        ("bitsa", "a <- zeros", "bits", "b", "1",
-         "wait b; c <- drain <- a", {}),
-        ("double", "send a d; close a", "1 * 1", "b", "1",
-         "a2 <- recv a; wait b; wait a2; wait a; close c", {"d": "1"}),
-        ("updown", "send a shift; recv a shift; close a", "down up 1", "b", "1",
-         "wait b; recv a shift; send a shift; wait a; close c", {}),
-        ("deep", "close a", "1", "b", "down up 1",
-         "recv b shift; send b shift; wait b; wait a; close c", {}),
-    ]
-    for name, psrc, aty, b, bty, qsrc, ddelta in tensor_cases:
-        P = _p(psrc)
-        Q = _p(qsrc)
-        at, bt = _t(aty), _t(bty)
-        delta = {b: bt, **{d: _t(t) for d, t in ddelta.items()}}
-        left = A.Cut("a", P, Q, at)
-        right = A.Cut(
-            "a", A.SendChan("a", b, P), A.RecvChan(b, "a", Q), A.Tensor(bt, at)
-        )
-        _inst(report, "channel-eta", name, left, right, delta, "c", _t("1"), depth)
+    if "channel-eta" in laws:
+        tensor_cases = [
+            ("unit", "close a", "1", "b", "1", "wait a; wait b; close c", {}),
+            ("unit-rev", "close a", "1", "b", "1", "wait b; wait a; close c", {}),
+            ("shifty", "send a shift; recv a shift; close a", "down up 1", "b", "1",
+             "wait b; recv a shift; send a shift; wait a; close c", {}),
+            ("pairb", "close a", "1", "b", "1 * 1",
+             "b2 <- recv b; wait b2; wait a; wait b; close c", {}),
+            ("ambient", "wait d; close a", "1", "b", "1",
+             "wait a; wait b; close c", {"d": "1"}),
+            ("bitsb", "close a", "1", "b", "bits",
+             "wait a; c <- drain <- b", {}),
+            ("bitsa", "a <- zeros", "bits", "b", "1",
+             "wait b; c <- drain <- a", {}),
+            ("double", "send a d; close a", "1 * 1", "b", "1",
+             "a2 <- recv a; wait b; wait a2; wait a; close c", {"d": "1"}),
+            ("updown", "send a shift; recv a shift; close a", "down up 1", "b", "1",
+             "wait b; recv a shift; send a shift; wait a; close c", {}),
+            ("deep", "close a", "1", "b", "down up 1",
+             "recv b shift; send b shift; wait b; wait a; close c", {}),
+        ]
+        for name, psrc, aty, b, bty, qsrc, ddelta in tensor_cases:
+            P = _p(psrc)
+            Q = _p(qsrc)
+            at, bt = _t(aty), _t(bty)
+            delta = {b: bt, **{d: _t(t) for d, t in ddelta.items()}}
+            left = A.Cut("a", P, Q, at)
+            right = A.Cut(
+                "a", A.SendChan("a", b, P), A.RecvChan(b, "a", Q), A.Tensor(bt, at)
+            )
+            _inst(report, "channel-eta", name, left, right, delta, "c", _t("1"), depth)
 
     # -- value transmission eta, with converging M:
     #    cut a. P [M/x]Q == cut a. (send a (M); P) ((x) <- recv a; Q)
-    quit = tables["terms"]["quit"]
-    quit_ty = A.ProcType("d", A.Unit(), ())
-    drain_term = tables["terms"]["drain"]
-    drain_ty = A.ProcType("c", A.Unit(), (("a", bits),))
-    val_cases = [
-        ("spawned", "close a", "1", quit, quit_ty,
-         "dd <- {x}; wait dd; wait a; close c", {}),
-        ("unused", "close a", "1", quit, quit_ty, "wait a; close c", {}),
-        ("spawn-first", "close a", "1", quit, quit_ty,
-         "dd <- {x}; wait a; wait dd; close c", {}),
-        ("upshift", "send a shift; recv a shift; close a", "down up 1", quit, quit_ty,
-         "dd <- {x}; recv a shift; send a shift; wait dd; wait a; close c", {}),
-        ("drain-val", "close a", "1", drain_term, drain_ty,
-         "cc <- {x} <- b; wait cc; wait a; close c", {"b": "bits"}),
-        ("unused-amb", "wait d; close a", "1", quit, quit_ty,
-         "wait a; close c", {"d": "1"}),
-        ("double-spawn", "close a", "1", quit, quit_ty,
-         "dd <- {x}; ee <- {x}; wait dd; wait ee; wait a; close c", {}),
-        ("lambda", "close a", "1",
-         A.App(parse_term(r"\y : {d : 1}. y"), quit), quit_ty,
-         "dd <- {x}; wait dd; wait a; close c", {}),
-        ("nested-quote", "close a", "1",
-         A.Anno(parse_term("{e <- dd <- quit; wait dd; close e}",
-                           terms=corpus_tables()["terms"]),
-                A.ProcType("e", A.Unit(), ())),
-         A.ProcType("e", A.Unit(), ()),
-         "dd <- {x}; wait dd; wait a; close c", {}),
-        ("choice-after", "close a", "1", quit, quit_ty,
-         "dd <- {x}; wait dd; wait a; close c", {}),
-    ]
-    for name, psrc, aty, m, tau, qsrc, ddelta in val_cases:
-        P = _p(psrc)
-        at = _t(aty)
-        psi = {"x": tau}
-        tbl = corpus_tables()
-        Q = parse_process(qsrc, types=tbl["types"], terms={})
-        delta = {d: _t(t) for d, t in ddelta.items()}
-        left = A.Cut("a", P, A.subst_term({"x": m}, Q), at)
-        right = A.Cut(
-            "a", A.SendVal("a", m, P), A.RecvVal("x", "a", Q), A.AndVal(tau, at)
-        )
-        _inst(report, "value-eta", name, left, right, delta, "c", _t("1"), depth)
+    if "value-eta" in laws:
+        quit = tables["terms"]["quit"]
+        drain_term = tables["terms"]["drain"]
+        drain_ty = A.ProcType("c", A.Unit(), (("a", bits),))
+        val_cases = [
+            ("spawned", "close a", "1", quit, quit_ty,
+             "dd <- {x}; wait dd; wait a; close c", {}),
+            ("unused", "close a", "1", quit, quit_ty, "wait a; close c", {}),
+            ("spawn-first", "close a", "1", quit, quit_ty,
+             "dd <- {x}; wait a; wait dd; close c", {}),
+            ("upshift", "send a shift; recv a shift; close a", "down up 1", quit, quit_ty,
+             "dd <- {x}; recv a shift; send a shift; wait dd; wait a; close c", {}),
+            ("drain-val", "close a", "1", drain_term, drain_ty,
+             "cc <- {x} <- b; wait cc; wait a; close c", {"b": "bits"}),
+            ("unused-amb", "wait d; close a", "1", quit, quit_ty,
+             "wait a; close c", {"d": "1"}),
+            ("double-spawn", "close a", "1", quit, quit_ty,
+             "dd <- {x}; ee <- {x}; wait dd; wait ee; wait a; close c", {}),
+            ("lambda", "close a", "1",
+             A.App(parse_term(r"\y : {d : 1}. y"), quit), quit_ty,
+             "dd <- {x}; wait dd; wait a; close c", {}),
+            ("nested-quote", "close a", "1",
+             A.Anno(parse_term("{e <- dd <- quit; wait dd; close e}",
+                               terms=corpus_tables()["terms"]),
+                    A.ProcType("e", A.Unit(), ())),
+             A.ProcType("e", A.Unit(), ()),
+             "dd <- {x}; wait dd; wait a; close c", {}),
+            ("choice-after", "close a", "1", quit, quit_ty,
+             "dd <- {x}; wait dd; wait a; close c", {}),
+        ]
+        for name, psrc, aty, m, tau, qsrc, ddelta in val_cases:
+            P = _p(psrc)
+            at = _t(aty)
+            psi = {"x": tau}
+            tbl = corpus_tables()
+            Q = parse_process(qsrc, types=tbl["types"], terms={})
+            delta = {d: _t(t) for d, t in ddelta.items()}
+            left = A.Cut("a", P, A.subst_term({"x": m}, Q), at)
+            right = A.Cut(
+                "a", A.SendVal("a", m, P), A.RecvVal("x", "a", Q), A.AndVal(tau, at)
+            )
+            _inst(report, "value-eta", name, left, right, delta, "c", _t("1"), depth)
 
     # negative direction: a diverging value blocks the explicit transmission
-    diverge = A.Anno(A.Fix("loop", A.Var("loop")), quit_ty)
-    Qx = parse_process("wait a; close c", types={})
-    neg_left = A.Cut("a", A.Close("a"), Qx, A.Unit())
-    neg_right = A.Cut(
-        "a", A.SendVal("a", diverge, A.Close("a")), A.RecvVal("x", "a", Qx),
-        A.AndVal(quit_ty, A.Unit()),
-    )
-    _inst(report, "value-eta-negative", "diverging", neg_left, neg_right,
-          {}, "c", _t("1"), depth, expected="distinguished")
+    if "value-eta-negative" in laws:
+        diverge = A.Anno(A.Fix("loop", A.Var("loop")), quit_ty)
+        Qx = parse_process("wait a; close c", types={})
+        neg_left = A.Cut("a", A.Close("a"), Qx, A.Unit())
+        neg_right = A.Cut(
+            "a", A.SendVal("a", diverge, A.Close("a")), A.RecvVal("x", "a", Qx),
+            A.AndVal(quit_ty, A.Unit()),
+        )
+        _inst(report, "value-eta-negative", "diverging", neg_left, neg_right,
+              {}, "c", _t("1"), depth, expected="distinguished")
 
     # -- unfold eta: cut a. P Q == cut a. (send a unfold; P) (recv a unfold; Q)
-    rho_cases = [
-        ("bits0", "a.0; a <- zeros", bits, "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
-        ("bits1", "a.1; a <- ones", bits, "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
-        ("bits-alt", "a.0; a <- alt", bits, "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
-        ("bits-flip", "a.1; f2 <- zeros; a <- flip <- f2", bits,
-         "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
-        ("nats-z", "a.z; close a", nats,
-         "case a { z => wait a; close c | s => c <- drainn <- a }", {}),
-        ("nats-s", "a.s; send a unfold; a.z; close a", nats,
-         "case a { z => wait a; close c | s => recv a unfold; case a { z => wait a; close c | s => c <- drainn <- a } }", {}),
-    ]
-    drainn_src = ("fix G. {c <- recv a unfold; "
-                  "case a { z => wait a; close c | s => c <- G <- a } <- a}")
-    drainn = A.Anno(
-        parse_term(drainn_src, types={"nats": nats}),
-        A.ProcType("c", A.Unit(), (("a", nats),)),
-    )
-    for name, psrc, rty, qsrc, ddelta in rho_cases:
-        tbl = corpus_tables()
-        terms = {**tbl["terms"], "drainn": drainn}
-        P = parse_process(psrc, types=tbl["types"], terms=terms)
-        Q = parse_process(qsrc, types=tbl["types"], terms=terms)
-        unfolded = A.unfold_rec(rty)
-        delta = {d: _t(t) for d, t in ddelta.items()}
-        left = A.Cut("a", P, Q, unfolded)
-        right = A.Cut("a", A.SendUnfold("a", P), A.RecvUnfold("a", Q), rty)
-        _inst(report, "unfold-eta", name, left, right, delta, "c", _t("1"), depth)
-    # a few more unfold instances at smaller depth-insensitive types
-    for k in ("0", "1"):
-        P = _p(f"a.{k}; a <- zeros")
-        Q = _p("case a { 0 => c <- drain <- a | 1 => c <- drain <- a }")
-        left = A.Cut("a", P, Q, BITS)
-        right = A.Cut("a", A.SendUnfold("a", P), A.RecvUnfold("a", Q), bits)
-        for variant in ("plain", "wrapped"):
-            if variant == "wrapped":
-                left = A.Cut("zz", A.Close("zz"), A.Wait("zz", left), A.Unit())
-                right = A.Cut("zz", A.Close("zz"), A.Wait("zz", right), A.Unit())
-            _inst(report, "unfold-eta", f"bits{k}-{variant}", left, right,
-                  {}, "c", _t("1"), depth)
+    if "unfold-eta" in laws:
+        rho_cases = [
+            ("bits0", "a.0; a <- zeros", bits, "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
+            ("bits1", "a.1; a <- ones", bits, "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
+            ("bits-alt", "a.0; a <- alt", bits, "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
+            ("bits-flip", "a.1; f2 <- zeros; a <- flip <- f2", bits,
+             "case a { 0 => c <- drain <- a | 1 => c <- drain <- a }", {}),
+            ("nats-z", "a.z; close a", nats,
+             "case a { z => wait a; close c | s => c <- drainn <- a }", {}),
+            ("nats-s", "a.s; send a unfold; a.z; close a", nats,
+             "case a { z => wait a; close c | s => recv a unfold; case a { z => wait a; close c | s => c <- drainn <- a } }", {}),
+        ]
+        drainn_src = ("fix G. {c <- recv a unfold; "
+                      "case a { z => wait a; close c | s => c <- G <- a } <- a}")
+        drainn = A.Anno(
+            parse_term(drainn_src, types={"nats": nats}),
+            A.ProcType("c", A.Unit(), (("a", nats),)),
+        )
+        for name, psrc, rty, qsrc, ddelta in rho_cases:
+            tbl = corpus_tables()
+            terms = {**tbl["terms"], "drainn": drainn}
+            P = parse_process(psrc, types=tbl["types"], terms=terms)
+            Q = parse_process(qsrc, types=tbl["types"], terms=terms)
+            unfolded = A.unfold_rec(rty)
+            delta = {d: _t(t) for d, t in ddelta.items()}
+            left = A.Cut("a", P, Q, unfolded)
+            right = A.Cut("a", A.SendUnfold("a", P), A.RecvUnfold("a", Q), rty)
+            _inst(report, "unfold-eta", name, left, right, delta, "c", _t("1"), depth)
+        # a few more unfold instances at smaller depth-insensitive types
+        for k in ("0", "1"):
+            P = _p(f"a.{k}; a <- zeros")
+            Q = _p("case a { 0 => c <- drain <- a | 1 => c <- drain <- a }")
+            left = A.Cut("a", P, Q, BITS)
+            right = A.Cut("a", A.SendUnfold("a", P), A.RecvUnfold("a", Q), bits)
+            for variant in ("plain", "wrapped"):
+                if variant == "wrapped":
+                    left = A.Cut("zz", A.Close("zz"), A.Wait("zz", left), A.Unit())
+                    right = A.Cut("zz", A.Close("zz"), A.Wait("zz", right), A.Unit())
+                _inst(report, "unfold-eta", f"bits{k}-{variant}", left, right,
+                      {}, "c", _t("1"), depth)
 
     # -- cut associativity
-    assoc_cases = [
-        ("units", "close c1", "1", "wait c1; close c2", "1", "wait c2; close c3", "1", {}),
-        ("shift", "recv c1 shift; close c1", "up 1",
-         "send c1 shift; wait c1; close c2", "1", "wait c2; close c3", "1", {}),
-        ("pair", "send c1 d; close c1", "1 * 1",
-         "a2 <- recv c1; wait a2; wait c1; close c2", "1",
-         "wait c2; close c3", "1", {"d": "1"}),
-        ("bits-pipeline", "c1 <- zeros", "bits", "c2 <- flip <- c1", "bits",
-         "c3 <- flip <- c2", "bits", {}),
-        ("bits-drain", "c1 <- alt", "bits", "c2 <- flip <- c1", "bits",
-         "c3 <- drain <- c2", "1", {}),
-        ("mixed", "close c1", "1", "wait c1; c2 <- zeros", "bits",
-         "c3 <- drain <- c2", "1", {}),
-        ("choice", "c1.j; close c1", "+{j: 1, k: 1}",
-         "case c1 { j => wait c1; close c2 | k => wait c1; close c2 }", "1",
-         "wait c2; close c3", "1", {}),
-        ("double-shift", "send c1 shift; recv c1 shift; close c1", "down up 1",
-         "recv c1 shift; send c1 shift; wait c1; close c2", "1",
-         "wait c2; close c3", "1", {}),
-        ("fwd-mid", "close c1", "1", "fwd c2 c1", "1", "wait c2; close c3", "1", {}),
-        ("relay", "c1 <- ones", "bits", "c2 <- relay <- c1", "bits",
-         "c3 <- drain <- c2", "1", {}),
-    ]
-    for name, s1, t1, s2, t2, s3, t3, ddelta in assoc_cases:
-        P1, P2, P3 = _p(s1), _p(s2), _p(s3)
-        ty1, ty2, ty3 = _t(t1), _t(t2), _t(t3)
-        delta = {d: _t(t) for d, t in ddelta.items()}
-        left = A.Cut("c1", P1, A.Cut("c2", P2, P3, ty2), ty1)
-        right = A.Cut("c2", A.Cut("c1", P1, P2, ty1), P3, ty2)
-        _inst(report, "cut-assoc", name, left, right, delta, "c3", ty3, depth)
+    if "cut-assoc" in laws:
+        assoc_cases = [
+            ("units", "close c1", "1", "wait c1; close c2", "1", "wait c2; close c3", "1", {}),
+            ("shift", "recv c1 shift; close c1", "up 1",
+             "send c1 shift; wait c1; close c2", "1", "wait c2; close c3", "1", {}),
+            ("pair", "send c1 d; close c1", "1 * 1",
+             "a2 <- recv c1; wait a2; wait c1; close c2", "1",
+             "wait c2; close c3", "1", {"d": "1"}),
+            ("bits-pipeline", "c1 <- zeros", "bits", "c2 <- flip <- c1", "bits",
+             "c3 <- flip <- c2", "bits", {}),
+            ("bits-drain", "c1 <- alt", "bits", "c2 <- flip <- c1", "bits",
+             "c3 <- drain <- c2", "1", {}),
+            ("mixed", "close c1", "1", "wait c1; c2 <- zeros", "bits",
+             "c3 <- drain <- c2", "1", {}),
+            ("choice", "c1.j; close c1", "+{j: 1, k: 1}",
+             "case c1 { j => wait c1; close c2 | k => wait c1; close c2 }", "1",
+             "wait c2; close c3", "1", {}),
+            ("double-shift", "send c1 shift; recv c1 shift; close c1", "down up 1",
+             "recv c1 shift; send c1 shift; wait c1; close c2", "1",
+             "wait c2; close c3", "1", {}),
+            ("fwd-mid", "close c1", "1", "fwd c2 c1", "1", "wait c2; close c3", "1", {}),
+            ("relay", "c1 <- ones", "bits", "c2 <- relay <- c1", "bits",
+             "c3 <- drain <- c2", "1", {}),
+        ]
+        for name, s1, t1, s2, t2, s3, t3, ddelta in assoc_cases:
+            P1, P2, P3 = _p(s1), _p(s2), _p(s3)
+            ty1, ty2, ty3 = _t(t1), _t(t2), _t(t3)
+            delta = {d: _t(t) for d, t in ddelta.items()}
+            left = A.Cut("c1", P1, A.Cut("c2", P2, P3, ty2), ty1)
+            right = A.Cut("c2", A.Cut("c1", P1, P2, ty1), P3, ty2)
+            _inst(report, "cut-assoc", name, left, right, delta, "c3", ty3, depth)
 
     # -- fixed-point substitution: [fix x. M / x] M == fix x. M
-    fix_cases = []
-    for name in ("flip", "zeros", "ones", "alt", "drain", "relay"):
-        anno = tables["terms"][name]
-        fix_cases.append((name, anno.term, anno.ty))
-    fix_cases.append(("const", A.Fix("F", A.Quote("d", A.Close("d"), ())), quit_ty))
-    fix_cases.append(("loop", A.Fix("x", A.Var("x")), quit_ty))
-    fix_cases.append((
-        "const-deep",
-        A.Fix("F", A.Quote("d", A.SendShift("d", A.RecvShift("d", A.Close("d"))), ())),
-        A.ProcType("d", A.Down(A.Up(A.Unit())), ()),
-    ))
-    fix_cases.append((
-        "two-step",
-        parse_term("fix F. {a <- send a unfold; a.0; send a unfold; a.1; a <- F}",
-                   types={"bits": bits}),
-        A.ProcType("a", bits, ()),
-    ))
-    for name, fixterm, tau in fix_cases:
-        assert isinstance(fixterm, A.Fix)
-        unrolled = A.subst_term({fixterm.var: A.Anno(fixterm, tau)}, fixterm.body)
-        verdict = E.term_equiv(unrolled, fixterm, tau, depth=depth)
-        report.instances.append(LawInstance("fix-subst", name, "equivalent", verdict))
+    if "fix-subst" in laws:
+        fix_cases = []
+        for name in ("flip", "zeros", "ones", "alt", "drain", "relay"):
+            anno = tables["terms"][name]
+            fix_cases.append((name, anno.term, anno.ty))
+        fix_cases.append(("const", A.Fix("F", A.Quote("d", A.Close("d"), ())), quit_ty))
+        fix_cases.append(("loop", A.Fix("x", A.Var("x")), quit_ty))
+        fix_cases.append((
+            "const-deep",
+            A.Fix("F", A.Quote("d", A.SendShift("d", A.RecvShift("d", A.Close("d"))), ())),
+            A.ProcType("d", A.Down(A.Up(A.Unit())), ()),
+        ))
+        fix_cases.append((
+            "two-step",
+            parse_term("fix F. {a <- send a unfold; a.0; send a unfold; a.1; a <- F}",
+                       types={"bits": bits}),
+            A.ProcType("a", bits, ()),
+        ))
+        for name, fixterm, tau in fix_cases:
+            assert isinstance(fixterm, A.Fix)
+            unrolled = A.subst_term({fixterm.var: A.Anno(fixterm, tau)}, fixterm.body)
+            verdict = E.term_equiv(unrolled, fixterm, tau, depth=depth)
+            report.instances.append(LawInstance("fix-subst", name, "equivalent", verdict))
 
     return report
 

@@ -11,16 +11,18 @@ the truncation of the true fixed point.  A brute-force Knaster-Tarski
 construction of the same operator (the meet of all post-fixed points over
 an enumerated grid) is provided as a testing oracle.
 
-Functional terms evaluate call-by-value into :class:`~sill.domain.FuncValue`;
-the fixed-point operator iterates from bottom, detecting convergence of
-quoted-process iterates extensionally on the enumerated input grid of
-their interface.
+Functional terms evaluate call-by-value into :class:`~sill.domain.FuncValue`.
+The fixed-point operator iterates from bottom.  At a quoted-process type
+it computes only the points a query observes: each input row of the
+interface is an unknown, solved together with the rows it depends on the
+first time a query asks for it, and kept for later queries.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import ast as A
@@ -440,7 +442,7 @@ def denote_term(term: A.Term, ty: Optional[A.FType],
         case A.Fix(var=x, body=m):
             if ty is None:
                 raise ValueError("fix needs a type annotation to evaluate")
-            return _denote_fix(x, m, ty, psi, env, cfg)
+            return _denote_fix(_FixSite(x, m, ty, psi, env, cfg))
     raise ValueError(f"not a term: {term!r}")
 
 
@@ -458,33 +460,122 @@ def apply_func(fv: D.FuncValue, av: D.FuncValue, cfg: EvalConfig) -> D.FuncValue
     return denote_term(fv.body, fv.ty.res, psi, env, cfg)
 
 
-def _denote_fix(x: str, body: A.Term, ty: A.FType,
-                psi: Mapping[str, A.FType], env: Env, cfg: EvalConfig) -> D.FuncValue:
-    psi2 = {**psi, x: ty}
+class _FixSite:
+    """One occurrence of ``fix x. body``, denoted in ``env``.
+
+    At a quoted-process type the value of the fix is :attr:`value`.  The
+    input rows of its interface are the unknowns of the fixed-point
+    equation: the first time a query asks for a row, :func:`_denote_fix`
+    solves it together with the rows it depends on, and keeps them in
+    :attr:`solved` as constants for later queries.
+    """
+
+    def __init__(self, x: str, body: A.Term, ty: A.FType,
+                 psi: Mapping[str, A.FType], env: Env, cfg: EvalConfig):
+        self.x, self.body, self.ty, self.cfg = x, body, ty, cfg
+        self.psi, self.env = {**psi, x: ty}, env
+        self.solved: dict[Row, Row] = {}
+
+    def unroll(self, v: D.FuncValue) -> D.FuncValue:
+        """The body with the recursive variable bound to ``v``."""
+        return denote_term(self.body, self.ty, self.psi, self.env.updated(self.x, v),
+                           self.cfg)
+
+    @cached_property
+    def value(self) -> D.QProc:
+        assert isinstance(self.ty, A.ProcType)
+        used = self.ty.used_types()
+        inputs = {_canon_used(i): (t, POS) for i, t in enumerate(used)}
+        outputs = {_canon_used(i): (t, NEG) for i, t in enumerate(used)}
+        inputs[_PROV_KEY] = (self.ty.provided, NEG)
+        outputs[_PROV_KEY] = (self.ty.provided, POS)
+
+        def solve(row: Row) -> Row:
+            hit = self.solved.get(row)
+            return _denote_fix(self, row) if hit is None else hit
+
+        return D.QProc(Denotation(inputs, outputs, solve, label="fix"))
+
+    def step(self, table: Mapping[Row, Row], open_rows: list[Row]) -> tuple[D.QProc, D.QProc]:
+        """The iterate held in ``table`` and :attr:`solved`, as a quoted
+        process, and the next iterate.  A row that neither holds reads as
+        bottom and is appended to ``open_rows``."""
+        inputs, outputs = self.value.den.inputs, self.value.den.outputs
+
+        def read(row: Row) -> Row:
+            hit = self.solved.get(row, table.get(row))
+            if hit is None:
+                open_rows.append(row)
+                hit = bot_row(outputs)
+            return hit
+
+        v = D.QProc(Denotation(inputs, outputs, read, label="probe"))
+        w = self.unroll(v)
+        if not isinstance(w, D.QProc):  # the stuck process
+            w = D.QProc(constant_bot(inputs, outputs))
+        return v, w
+
+
+def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
+    """Kleene iteration from bottom for a ``fix``, within the fuel.
+
+    Without ``row``, iterate the value of the fix, and return it.  Iterates
+    converge when they are equal.  At a quoted-process type only the value
+    level is iterated: once an iterate is above bottom, so is the fix, and
+    the next iterate is :attr:`_FixSite.value`, whose rows are solved on
+    demand.  It agrees with the one before on the rows solved so far: none.
+
+    With ``row``, solve that input row of ``site.value`` and return its
+    output.  The unknowns are the open rows: ``row``, and each row the body
+    reads that is not solved yet.  Each sweep unrolls the body once over the
+    last iterate and evaluates every open row, including those first read
+    in that sweep (they read as bottom).  The solve stops when the open rows
+    agree with the last iterate, truncated at the working depth; the newer
+    iterate is then kept for every open row.  This is the least solution of
+    the subsystem the query depends on (a local solver, after Le Charlier
+    and Van Hentenryck 1992).
+
+    Each call appends its number of rounds to ``cfg.diag.fix_rounds``.
+    """
+    cfg = site.cfg
     fuel = cfg.fix_fuel()
-    v: D.FuncValue = D.FBOT
-    rounds = 0
-    while rounds < fuel:
-        w = denote_term(body, ty, psi2, env.updated(x, v), cfg)
-        rounds += 1
-        if _func_converged(v, w, ty, cfg):
+    quoted = isinstance(site.ty, A.ProcType)
+    rounds, done = 0, False
+    if row is None:
+        v: D.FuncValue = D.FBOT
+        while not done and rounds < fuel:
+            w = site.unroll(v) if v == D.FBOT or not quoted else site.value
+            rounds += 1
+            done = _func_converged(v, w, cfg)
             v = w
-            cfg.diag.fix_rounds.append(rounds)
-            return v
-        v = w
-    cfg.diag.nonconverged = True
+        result = site.value if quoted and v != D.FBOT else v
+    else:
+        table = {row: bot_row(site.value.den.outputs)}
+        while not done and rounds < fuel:
+            open_rows = list(table)
+            v, w = site.step(table, open_rows)
+            for r in open_rows:  # also visits the rows appended while it runs
+                w.den(r)
+            rounds += 1
+            done = _func_converged(v, w, cfg, open_rows)
+            table = {r: w.den(r) for r in open_rows}
+        site.solved.update(table)
+        result = table[row]
+    if not done:
+        cfg.diag.nonconverged = True
     cfg.diag.fix_rounds.append(rounds)
-    return v
+    return result
 
 
-def _func_converged(v: D.FuncValue, w: D.FuncValue, ty: A.FType, cfg: EvalConfig) -> bool:
+def _func_converged(v: D.FuncValue, w: D.FuncValue, cfg: EvalConfig,
+                    rows: Iterable[Row] = ()) -> bool:
+    """Whether successive iterates agree: as values, or as quoted processes
+    on ``rows``, truncated at the working depth."""
     if v == w:
         return True
-    if isinstance(v, D.QProc) and isinstance(w, D.QProc) and isinstance(ty, A.ProcType):
-        try:
-            return _qproc_extensionally_equal(v.den, w.den, ty, cfg)
-        except D.NotEnumerable:
-            return False
+    if isinstance(v, D.QProc) and isinstance(w, D.QProc):
+        return all(row_truncate(v.den(r), cfg.depth) == row_truncate(w.den(r), cfg.depth)
+                   for r in rows)
     return False
 
 

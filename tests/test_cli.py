@@ -177,3 +177,32 @@ def test_eval_json_is_stable(capsys):
     _, out2 = run(capsys, *args)
     assert code == 0
     assert out1 == out2
+
+
+BITS30 = "b+ = " + "·".join("010011010111000101101001110100") + "·_"
+
+
+def test_eval_solves_only_the_rows_it_asks_for(capsys):
+    # the whole interface grid at depth 40 has about 2**41 rows
+    code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc",
+                    "flip1", "--depth", "40", "--in", BITS30, "--json")
+    assert code == 0
+    flipped = "·".join("101100101000111010010110001011") + "·_"
+    assert json.loads(out)["output"] == {"b-": "_", "f+": flipped}
+
+
+def test_eval_truncates_a_deep_input_at_the_working_depth(capsys):
+    # every row the query demands is solved in the same sweep, so the solve
+    # takes depth + 1 sweeps however long the input is
+    code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc",
+                    "flip1", "--depth", "8", "--in", BITS30, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["output"]["f+"] == "·".join("101100101") + "·_"
+    assert payload["diagnostics"]["fix_rounds"] == [9]
+
+
+def test_eval_out_of_fuel_is_approximate(capsys):
+    code, _ = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc",
+                  "flip1", "--fuel", "1", "--in", "b+ = 0·1·1·_")
+    assert code == 2

@@ -10,7 +10,7 @@ from sill import semantics as S
 from sill.ast import NEG, POS
 from sill.laws import (conway_identity_suite, corpus_processes, corpus_tables,
                        random_monotone_den, trace_axiom_suite)
-from sill.parser import parse_process, parse_term, parse_type
+from sill.parser import parse_process, parse_program, parse_term, parse_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
 
@@ -213,17 +213,66 @@ def test_flip_satisfies_its_recurrence():
 
 
 def test_fix_iteration_diagnostics_and_quote_distinction():
-    # quoting a stuck process gives the lifted bottom, not bottom itself
     quit_ty = A.ProcType("d", A.Unit(), ())
-    stuck = A.Quote("d", A.Cut("z", A.Close("z"),
-                               A.Wait("z", A.RecvShift("d", A.Close("d"))),
-                               A.Unit()), ())
-    # ill-typed on purpose? no: recv shift at d:1 is wrong, use a real stuck one
     loop = A.Anno(A.Fix("x", A.Var("x")), quit_ty)
     cfg = S.EvalConfig(depth=2)
     v = S.denote_term(loop, quit_ty, {}, S.EMPTY_ENV, cfg)
     assert v == D.FBOT
     assert cfg.diag.fix_rounds and cfg.diag.fix_rounds[0] == 1
+
+
+def whole_grid_fix(anno: A.Anno, depth: int) -> D.FuncValue:
+    """The reference for the demand-driven ``fix``: Kleene iteration from
+    bottom that stops when two iterates agree on every row of the interface
+    grid, truncated at ``depth``."""
+    fix, ty = anno.term, anno.ty
+    cfg = S.EvalConfig(depth=depth)
+    if not isinstance(fix, A.Fix):
+        return S.denote_term(anno, None, {}, S.EMPTY_ENV, cfg)
+    v = D.FBOT
+    for _ in range(cfg.fix_fuel()):
+        w = S.denote_term(fix.body, ty, {fix.var: ty},
+                          S.EMPTY_ENV.updated(fix.var, v), cfg)
+        if v == w or (isinstance(v, D.QProc) and all(
+                S.row_truncate(v.den(r), depth) == S.row_truncate(w.den(r), depth)
+                for r in S.row_grid(w.den.inputs, depth))):
+            return w
+        v = w
+    raise AssertionError(f"{anno} did not converge at depth {depth}")
+
+
+def fix_rows_agree(name: str, depth: int) -> int:
+    """Check every grid row of the demand-driven ``fix`` against the
+    whole-grid iteration, untruncated; return the number of rows."""
+    anno = tbl()["terms"][name]
+    ref = whole_grid_fix(anno, depth)
+    cfg = S.EvalConfig(depth=depth)
+    got = S.denote_term(anno, None, {}, S.EMPTY_ENV, cfg)
+    rows = list(S.row_grid(ref.den.inputs, depth))
+    for row in rows:
+        assert got.den(row) == ref.den(row), (name, depth, row)
+    assert not cfg.diag.nonconverged
+    return len(rows)
+
+
+def test_demand_driven_fix_agrees_with_whole_grid_iteration():
+    names = ("flip", "zeros", "ones", "alt", "drain", "relay", "quit")
+    assert sum(fix_rows_agree(n, d) for n in names for d in range(1, 7)) == 762
+    assert fix_rows_agree("flip", 8) == 511
+
+
+def test_fix_over_a_function_carrying_interface_converges():
+    # the interface carries functions, so it has no grid to iterate on
+    prog = parse_program("""
+        type fsink = rho t. ({d : 1} -> {d : 1}) => t
+        term eat : {a : fsink} = fix F. {a <- recv a unfold; (x) <- recv a; a <- F}
+    """)
+    eat = prog.terms()["eat"]
+    cfg = S.EvalConfig(depth=3)
+    value = S.term_denotation(eat.term, eat.ty, cfg=cfg)
+    assert value.den(S.Row({"$p": D.BOT}))["$p"] == D.BOT
+    assert cfg.diag.fix_rounds == [2, 1]
+    assert not cfg.diag.nonconverged
 
 
 def test_quoted_stuck_process_is_not_bottom():
