@@ -144,7 +144,10 @@ def cmd_eval(args) -> int:
     den = S.denote_process(decl.proc, delta, decl.channel, decl.ty, {},
                            S.EMPTY_ENV, cfg)
     row = _parse_input_row(args.inputs or "", den.inputs)
+    # Report only query-time solves, but keep a fuel-out from denoting.
+    denote_nonconverged = cfg.diag.nonconverged
     cfg.diag.reset()
+    cfg.diag.nonconverged = denote_nonconverged
     out = den(S.Row(row))
     formatted = {
         k: D.format_value(out[k], den.outputs[k][0], den.outputs[k][1])

@@ -5,11 +5,14 @@ The eta suite instantiates each program-equivalence law over a shipped
 corpus of small typed processes and delegates to the equivalence checker.
 The axiom suites generate random monotone maps between enumerated finite
 domains (by monotone completion of a table in a linear extension of the
-input order) and check each axiom instance by exhaustive evaluation.
+input order) and check each axiom instance by exhaustive evaluation.  A
+domain of rows is a product order: it is built from the order on each
+aspect's values, compared once per (aspect, depth), never row by row.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -482,34 +485,56 @@ def law_suite(depth: int = 4,
 
 @dataclass
 class FinGrid:
+    """The rows over some aspects, in a linear extension of their order.
+
+    A row grid is the product of its aspects' value pools, ordered
+    pointwise, so each row's down-set and up-set are the products of its
+    components' down-sets and up-sets.
+    """
+
     keys: tuple[str, ...]
     rows: list[S.Row]
-    index: dict[S.Row, int]
     preds: list[list[int]]   # strictly-below indices
     upsets: list[int]        # bitmask of rows >= each row
 
 
+@lru_cache(maxsize=None)
+def _aspect_order(aspect: S.Aspect, depth: int) -> tuple[list, list[list[int]], list[list[int]]]:
+    """An aspect's values at ``depth`` and, for each value, the ascending
+    indices of the values below it and of those above it (itself included)."""
+    values = D.enumerate_values(*aspect, depth)
+    n = len(values)
+    leq = [[D.leq(values[i], values[j]) for j in range(n)] for i in range(n)]
+    return (values,
+            [[j for j in range(n) if leq[j][i]] for i in range(n)],
+            [[j for j in range(n) if leq[i][j]] for i in range(n)])
+
+
+def _product_cones(cones_per_aspect: list[list[list[int]]]) -> list[list[int]]:
+    """For each row of the mixed-radix product (last aspect fastest), the
+    ascending row indices of the product of its components' cones."""
+    cones = [[0]]
+    for per_value in cones_per_aspect:
+        radix = len(per_value)
+        cones = [[q * radix + j for q in cone for j in mine]
+                 for cone in cones for mine in per_value]
+    return cones
+
+
 @lru_cache(maxsize=128)
 def _grid_cached(aspect_items: tuple, depth: int) -> FinGrid:
-    aspects = dict(aspect_items)
-    keys = tuple(sorted(aspects))
-    rows = list(S.row_grid(aspects, depth))
-    n = len(rows)
-    leq = [[S.row_leq(rows[i], rows[j]) for j in range(n)] for i in range(n)]
-    preds = [[j for j in range(n) if j != i and leq[j][i]] for i in range(n)]
-    upsets = [sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (len(preds[i]), i))
-    rows = [rows[i] for i in order]
+    keys = tuple(k for k, _ in aspect_items)
+    orders = [_aspect_order(asp, depth) for _, asp in aspect_items]
+    rows = [S.Row(dict(zip(keys, combo)))
+            for combo in itertools.product(*(values for values, _, _ in orders))]
+    downs = _product_cones([down for _, down, _ in orders])
+    ups = _product_cones([up for _, _, up in orders])
+    preds = [[j for j in down if j != i] for i, down in enumerate(downs)]
+    order = sorted(range(len(rows)), key=lambda i: (len(preds[i]), i))
     remap = {old: new for new, old in enumerate(order)}
-    preds = [[remap[j] for j in preds[i]] for i in order]
-    upsets_new = []
-    for i in order:
-        mask = 0
-        for j in range(n):
-            if leq[i][j]:
-                mask |= 1 << remap[j]
-        upsets_new.append(mask)
-    return FinGrid(keys, rows, {r: i for i, r in enumerate(rows)}, preds, upsets_new)
+    return FinGrid(keys, [rows[i] for i in order],
+                   [[remap[j] for j in preds[i]] for i in order],
+                   [sum(1 << remap[j] for j in ups[i]) for i in order])
 
 
 def grid_for(aspects: Mapping[str, S.Aspect], depth: int) -> FinGrid:

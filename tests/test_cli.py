@@ -206,3 +206,15 @@ def test_eval_out_of_fuel_is_approximate(capsys):
     code, _ = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc",
                   "flip1", "--fuel", "1", "--in", "b+ = 0·1·1·_")
     assert code == 2
+
+
+def test_eval_keeps_a_denote_time_fuel_out(tmp_path, capsys):
+    f = tmp_path / "loop.sill"
+    f.write_text("term quit : {d : 1} = {d <- close d}\n"
+                 "term loopf : {d : 1} -> {d : 1} = fix f. \\x : {d : 1}. f x\n"
+                 "proc p : (|- d : 1) = d <- {loopf quit}\n")
+    code, out = run(capsys, "eval", str(f), "--proc", "p", "--json")
+    assert code == 2
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["nonconverged"] is True
+    assert diagnostics["fix_rounds"] == []
