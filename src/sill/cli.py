@@ -348,8 +348,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # values are nested trees: a stream of a few hundred messages is
-        # deeper than the interpreter's recursion limit
+        # the value notation is parsed recursively, about two frames per
+        # message: a stream of about 500 messages is deeper than the
+        # interpreter's recursion limit
         print("error: input too deeply nested to evaluate", file=sys.stderr)
         return EXIT_USAGE
 

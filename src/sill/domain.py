@@ -23,8 +23,7 @@ The finite elements of an aspect are trees of values:
 
 * ``BOT`` is the least element of every aspect: the absence of
   communication.  Product-shaped aspects have their all-bottom tuple
-  identified with ``BOT``; the smart constructors normalize on the way in,
-  so structural equality decides the domain's equality.
+  identified with ``BOT``; the smart constructors normalize on the way in.
 * ``STAR`` is the close message.
 * ``Lift(v)`` is the image of ``v`` under lifting: one message boundary.
   ``Lift(BOT)`` is *not* ``BOT``; lifting is not strict.
@@ -33,6 +32,11 @@ The finite elements of an aspect are trees of values:
 * ``Pair``/``ValPair``/``Record`` are the elements of the product shapes.
 * ``Fold(v)`` marks an element of a recursive type via the canonical
   isomorphism with its unfolding.
+
+Values are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): a value is built once and shared, so structurally
+equal values are the same object, the domain's equality is identity and
+hashing is O(1).
 
 Observation depth counts message boundaries: every ``Lift`` is one unit.
 ``Fold`` is transparent for depth, so one labelled message on a recursive
@@ -46,6 +50,7 @@ object and a traversal finds such an occurrence by the node it revisits.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -76,56 +81,103 @@ class ValueNotationError(ValueError):
 # Values
 
 
-@dataclass(frozen=True)
 class CommValue:
-    pass
+    """A finite element of an aspect, hash-consed.
+
+    Constructing a value returns the one live object with that class and
+    those arguments, so ``==`` is identity and ``hash`` is O(1).  The intern
+    table holds values weakly and knows their arguments only by identity
+    (see :func:`_key`), so a value dies with its last outside reference,
+    even when it carries a quoted process whose denotation reaches back to
+    it.  Values are immutable.
+    """
+
+    __slots__ = ("__weakref__", "_cut_at", "_cut")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        key = (cls, *map(_key, args))
+        v = _INTERNED.get(key)
+        if v is None:
+            v = object.__new__(cls)
+            for name, arg in zip(cls._fields, args):
+                object.__setattr__(v, name, arg)
+            object.__setattr__(v, "_cut_at", None)
+            _INTERNED[key] = v
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _key(arg):
+    """How a constructor argument identifies the value built from it:
+    communication values by identity, functional values by their own
+    equality (through a weak reference), labels and record entries by
+    content.  The table thus holds no argument alive."""
+    if isinstance(arg, CommValue):
+        return id(arg)
+    if isinstance(arg, FuncValue):
+        return weakref.ref(arg)
+    if isinstance(arg, tuple):
+        return tuple(map(_key, arg))
+    return arg
+
+
 class BotValue(CommValue):
+    __slots__ = ()
+
     def __repr__(self):
         return "BOT"
 
 
-@dataclass(frozen=True)
 class StarValue(CommValue):
+    __slots__ = ()
+
     def __repr__(self):
         return "STAR"
 
 
-@dataclass(frozen=True)
 class Lift(CommValue):
+    __slots__ = _fields = ("inner",)
     inner: CommValue
 
 
-@dataclass(frozen=True)
 class Tag(CommValue):
+    __slots__ = _fields = ("label", "inner")
     label: str
     inner: CommValue  # always a Lift
 
 
-@dataclass(frozen=True)
 class Pair(CommValue):
+    __slots__ = _fields = ("left", "right")
     left: CommValue
     right: CommValue
 
 
-@dataclass(frozen=True)
 class ValPair(CommValue):
+    __slots__ = _fields = ("val", "rest")
     val: "FuncValue"
     rest: CommValue
 
 
-@dataclass(frozen=True)
 class Record(CommValue):
+    __slots__ = _fields = ("entries",)
     entries: tuple[tuple[str, CommValue], ...]
 
     def to_dict(self) -> dict[str, CommValue]:
         return dict(self.entries)
 
 
-@dataclass(frozen=True)
 class Fold(CommValue):
+    __slots__ = _fields = ("inner",)
     inner: CommValue
 
 
@@ -410,8 +462,21 @@ def meet2(v: CommValue, w: CommValue) -> CommValue:
 
 
 def truncate(v: CommValue, depth: int) -> CommValue:
-    """Replace everything below the ``depth``-th message boundary with BOT."""
-    if v == BOT or isinstance(v, StarValue):
+    """Replace everything below the ``depth``-th message boundary with BOT.
+
+    The last result is memoized on ``v``.  It is kept only when it differs
+    from ``v``: a value never refers to itself, so values are freed as soon
+    as they are unreachable.
+    """
+    if v._cut_at != depth:
+        cut = _truncate(v, depth)
+        object.__setattr__(v, "_cut", None if cut is v else cut)
+        object.__setattr__(v, "_cut_at", depth)
+    return v._cut or v
+
+
+def _truncate(v: CommValue, depth: int) -> CommValue:
+    if v is BOT or v is STAR:
         return v
     match v:
         case Lift(inner=a):

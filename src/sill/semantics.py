@@ -34,47 +34,35 @@ Aspect = tuple[A.SType, Polarity]
 
 
 # ---------------------------------------------------------------------------
-# Rows: immutable keyed tuples of communication values
+# Rows: dicts from interface keys to communication values
 
 
-class Row(Mapping):
-    __slots__ = ("_entries", "_dict", "_hash")
+class Row(dict):
+    """A row of a denotation's interface, never mutated once built.
 
-    def __init__(self, mapping: Mapping[str, D.CommValue] | Iterable[tuple[str, D.CommValue]]):
-        d = dict(mapping)
-        object.__setattr__(self, "_entries", tuple(sorted(d.items())))
-        object.__setattr__(self, "_dict", d)
-        object.__setattr__(self, "_hash", None)
+    Equality is dict equality, which compares the hash-consed values by
+    identity.  The hash is computed from the items whenever it is asked
+    for, whatever their order; caching it measured slower, because about
+    half of all hash calls are a row's first.
+    """
 
-    def __getitem__(self, key: str) -> D.CommValue:
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self):
-        return len(self._dict)
+    __slots__ = ()
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._entries))
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Row) and self._entries == other._entries
+        return hash(frozenset(self.items()))
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._entries)
+        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.items()))
         return f"Row({inner})"
 
     def updated(self, changes: Mapping[str, D.CommValue]) -> "Row":
-        return Row({**self._dict, **changes})
+        return Row({**self, **changes})
 
     def without(self, *keys: str) -> "Row":
-        return Row({k: v for k, v in self._dict.items() if k not in keys})
+        return Row({k: v for k, v in self.items() if k not in keys})
 
     def project(self, keys) -> "Row":
-        return Row({k: self._dict[k] for k in keys})
+        return Row({k: self[k] for k in keys})
 
 
 def bot_row(keys) -> Row:
@@ -82,7 +70,7 @@ def bot_row(keys) -> Row:
 
 
 def row_leq(a: Row, b: Row) -> bool:
-    return set(a) == set(b) and all(D.leq(a[k], b[k]) for k in a)
+    return a.keys() == b.keys() and all(D.leq(a[k], b[k]) for k in a)
 
 
 def row_meet(a: Row, b: Row) -> Row:
@@ -98,7 +86,7 @@ def row_grid(aspects: Mapping[str, Aspect], depth: int,
     """Every row over ``aspects`` whose values have height at most ``depth``."""
     keys = sorted(aspects)
     pools = [D.enumerate_values(*aspects[k], depth, func_enum) for k in keys]
-    return (Row(dict(zip(keys, combo))) for combo in itertools.product(*pools))
+    return (Row(zip(keys, combo)) for combo in itertools.product(*pools))
 
 
 def kplus(chan: str) -> str:
@@ -156,9 +144,9 @@ class Denotation:
     def __call__(self, row: Row | Mapping[str, D.CommValue]) -> Row:
         if not isinstance(row, Row):
             row = Row(row)
-        if set(row) != set(self.inputs):
-            missing = set(self.inputs) - set(row)
-            extra = set(row) - set(self.inputs)
+        if row.keys() != self.inputs.keys():
+            missing = self.inputs.keys() - row.keys()
+            extra = row.keys() - self.inputs.keys()
             raise ValueError(f"bad input row: missing {missing}, extra {extra}")
         hit = self._memo.get(row)
         if hit is None:
@@ -188,7 +176,7 @@ def tensor(f: Denotation, g: Denotation) -> Denotation:
     def fn(row: Row) -> Row:
         a = f(row.project(f.inputs))
         b = g(row.project(g.inputs))
-        return Row({**dict(a), **dict(b)})
+        return Row({**a, **b})
 
     return Denotation(inputs, outputs, fn, label=f"({f.label}*{g.label})")
 
@@ -226,7 +214,7 @@ def fix_inputs(den: Denotation, fixed: Mapping[str, D.CommValue]) -> Denotation:
     rest = {k: v for k, v in den.inputs.items() if k not in fixed}
 
     def fn(row: Row) -> Row:
-        return den(Row({**dict(row), **dict(fixed)}))
+        return den(Row({**row, **fixed}))
 
     return Denotation(rest, den.outputs, fn, label=f"fix({den.label})")
 
@@ -260,7 +248,7 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
         n = 0
         while True:
             n += 1
-            y = den(Row({**dict(row), **dict(x)}))
+            y = den(Row({**row, **x}))
             if prev is not None and y == prev:
                 break
             if n > fuel:
@@ -293,7 +281,7 @@ def knaster_tarski_trace(den: Denotation, fb_keys, depth: int,
     def fn(row: Row) -> Row:
         post: list[tuple[Row, Row]] = []
         for x in x_grid:
-            out = den(Row({**dict(row), **dict(x)}))
+            out = den(Row({**row, **x}))
             out_x = out.project(fb)
             out_b = out.without(*fb)
             if not row_leq(out_x, x):
@@ -337,7 +325,7 @@ def sfix_row(den: Denotation, bind: Mapping[str, str], cfg: EvalConfig) -> Denot
         n = 0
         while True:
             n += 1
-            y = den(Row({**dict(row), **dict(x)}))
+            y = den(Row({**row, **x}))
             x2 = Row({ik: D.truncate(y[ok], cfg.depth) for ik, ok in bind.items()})
             if x2 == x:
                 break
@@ -657,7 +645,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
 
             def wait_fn(row: Row) -> Row:
                 out = inner(row.without(kplus(a)))
-                return Row({**dict(out), kminus(a): D.BOT})
+                return Row({**out, kminus(a): D.BOT})
 
             return strictify(clause(wait_fn, "wait"), kplus(a))
 
@@ -668,7 +656,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
 
             def send_shift(row: Row) -> Row:
                 out = inner(row)
-                return Row({**dict(out), o: D.up(out[o])})
+                return Row({**out, o: D.up(out[o])})
 
             return clause(send_shift, "send-shift")
 
@@ -690,7 +678,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
 
             def send_label(row: Row) -> Row:
                 out = inner(row.updated({i: D.split_record(row[i], labels)[k]}))
-                return Row({**dict(out), o: D.tag(k, out[o])})
+                return Row({**out, o: D.tag(k, out[o])})
 
             return clause(send_label, "send-label")
 
@@ -707,7 +695,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                 k, payload = v.label, v.inner.inner
                 out = inners[k](row.updated({i: payload}))
                 chosen = D.record({l: out[o] if l == k else D.BOT for l in labels})
-                return Row({**dict(out), o: chosen})
+                return Row({**out, o: chosen})
 
             return strictify(clause(recv_label, "case"), i)
 
@@ -720,7 +708,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                 b_neg, a_in = D.split_pair(row[i])
                 out = inner(row.without(kplus(b)).updated({i: a_in}))
                 return Row({
-                    **dict(out),
+                    **out,
                     kminus(b): b_neg,
                     o: D.up(D.pair(row[kplus(b)], out[o])),
                 })
@@ -736,7 +724,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                 b_pos, a_in = D.split_pair(D.down(row[i]))
                 out = inner(row.updated({i: a_in, kplus(b): b_pos}))
                 return Row({
-                    **dict(out.without(kminus(b))),
+                    **out.without(kminus(b)),
                     o: D.pair(out[kminus(b)], out[o]),
                 })
 
@@ -752,7 +740,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                 if v == D.FBOT:
                     return bot_row(outputs)
                 out = inner(row)
-                return Row({**dict(out), o: D.up(D.valpair(v, out[o]))})
+                return Row({**out, o: D.up(D.valpair(v, out[o]))})
 
             return clause(send_val, "send-val")
 
@@ -778,7 +766,7 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
 
             def unfold_msg(row: Row) -> Row:
                 out = inner(row.updated({i: D.unfold(row[i])}))
-                return Row({**dict(out), o: D.fold(out[o])})
+                return Row({**out, o: D.fold(out[o])})
 
             return clause(unfold_msg, "unfold")
 

@@ -94,11 +94,22 @@ def test_eval_unknown_proc_is_a_usage_error(capsys):
     assert "available" in err
 
 
-@pytest.mark.parametrize("bits", [300, 1200])
+def long_stream(bits):
+    return "·".join("01"[i % 2] for i in range(bits)) + "·_"
+
+
+def test_eval_long_input_is_truncated_at_the_working_depth(capsys):
+    # values are hash-consed, so nothing hashes or compares them recursively
+    code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
+                    "--depth", "2", "--in", f"b+ = {long_stream(300)}")
+    assert code == 0
+    assert out.splitlines()[0] == "b- = _, f+ = 1·0·1·_"
+
+
+@pytest.mark.parametrize("bits", [1200])
 def test_eval_long_input_is_a_usage_error(capsys, bits):
-    stream = "·".join("01"[i % 2] for i in range(bits)) + "·_"
     usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
-                "--depth", "2", "--in", f"b+ = {stream}")
+                "--depth", "2", "--in", f"b+ = {long_stream(bits)}")
 
 
 def test_equiv_exit_codes(capsys):

@@ -1,13 +1,16 @@
 """Order, enumeration, truncation, and notation for communication values."""
 
+import gc
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from sill import ast as A
 from sill import domain as D
+from sill import semantics as S
 from sill.ast import NEG, POS
 from sill.parser import parse_type
 from sill.pretty import pp_type
@@ -253,6 +256,32 @@ def test_quoted_process_values_enumerate_two_points():
     values = enum(ty, POS, 1)
     # bottom, plus lifted pairs over {absent, stuck} x {bot, star}
     assert len(values) == 5
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+
+def test_equal_values_are_one_object():
+    for ty, pol in BATTERY:
+        for v in enum(ty, pol, 3):
+            assert D.parse_value(D.format_value(v, ty, pol), ty, pol) is v
+    assert D.Lift(D.BOT) is D.up(D.BOT)
+
+
+def test_intern_table_lets_a_quoted_process_die():
+    # the value is held by the memo of the denotation it carries: a table
+    # that kept the value or its arguments alive would keep this cycle too
+    asp = (A.AndVal(QUIT_TY, A.Unit()), POS)
+    den = S.Denotation({"x": asp}, {"y": asp}, lambda row: S.Row({"y": row["x"]}))
+    v = D.valpair(D.QProc(den), D.BOT)
+    den(S.Row({"x": v}))
+    gone = weakref.ref(v)
+    interned = len(D._INTERNED)
+    del den, v
+    gc.collect()
+    assert gone() is None
+    assert len(D._INTERNED) < interned
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,18 @@ def test_sfix_row_on_constant_and_identity():
     assert fixed(S.Row({"x": c}))["ao"] == D.BOT
 
 
+def test_rows_do_not_depend_on_insertion_order():
+    one = (parse_type("1"), POS)
+    first = S.Row({"a": D.STAR, "b": D.up(D.BOT)})
+    second = S.Row({"b": D.up(D.BOT), "a": D.STAR})
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) == "Row(a=STAR, b=Lift(inner=BOT))"
+    seen = []
+    f = S.Denotation({"a": one, "b": one}, {}, lambda row: seen.append(row) or S.Row({}))
+    assert f(first) is f(second)
+    assert seen == [first]
+
+
 def test_oracle_with_no_feedback_is_the_map_itself():
     # tracing over the empty collection of feedback keys changes nothing
     one = (parse_type("1"), POS)
