@@ -7,7 +7,8 @@ import pytest
 
 from sill import ast as A
 from sill.ast import NEG, POS
-from sill.parser import SillSyntaxError, parse_process, parse_program, parse_term, parse_type
+from sill.parser import (SillSyntaxError, parse_ftype, parse_process,
+                         parse_program, parse_term, parse_type)
 from sill.typecheck import (TypeCheckError, check_process, check_program,
                             check_term, infer_term, polarity_of,
                             subst_type_checked)
@@ -204,3 +205,126 @@ def test_upshift_provider_rule():
     with pytest.raises(TypeCheckError) as err:
         check_process({}, {}, proc, "a", A.Unit())
     assert err.value.rule == "upR"
+
+
+# ---------------------------------------------------------------------------
+# Golden diagnostics: one ill-typed process per rejection in process typing,
+# each pinned to the exact ``to_json`` of its error.  Every case is
+# ``(used channels, process, provided channel, provided type, psi)``.
+
+TYPING_GOLDEN = Path(__file__).resolve().parent / "typecheck_golden.json"
+
+LOLLY = "1 -o up 1"
+NEG_REC = "rho t. &{j: t}"
+POS_REC = "rho b. +{0: b, 1: b}"
+QUIT = "{d : 1}"
+ENDO = "{d : 1} -> {d : 1}"
+
+TYPING_CASES = {
+    "check_process/provided-in-context": ({"c": "1"}, "close c", "c", "1", {}),
+    "check_process/unconsumed": ({"a": "1"}, "close c", "c", "1", {}),
+    "Fwd/not-ambient": ({"a": "1"}, "fwd b a", "c", "1", {}),
+    "Fwd/unknown": ({}, "fwd c a", "c", "1", {}),
+    "Fwd/types-differ": ({"a": "1"}, "fwd c a", "c", "down up 1", {}),
+    "1R/not-provided": ({"a": "1"}, "wait a; close a", "c", "1", {}),
+    "1R/non-unit": ({}, "close c", "c", "down up 1", {}),
+    "1L/provided": ({}, "wait c; close c", "c", "1", {}),
+    "1L/unknown": ({}, "wait a; close c", "c", "1", {}),
+    "1L/non-unit": ({"a": "down up 1"}, "wait a; close c", "c", "1", {}),
+    "downR/type": ({}, "send c shift; close c", "c", "1", {}),
+    "upL/unknown": ({}, "send a shift; close c", "c", "1", {}),
+    "upL/type": ({"a": "1"}, "send a shift; close c", "c", "1", {}),
+    "upR/type": ({}, "recv c shift; close c", "c", "1", {}),
+    "downL/unknown": ({}, "recv a shift; close c", "c", "1", {}),
+    "downL/type": ({"a": "1"}, "recv a shift; close c", "c", "1", {}),
+    "plusR/type": ({}, "c.j; close c", "c", "1", {}),
+    "plusR/label": ({}, "c.m; close c", "c", "+{j: 1, k: 1}", {}),
+    "withL/unknown": ({}, "a.j; close c", "c", "1", {}),
+    "withL/type": ({"a": "1"}, "a.j; close c", "c", "1", {}),
+    "withL/label": ({"a": "&{j: up 1}"}, "a.m; close c", "c", "1", {}),
+    "withR/type": ({}, "case c { j => close c }", "c", "1", {}),
+    "withR/labels": ({}, "case c { j => recv c shift; close c }", "c",
+                     "&{j: up 1, k: up 1}", {}),
+    "withR/join": ({"a": "1"},
+                   "case c { j => recv c shift; wait a; close c"
+                   " | k => recv c shift; close c }",
+                   "c", "&{j: up 1, k: up 1}", {}),
+    "plusL/unknown": ({}, "case a { j => close c }", "c", "1", {}),
+    "plusL/type": ({"a": "1"}, "case a { j => close c }", "c", "1", {}),
+    "plusL/labels": ({"a": "+{j: 1, k: 1}"},
+                     "case a { j => wait a; close c | m => wait a; close c }",
+                     "c", "1", {}),
+    "plusL/join": ({"a": "+{j: 1, k: 1}", "b": "1"},
+                   "case a { j => wait a; wait b; close c | k => wait a; close c }",
+                   "c", "1", {}),
+    "tensorR/unbound-sent": ({}, "send c b; close c", "c", "1 * 1", {}),
+    "tensorR/type": ({"b": "1"}, "send c b; close c", "c", "1", {}),
+    "tensorR/sent-type": ({"b": "down up 1"}, "send c b; close c", "c", "1 * 1", {}),
+    "lollyL/unbound-sent": ({"a": LOLLY}, "send a b; close c", "c", "1", {}),
+    "lollyL/unknown": ({"b": "1"}, "send a b; close c", "c", "1", {}),
+    "lollyL/type": ({"a": "1", "b": "1"}, "send a b; close c", "c", "1", {}),
+    "lollyL/sent-type": ({"a": LOLLY, "b": "down up 1"}, "send a b; close c",
+                         "c", "1", {}),
+    "tensorL/shadows-context": ({"a": "1 * 1", "b": "1"},
+                                "b <- recv a; close c", "c", "1", {}),
+    "tensorL/shadows-provided": ({"a": "1 * 1"}, "c <- recv a; close c",
+                                 "c", "1", {}),
+    "lollyR/type": ({}, "b <- recv c; wait b; close c", "c", "1", {}),
+    "lollyR/unconsumed": ({}, "b <- recv c; recv c shift; close c", "c", LOLLY, {}),
+    "tensorL/unknown": ({}, "b <- recv a; close c", "c", "1", {}),
+    "tensorL/type": ({"a": "1"}, "b <- recv a; close c", "c", "1", {}),
+    "tensorL/unconsumed": ({"a": "1 * 1"}, "b <- recv a; wait a; close c",
+                           "c", "1", {}),
+    "andR/type": ({}, "send c (x); close c", "c", "1", {"x": QUIT}),
+    "andR/term": ({}, "send c (x); close c", "c", QUIT + r" /\ 1", {"x": ENDO}),
+    "impL/unknown": ({}, "send a (x); close c", "c", "1", {"x": QUIT}),
+    "impL/type": ({"a": "1"}, "send a (x); close c", "c", "1", {"x": QUIT}),
+    "impL/term": ({"a": QUIT + " => up 1"}, "send a (x); close c", "c", "1",
+                  {"x": ENDO}),
+    "impR/type": ({}, "(x) <- recv c; close c", "c", "1", {}),
+    "andL/unknown": ({}, "(x) <- recv a; close c", "c", "1", {}),
+    "andL/type": ({"a": "1"}, "(x) <- recv a; close c", "c", "1", {}),
+    "rho+R/type": ({}, "send c unfold; close c", "c", "1", {}),
+    "rho+R/polarity": ({}, "send c unfold; close c", "c", NEG_REC, {}),
+    "rho-L/unknown": ({}, "send a unfold; close c", "c", "1", {}),
+    "rho-L/type": ({"a": "1"}, "send a unfold; close c", "c", "1", {}),
+    "rho-L/polarity": ({"a": POS_REC}, "send a unfold; close c", "c", "1", {}),
+    "rho-R/type": ({}, "recv c unfold; close c", "c", "1", {}),
+    "rho-R/polarity": ({}, "recv c unfold; close c", "c", POS_REC, {}),
+    "rho+L/unknown": ({}, "recv a unfold; close c", "c", "1", {}),
+    "rho+L/type": ({"a": "1"}, "recv a unfold; close c", "c", "1", {}),
+    "rho+L/polarity": ({"a": NEG_REC}, "recv a unfold; close c", "c", "1", {}),
+    "E-{}/not-ambient": ({}, "d <- x", "c", "1", {"x": QUIT}),
+    "E-{}/not-a-process": ({}, "c <- x", "c", "1", {"x": ENDO}),
+    "E-{}/arity": ({"a": "1"}, "c <- x <- a", "c", "1", {"x": QUIT}),
+    "E-{}/provided-type": ({}, "c <- x", "c", "1", {"x": "{d : down up 1}"}),
+    "E-{}/unbound": ({}, "c <- x <- a", "c", "1", {"x": "{d : 1 <- e : 1}"}),
+    "E-{}/linear": ({"a": "1"}, "c <- x <- a, a", "c", "1",
+                    {"x": "{d : 1 <- e : 1, f : 1}"}),
+    "E-{}/channel-type": ({"a": "down up 1"}, "c <- x <- a", "c", "1",
+                          {"x": "{d : 1 <- e : 1}"}),
+    "Cut/shadows-context": ({"a": "1"}, "a : 1 <- (close a); wait a; close c",
+                            "c", "1", {}),
+    "Cut/shadows-provided": ({}, "c : 1 <- (close c); wait c; close c", "c", "1", {}),
+    "Cut/annotation": ({}, "a <- x; wait a; close c", "c", "1", {"x": ENDO}),
+    "Cut/unconsumed": ({}, "a : 1 <- (close a); close c", "c", "1", {}),
+    "Cut/not-a-process": ({}, None, "c", "1", {}),
+}
+
+
+def typing_diagnostic(case):
+    delta, src, chan, ty, psi = case
+    # no process parses to a term, so the last rejection needs an AST
+    proc = A.Var("x") if src is None else parse_process(src)
+    with pytest.raises(TypeCheckError) as err:
+        check_process({x: parse_ftype(t) for x, t in psi.items()},
+                      {a: tparse(t) for a, t in delta.items()},
+                      proc, chan, tparse(ty))
+    return err.value.to_json()
+
+
+def test_typing_diagnostics_match_golden():
+    golden = json.loads(TYPING_GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(TYPING_CASES)
+    for name, case in TYPING_CASES.items():
+        assert typing_diagnostic(case) == golden[name], name
