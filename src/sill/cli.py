@@ -263,17 +263,21 @@ def cmd_demo_flip(args) -> int:
         if out != ref:
             mismatches.append((v, out, ref))
     max_n = max(stabilization)
+    approx = cfg.diag.nonconverged
     payload = {
         "inputs": len(inputs),
         "depth": depth,
         "equivalent": not mismatches,
         "max_stabilization": max_n,
+        "nonconverged": approx,
         "stabilized_by_2": all(n <= 2 for n in stabilization),
     }
     if args.json:
         _emit_json(payload)
     else:
-        if not mismatches and all(n <= 2 for n in stabilization) and max_n == 2:
+        if approx:
+            print("approximate: a fixed point did not converge within fuel")
+        elif not mismatches and all(n <= 2 for n in stabilization) and max_n == 2:
             print("equivalent; chain stabilized at n = 2 on every input")
         elif not mismatches:
             print(f"equivalent; chains stabilized by n = {max_n}")
@@ -282,6 +286,8 @@ def cmd_demo_flip(args) -> int:
             print(f"NOT equivalent: input {D.format_value(v, bits, A.POS)} "
                   f"gives {dict(out)} but forwarding gives {dict(ref)}")
         print(f"checked {len(inputs)} stream approximants at depth {depth}")
+    if approx:
+        return EXIT_APPROX
     return EXIT_OK if not mismatches else EXIT_FAIL
 
 

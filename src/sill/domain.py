@@ -743,9 +743,30 @@ def _func_key(f: FuncValue):
 # Ascending-chain height of the truncated aspect (a fuel bound for traces)
 
 
-def chain_steps(ty: A.SType, pol: Polarity, depth: int) -> int:
+@lru_cache(maxsize=None)
+def recursive(ty: A.SType, pol: Polarity) -> bool:
+    """Whether the aspect has a ``rho``: only then can a value be deeper than
+    every depth, so that truncation may lose part of it."""
+
+    def go(s: Shape) -> bool:
+        match s:
+            case FoldShape():
+                return True
+            case LiftShape(inner=i) | ValPairShape(rest=i):
+                return go(i)
+            case SumShape(branches=fs) | RecordShape(fields=fs):
+                return any(go(f) for f in fs.values())
+            case PairShape(left=l, right=r):
+                return go(l) or go(r)
+        return False
+
+    return go(aspect(ty, pol))
+
+
+def chain_steps(ty: A.SType, pol: Polarity, depth: float) -> int:
     """An upper bound on the number of strict steps any ascending chain can
-    take in the depth-truncated aspect."""
+    take in the depth-truncated aspect; ``math.inf`` gives the full height
+    of an aspect that is not recursive."""
 
     def go(s: Shape, d: int, seen: frozenset) -> int:
         if s in seen:

@@ -21,6 +21,7 @@ first time a query asks for it, and kept for later queries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -209,16 +210,6 @@ def strictify(den: Denotation, key: str) -> Denotation:
     return Denotation(den.inputs, den.outputs, fn, label=f"strict[{key}]({den.label})")
 
 
-def fix_inputs(den: Denotation, fixed: Mapping[str, D.CommValue]) -> Denotation:
-    """Partially apply a denotation on some of its inputs."""
-    rest = {k: v for k, v in den.inputs.items() if k not in fixed}
-
-    def fn(row: Row) -> Row:
-        return den(Row({**row, **fixed}))
-
-    return Denotation(rest, den.outputs, fn, label=f"fix({den.label})")
-
-
 # ---------------------------------------------------------------------------
 # Trace and parametrized fixed points
 
@@ -230,7 +221,10 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
     truncated at the working depth, whose finite chain height bounds the
     iteration count; convergence is detected on the full output row, and
     the recorded per-call iteration count is the index at which the chain
-    stopped evolving.
+    stopped evolving.  A key whose aspect has no ``rho`` carries finite
+    values, so it is left whole (truncating it could only lose messages of
+    a private protocol deeper than the working depth), and its full chain
+    height bounds its iterations.
     """
     fb = sorted(fb_keys)
     for k in fb:
@@ -238,8 +232,9 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
             raise ValueError(f"feedback key {k} must be an input and an output")
     inputs = {k: v for k, v in den.inputs.items() if k not in fb}
     outputs = {k: v for k, v in den.outputs.items() if k not in fb}
-    bound = sum(D.chain_steps(t, p, cfg.depth) for t, p in
-                (den.inputs[k] for k in fb)) + 2
+    cut = {k for k in fb if D.recursive(*den.inputs[k])}
+    bound = sum(D.chain_steps(*den.inputs[k], cfg.depth if k in cut else math.inf)
+                for k in fb) + 2
     fuel = cfg.fuel if cfg.fuel is not None else bound
 
     def fn(row: Row) -> Row:
@@ -254,7 +249,8 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
             if n > fuel:
                 cfg.diag.nonconverged = True
                 break
-            x = Row({k: D.truncate(y[k], cfg.depth) for k in fb})
+            x = Row({k: D.truncate(y[k], cfg.depth) if k in cut else y[k]
+                     for k in fb})
             prev = y
         cfg.diag.trace_iters.append(n - 1)
         return y.without(*fb)
@@ -359,9 +355,6 @@ class Env(Mapping):
 
     def updated(self, key: str, value: D.FuncValue) -> "Env":
         return Env({**self._dict, key: value})
-
-    def project(self, names) -> "Env":
-        return Env({k: v for k, v in self._dict.items() if k in names})
 
     def as_tuple(self):
         return tuple(sorted(self._dict.items(), key=lambda kv: kv[0]))
@@ -568,7 +561,7 @@ def _func_converged(v: D.FuncValue, w: D.FuncValue, cfg: EvalConfig,
 
 
 def _qproc_extensionally_equal(d1: Denotation, d2: Denotation,
-                               ty: A.ProcType, cfg: EvalConfig) -> bool:
+                               cfg: EvalConfig) -> bool:
     for row in row_grid(d1.inputs, cfg.depth, cfg.func_enum):
         if row_truncate(d1(row), cfg.depth) != row_truncate(d2(row), cfg.depth):
             return False

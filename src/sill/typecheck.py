@@ -1,4 +1,4 @@
-"""Typechecking for session types, terms, and processes.
+r"""Typechecking for session types, terms, and processes.
 
 Three judgments are decided here: polarity of session types, functional
 typing of terms (bidirectionally, with annotations on lambda binders and
@@ -6,6 +6,22 @@ top-level declarations), and process typing against a linear channel
 context.  Linearity is enforced by threading the channel context through
 the process: each rule consumes what it uses and returns the rest, and the
 top-level entry point requires everything to be consumed.
+
+Process typing has one clause per message kind: its right rule types the
+message on the provided channel, its left rule on a used channel at the
+polarity-dual type.  ``_SIDES`` is the one table of both sides:
+
+    message       provided (right)     used (left)
+    send shift    down   downR         up     upL
+    recv shift    up     upR           down   downL
+    send label    +{}    plusR         &{}    withL
+    case          &{}    withR         +{}    plusL
+    send channel  *      tensorR       -o     lollyL
+    recv channel  -o     lollyR        *      tensorL
+    send value    /\     andR          =>     impL
+    recv value    =>     impR          /\     andL
+    send unfold   rho+   rho+R         rho-   rho-L
+    recv unfold   rho-   rho-R         rho+   rho+L
 """
 
 from __future__ import annotations
@@ -289,7 +305,75 @@ def check_process(psi: Mapping[str, A.FType], delta: Mapping[str, A.SType],
         )
 
 
+# Each message kind has a right rule, on the provided channel, and a left
+# rule, on a used channel at the polarity-dual type.  A side names the type
+# constructor the channel must have there, the polarity it must have (checked
+# only for ``rho``: the other constructors fix it), the rule, and the error.
+_SIDES = {
+    A.SendShift: ((A.Down, POS, "downR", "shift sent at a non-downshift type"),
+                  (A.Up, NEG, "upL", "shift sent on {a!r} at a non-upshift type")),
+    A.RecvShift: ((A.Up, NEG, "upR", "shift awaited at a non-upshift type"),
+                  (A.Down, POS, "downL",
+                   "shift awaited on {a!r} at a non-downshift type")),
+    A.SendLabel: ((A.Plus, POS, "plusR", "label sent at a non-choice type"),
+                  (A.With, NEG, "withL", "label sent on {a!r} at a non-choice type")),
+    A.Case: ((A.With, NEG, "withR", "case at a non-choice provided type"),
+             (A.Plus, POS, "plusL", "case on {a!r} at a non-choice type")),
+    A.SendChan: ((A.Tensor, POS, "tensorR", "channel sent at a non-tensor type"),
+                 (A.Lolly, NEG, "lollyL",
+                  "channel sent on {a!r} at a non-lolly type")),
+    A.RecvChan: ((A.Lolly, NEG, "lollyR", "channel awaited at a non-lolly type"),
+                 (A.Tensor, POS, "tensorL",
+                  "channel awaited on {a!r} at a non-tensor type")),
+    A.SendVal: ((A.AndVal, POS, "andR", "value sent at a non-value-carrying type"),
+                (A.ImpVal, NEG, "impL",
+                 "value sent on {a!r} at a non-value-carrying type")),
+    A.RecvVal: ((A.ImpVal, NEG, "impR", "value awaited at a non-value-carrying type"),
+                (A.AndVal, POS, "andL",
+                 "value awaited on {a!r} at a non-value-carrying type")),
+    A.SendUnfold: ((A.Rec, POS, "rho+R", "unfold message at a non-recursive type"),
+                   (A.Rec, NEG, "rho-L", "unfold message at a non-recursive type")),
+    A.RecvUnfold: ((A.Rec, NEG, "rho-R", "unfold message at a non-recursive type"),
+                   (A.Rec, POS, "rho+L", "unfold message at a non-recursive type")),
+}
+
+_EXPECTED = {
+    A.Down: "down _", A.Up: "up _", A.Plus: "+{...}", A.With: "&{...}",
+    A.Tensor: "_ * _", A.Lolly: "_ -o _", A.AndVal: "_ /\\ _",
+    A.ImpVal: "_ => _", A.Rec: "rho _. _",
+}
+
+
 def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict:
+    def side(a: str):
+        """The current type of channel ``a``, checked against the rule of
+        ``proc`` on that side; the rule's name; and a builder for the
+        continuation with ``a`` retyped."""
+        right, left = _SIDES[type(proc)]
+        if a == c:
+            want, pol, rule, message = right
+            t = ty
+
+            def cont(p, retyped, delta=delta, psi=psi) -> dict:
+                return _check(psi, delta, p, c, retyped)
+        else:
+            want, pol, rule, message = left
+            t = _use(delta, a, c, proc, rule)
+
+            def cont(p, retyped, delta=delta, psi=psi) -> dict:
+                return _check(psi, {**delta, a: retyped}, p, c, ty)
+        if not isinstance(t, want):
+            raise TypeCheckError(
+                "rule", rule, message.format(a=a), proc.span,
+                expected=_EXPECTED[want], found=_show_type(t),
+            )
+        if want is A.Rec and (got := check_session_type({}, t)) != pol:
+            raise TypeCheckError(
+                "polarity", rule, "recursive type has the wrong polarity", proc.span,
+                expected=f"type{pol}", found=f"type{got}",
+            )
+        return t, rule, cont
+
     match proc:
         case A.Fwd(provided=b, used=a):
             if b != c:
@@ -334,129 +418,40 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
             del rest[a]
             return _check(psi, rest, p, c, ty)
 
-        case A.SendShift(channel=a, cont=p):
-            if a == c:
-                if not isinstance(ty, A.Down):
-                    raise TypeCheckError(
-                        "rule", "downR", "shift sent at a non-downshift type",
-                        proc.span, expected="down _", found=_show_type(ty),
-                    )
-                return _check(psi, delta, p, c, ty.body)
-            ta = _use(delta, a, c, proc, "upL")
-            if not isinstance(ta, A.Up):
-                raise TypeCheckError(
-                    "rule", "upL", f"shift sent on {a!r} at a non-upshift type",
-                    proc.span, expected="up _", found=_show_type(ta),
-                )
-            return _check(psi, {**delta, a: ta.body}, p, c, ty)
+        case A.SendShift(channel=a, cont=p) | A.RecvShift(channel=a, cont=p):
+            t, _, cont = side(a)
+            return cont(p, t.body)
 
-        case A.RecvShift(channel=a, cont=p):
-            if a == c:
-                if not isinstance(ty, A.Up):
-                    raise TypeCheckError(
-                        "rule", "upR", "shift awaited at a non-upshift type",
-                        proc.span, expected="up _", found=_show_type(ty),
-                    )
-                return _check(psi, delta, p, c, ty.body)
-            ta = _use(delta, a, c, proc, "downL")
-            if not isinstance(ta, A.Down):
-                raise TypeCheckError(
-                    "rule", "downL", f"shift awaited on {a!r} at a non-downshift type",
-                    proc.span, expected="down _", found=_show_type(ta),
-                )
-            return _check(psi, {**delta, a: ta.body}, p, c, ty)
+        case A.SendUnfold(channel=a, cont=p) | A.RecvUnfold(channel=a, cont=p):
+            t, _, cont = side(a)
+            return cont(p, A.unfold_rec(t))
 
         case A.SendLabel(channel=a, label=k, cont=p):
-            if a == c:
-                if not isinstance(ty, A.Plus):
-                    raise TypeCheckError(
-                        "rule", "plusR", "label sent at a non-choice type",
-                        proc.span, expected="+{...}", found=_show_type(ty),
-                    )
-                cont = _branch(ty.branches, k, proc, "plusR")
-                return _check(psi, delta, p, c, cont)
-            ta = _use(delta, a, c, proc, "withL")
-            if not isinstance(ta, A.With):
-                raise TypeCheckError(
-                    "rule", "withL", f"label sent on {a!r} at a non-choice type",
-                    proc.span, expected="&{...}", found=_show_type(ta),
-                )
-            cont = _branch(ta.branches, k, proc, "withL")
-            return _check(psi, {**delta, a: cont}, p, c, ty)
+            t, rule, cont = side(a)
+            return cont(p, _branch(t.branches, k, proc, rule))
 
         case A.Case(channel=a, branches=bs):
-            if a == c:
-                if not isinstance(ty, A.With):
-                    raise TypeCheckError(
-                        "rule", "withR", "case at a non-choice provided type",
-                        proc.span, expected="&{...}", found=_show_type(ty),
-                    )
-                _same_labels(bs, ty.branches, proc, "withR")
-                ts = dict(ty.branches)
-                return _join_branches(
-                    [(_check(psi, dict(delta), p, c, ts[k])) for k, p in bs],
-                    proc,
-                )
-            ta = _use(delta, a, c, proc, "plusL")
-            if not isinstance(ta, A.Plus):
-                raise TypeCheckError(
-                    "rule", "plusL", f"case on {a!r} at a non-choice type",
-                    proc.span, expected="+{...}", found=_show_type(ta),
-                )
-            _same_labels(bs, ta.branches, proc, "plusL")
-            ts = dict(ta.branches)
-            return _join_branches(
-                [_check(psi, {**delta, a: ts[k]}, p, c, ty) for k, p in bs],
-                proc,
-            )
+            t, rule, cont = side(a)
+            _same_labels(bs, t.branches, proc, rule)
+            ts = dict(t.branches)
+            return _join_branches([cont(p, ts[k]) for k, p in bs], proc)
 
         case A.SendChan(channel=a, sent=b, cont=p):
             if b not in delta:
                 raise TypeCheckError(
                     "unbound", "tensorR", f"unknown channel {b!r}", proc.span
                 )
-            if a == c:
-                if not isinstance(ty, A.Tensor):
-                    raise TypeCheckError(
-                        "rule", "tensorR", "channel sent at a non-tensor type",
-                        proc.span, expected="_ * _", found=_show_type(ty),
-                    )
-                _expect_chan_type(delta[b], ty.carried, b, proc, "tensorR")
-                rest = dict(delta)
-                del rest[b]
-                return _check(psi, rest, p, c, ty.cont)
-            ta = _use(delta, a, c, proc, "lollyL")
-            if not isinstance(ta, A.Lolly):
-                raise TypeCheckError(
-                    "rule", "lollyL", f"channel sent on {a!r} at a non-lolly type",
-                    proc.span, expected="_ -o _", found=_show_type(ta),
-                )
-            _expect_chan_type(delta[b], ta.carried, b, proc, "lollyL")
-            rest = dict(delta)
-            del rest[b]
-            rest[a] = ta.cont
-            return _check(psi, rest, p, c, ty)
+            t, rule, cont = side(a)
+            _expect_chan_type(delta[b], t.carried, b, proc, rule)
+            return cont(p, t.cont, {d: u for d, u in delta.items() if d != b})
 
         case A.RecvChan(bound=b, channel=a, cont=p):
             if b in delta or b == c:
                 raise TypeCheckError(
                     "linear", "tensorL", f"received channel shadows {b!r}", proc.span
                 )
-            if a == c:
-                if not isinstance(ty, A.Lolly):
-                    raise TypeCheckError(
-                        "rule", "lollyR", "channel awaited at a non-lolly type",
-                        proc.span, expected="_ -o _", found=_show_type(ty),
-                    )
-                rest = _check(psi, {**delta, b: ty.carried}, p, c, ty.cont)
-            else:
-                ta = _use(delta, a, c, proc, "tensorL")
-                if not isinstance(ta, A.Tensor):
-                    raise TypeCheckError(
-                        "rule", "tensorL", f"channel awaited on {a!r} at a non-tensor type",
-                        proc.span, expected="_ * _", found=_show_type(ta),
-                    )
-                rest = _check(psi, {**delta, a: ta.cont, b: ta.carried}, p, c, ty)
+            t, _, cont = side(a)
+            rest = cont(p, t.cont, {**delta, b: t.carried})
             if b in rest:
                 raise TypeCheckError(
                     "linear", "tensorL", f"received channel {b!r} is not consumed",
@@ -465,54 +460,13 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
             return rest
 
         case A.SendVal(channel=a, term=m, cont=p):
-            if a == c:
-                if not isinstance(ty, A.AndVal):
-                    raise TypeCheckError(
-                        "rule", "andR", "value sent at a non-value-carrying type",
-                        proc.span, expected="_ /\\ _", found=_show_type(ty),
-                    )
-                check_term(psi, m, ty.val)
-                return _check(psi, delta, p, c, ty.cont)
-            ta = _use(delta, a, c, proc, "impL")
-            if not isinstance(ta, A.ImpVal):
-                raise TypeCheckError(
-                    "rule", "impL", f"value sent on {a!r} at a non-value-carrying type",
-                    proc.span, expected="_ => _", found=_show_type(ta),
-                )
-            check_term(psi, m, ta.val)
-            return _check(psi, {**delta, a: ta.cont}, p, c, ty)
+            t, _, cont = side(a)
+            check_term(psi, m, t.val)
+            return cont(p, t.cont)
 
         case A.RecvVal(bound=x, channel=a, cont=p):
-            if a == c:
-                if not isinstance(ty, A.ImpVal):
-                    raise TypeCheckError(
-                        "rule", "impR", "value awaited at a non-value-carrying type",
-                        proc.span, expected="_ => _", found=_show_type(ty),
-                    )
-                return _check({**psi, x: ty.val}, delta, p, c, ty.cont)
-            ta = _use(delta, a, c, proc, "andL")
-            if not isinstance(ta, A.AndVal):
-                raise TypeCheckError(
-                    "rule", "andL", f"value awaited on {a!r} at a non-value-carrying type",
-                    proc.span, expected="_ /\\ _", found=_show_type(ta),
-                )
-            return _check({**psi, x: ta.val}, {**delta, a: ta.cont}, p, c, ty)
-
-        case A.SendUnfold(channel=a, cont=p):
-            if a == c:
-                rec = _expect_rec(ty, POS, proc, "rho+R")
-                return _check(psi, delta, p, c, A.unfold_rec(rec))
-            ta = _use(delta, a, c, proc, "rho-L")
-            rec = _expect_rec(ta, NEG, proc, "rho-L")
-            return _check(psi, {**delta, a: A.unfold_rec(rec)}, p, c, ty)
-
-        case A.RecvUnfold(channel=a, cont=p):
-            if a == c:
-                rec = _expect_rec(ty, NEG, proc, "rho-R")
-                return _check(psi, delta, p, c, A.unfold_rec(rec))
-            ta = _use(delta, a, c, proc, "rho+L")
-            rec = _expect_rec(ta, POS, proc, "rho+L")
-            return _check(psi, {**delta, a: A.unfold_rec(rec)}, p, c, ty)
+            t, _, cont = side(a)
+            return cont(p, t.cont, psi={**psi, x: t.val})
 
         case A.Unquote(provided=a, term=m, used=us):
             if a != c:
@@ -612,14 +566,14 @@ def _same_labels(branches, tybranches, proc: A.Process, rule: str) -> None:
         )
 
 
-def _join_branches(leftovers: list[dict], proc: A.Process, rule: str = "plusL") -> dict:
+def _join_branches(leftovers: list[dict], proc: A.Process) -> dict:
     first = leftovers[0]
     for other in leftovers[1:]:
         if set(other) != set(first) or any(
             not A.types_equal(first[k], other[k]) for k in first
         ):
             raise TypeCheckError(
-                "linear", rule,
+                "linear", "plusL",
                 "branches consume the linear context differently", proc.span,
             )
     return first
@@ -632,21 +586,6 @@ def _expect_chan_type(got: A.SType, want: A.SType, chan: str,
             "rule", rule, f"channel {chan!r} has the wrong type", proc.span,
             expected=_show_type(want), found=_show_type(got),
         )
-
-
-def _expect_rec(ty: A.SType, pol: Polarity, proc: A.Process, rule: str) -> A.Rec:
-    if not isinstance(ty, A.Rec):
-        raise TypeCheckError(
-            "rule", rule, "unfold message at a non-recursive type", proc.span,
-            expected="rho _. _", found=_show_type(ty),
-        )
-    got = check_session_type({}, ty)
-    if got != pol:
-        raise TypeCheckError(
-            "polarity", rule, "recursive type has the wrong polarity", proc.span,
-            expected=f"type{pol}", found=f"type{got}",
-        )
-    return ty
 
 
 # ---------------------------------------------------------------------------

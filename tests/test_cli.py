@@ -172,6 +172,16 @@ def test_fuel_exhaustion_reports_approximate(capsys):
     assert "approximate" in out
 
 
+def test_demo_flip_fuel_out_is_approximate(capsys):
+    code, out = run(capsys, "demo-flip", "--depth", "4", "--fuel", "0")
+    assert code == 2
+    assert out.splitlines()[0] == (
+        "approximate: a fixed point did not converge within fuel")
+    code, out = run(capsys, "demo-flip", "--depth", "4", "--fuel", "0", "--json")
+    assert code == 2
+    assert json.loads(out)["nonconverged"] is True
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["eval"]) == 3
     assert main(["no-such-command"]) == 3

@@ -8,7 +8,7 @@ from sill import semantics as S
 from sill.equiv import check_equiv, term_equiv
 from sill.laws import (conway_identity_suite, corpus_processes, corpus_tables,
                        law_suite, trace_axiom_suite, trace_oracle_suite)
-from sill.parser import parse_process, parse_type
+from sill.parser import parse_process, parse_program, parse_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
 
@@ -183,10 +183,10 @@ def test_depth_monotonicity_over_law_instances():
             assert inst.verdict.equivalent, (inst.law, inst.name)
 
 
-def test_depth_below_the_private_protocol_under_approximates():
-    # the working depth also truncates the feedback chain, so a composition
-    # whose private channel carries height-2 messages is computed too low at
-    # depth 1; this pins the known boundary of the approximation
+def test_depth_below_the_private_protocol_keeps_the_feedback_whole():
+    # the private channel carries height-2 messages, deeper than an
+    # observation depth of 1; its type has no rho, so the feedback chain is
+    # not truncated and the choice-eta law holds at depth 1 too
     at = parse_type("down up 1")
     branch_types = {"j": parse_type("1"), "k": at}
     P = proc("send a shift; recv a shift; close a")
@@ -196,4 +196,40 @@ def test_depth_below_the_private_protocol_under_approximates():
     right = A.Cut("a", A.SendLabel("a", "k", P),
                   A.case("a", {"j": Qj, "k": Qk}), A.plus(branch_types))
     assert check_equiv(left, right, {}, "c", A.Unit(), depth=2).equivalent
-    assert check_equiv(left, right, {}, "c", A.Unit(), depth=1).kind == "distinguished"
+    assert check_equiv(left, right, {}, "c", A.Unit(), depth=1).equivalent
+
+
+def test_private_protocol_deeper_than_the_depth_still_tells_labels_apart():
+    # the private channel carries four messages; at depth 1 the label sent
+    # on c after it is closed must still be observed
+    prog = parse_program("""
+        type t = +{x: +{y: +{z: 1}}}
+        type o = +{a: 1, b: 1}
+        proc pa : (|- c : o) = w : t <- (w.x; w.y; w.z; close w);
+          case w { x => case w { y => case w { z => wait w; c.a; close c } } }
+        proc pb : (|- c : o) = w : t <- (w.x; w.y; w.z; close w);
+          case w { x => case w { y => case w { z => wait w; c.b; close c } } }
+    """)
+    pa, pb = prog.procs()["pa"], prog.procs()["pb"]
+    for depth in (1, 2):
+        verdict = check_equiv(pa.proc, pb.proc, {}, "c", pa.ty, depth=depth)
+        assert verdict.kind == "distinguished", depth
+
+
+def test_free_variables_tried_only_at_bottom_are_approximate():
+    # both sides wait on a spawn of x, so at x = bottom neither outputs; at
+    # x = a quit process they send different labels
+    psi = {"x": A.ProcType("d", A.Unit(), ())}
+    choice = parse_type("+{j: 1, k: 1}")
+    left = proc("dd <- {x}; wait dd; c.j; close c")
+    right = proc("dd <- {x}; wait dd; c.k; close c")
+    verdict = check_equiv(left, right, {}, "c", choice, psi=psi, depth=2)
+    assert verdict.kind == "approximate"
+    assert "['x']" in verdict.reason
+    ty = A.ProcType("c", choice, ())
+    verdict = term_equiv(A.Quote("c", left, ()), A.Quote("c", right, ()), ty,
+                         psi=psi, depth=2)
+    assert verdict.kind == "approximate"
+    # a variable the phrases do not mention leaves the verdict exact
+    closed = proc("c.j; close c")
+    assert check_equiv(closed, closed, {}, "c", choice, psi=psi, depth=2).equivalent
