@@ -582,7 +582,7 @@ def subst_term(mapping: Mapping[str, Term], node):
             case RecvUnfold(channel=a, cont=p):
                 return RecvUnfold(a, go(p, ms))
             case Unquote(provided=a, term=m, used=us):
-                return Unquote(a, go(m, ms), us)
+                return Unquote(a, go(m, ms), us, span=n.span)
         raise TypeError(f"not a term or process: {n!r}")
 
     def rebind(x: str, body, ms: Mapping[str, Term]):

@@ -346,6 +346,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        for name in ("depth", "fuel", "rounds"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise UsageError(f"--{name} must be at least 0, got {value}")
         return args.func(args)
     except (SillSyntaxError, T.TypeCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)

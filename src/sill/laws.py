@@ -8,12 +8,18 @@ domains (by monotone completion of a table in a linear extension of the
 input order) and check each axiom instance by exhaustive evaluation.  A
 domain of rows is a product order: it is built from the order on each
 aspect's values, compared once per (aspect, depth), never row by row.
+Its name-free shape (linear-extension order, covers and up-sets) is built
+once per (aspects, depth) and shared by every set of key names; naming a
+shape only builds its rows.  A random map is completed along the covers
+of each row, the rows just below it, not along all its predecessors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Collection, Mapping, Optional
@@ -483,30 +489,61 @@ def law_suite(depth: int = 4,
 # Finite grids and random monotone maps
 
 
-@dataclass
-class FinGrid:
-    """The rows over some aspects, in a linear extension of their order.
+@dataclass(frozen=True, slots=True)
+class GridShape:
+    """The rows over some aspects without their key names, in a linear
+    extension of the pointwise order; one shape serves every set of keys.
 
-    A row grid is the product of its aspects' value pools, ordered
-    pointwise, so each row's down-set and up-set are the products of its
-    components' down-sets and up-sets.
+    ``pools`` holds each aspect's values, in key order.  Row i is the
+    ``order[i]``-th tuple of their product (last aspect fastest).  Its
+    covers (the rows just below it: one component lowered to a value just
+    below it) are ``cover_flat[cover_start[i]:cover_start[i + 1]]``,
+    ascending; ``upsets[i]`` is the bitmask of the rows at or above it.
     """
+
+    pools: tuple[list, ...]
+    order: array
+    cover_flat: array
+    cover_start: array
+    upsets: list[int]
+
+    @classmethod
+    def pack(cls, pools, order: list[int], covers: list[list[int]],
+             upsets: list[int]) -> GridShape:
+        # arrays built from lists are sized exactly, without growth slack
+        code = "H" if len(order) <= 1 << 16 else "I"
+        starts = list(itertools.accumulate(map(len, covers), initial=0))
+        return cls(tuple(pools), array(code, order),
+                   array(code, [p for cover in covers for p in cover]),
+                   array("I", starts), upsets)
+
+    def covers(self, i: int) -> array:
+        return self.cover_flat[self.cover_start[i]:self.cover_start[i + 1]]
+
+
+@dataclass(frozen=True, slots=True)
+class FinGrid:
+    """A grid shape with key names applied: ``rows[i]`` names row i of
+    ``shape`` with ``keys``."""
 
     keys: tuple[str, ...]
     rows: list[S.Row]
-    preds: list[list[int]]   # strictly-below indices
-    upsets: list[int]        # bitmask of rows >= each row
+    shape: GridShape
 
 
 @lru_cache(maxsize=None)
-def _aspect_order(aspect: S.Aspect, depth: int) -> tuple[list, list[list[int]], list[list[int]]]:
-    """An aspect's values at ``depth`` and, for each value, the ascending
-    indices of the values below it and of those above it (itself included)."""
+def _aspect_order(aspect: S.Aspect, depth: int
+                  ) -> tuple[list, list[int], list[list[int]], list[list[int]]]:
+    """An aspect's values at ``depth`` and, for each value, the number of
+    values at or below it, its covers (the values just below it) and the
+    ascending indices of the values at or above it."""
     values = D.enumerate_values(*aspect, depth)
     n = len(values)
     leq = [[D.leq(values[i], values[j]) for j in range(n)] for i in range(n)]
+    below = [[j for j in range(n) if j != i and leq[j][i]] for i in range(n)]
     return (values,
-            [[j for j in range(n) if leq[j][i]] for i in range(n)],
+            [len(b) + 1 for b in below],
+            [[j for j in b if not any(leq[j][k] for k in b if k != j)] for b in below],
             [[j for j in range(n) if leq[i][j]] for i in range(n)])
 
 
@@ -521,20 +558,33 @@ def _product_cones(cones_per_aspect: list[list[list[int]]]) -> list[list[int]]:
     return cones
 
 
+@lru_cache(maxsize=None)
+def _grid_shape(aspects: tuple[S.Aspect, ...], depth: int) -> GridShape:
+    """The product order of ``aspects``, its rows sorted by the number of
+    rows below each (ties by product index)."""
+    orders = [_aspect_order(asp, depth) for asp in aspects]
+    combos = list(itertools.product(*(range(len(values)) for values, *_ in orders)))
+    strides = [math.prod(len(values) for values, *_ in orders[p + 1:])
+               for p in range(len(orders))]
+    down_sizes = [math.prod(order[1][c] for order, c in zip(orders, combo))
+                  for combo in combos]
+    order = sorted(range(len(combos)), key=lambda i: (down_sizes[i], i))
+    remap = {old: new for new, old in enumerate(order)}
+    ups = _product_cones([up for *_, up in orders])
+    covers = [sorted(remap[i - (c - v) * stride]
+                     for (_, _, lower, _), c, stride in zip(orders, combos[i], strides)
+                     for v in lower[c])
+              for i in order]
+    return GridShape.pack([values for values, *_ in orders], order, covers,
+                          [sum(1 << remap[j] for j in ups[i]) for i in order])
+
+
 @lru_cache(maxsize=128)
 def _grid_cached(aspect_items: tuple, depth: int) -> FinGrid:
     keys = tuple(k for k, _ in aspect_items)
-    orders = [_aspect_order(asp, depth) for _, asp in aspect_items]
-    rows = [S.Row(dict(zip(keys, combo)))
-            for combo in itertools.product(*(values for values, _, _ in orders))]
-    downs = _product_cones([down for _, down, _ in orders])
-    ups = _product_cones([up for _, _, up in orders])
-    preds = [[j for j in down if j != i] for i, down in enumerate(downs)]
-    order = sorted(range(len(rows)), key=lambda i: (len(preds[i]), i))
-    remap = {old: new for new, old in enumerate(order)}
-    return FinGrid(keys, [rows[i] for i in order],
-                   [[remap[j] for j in preds[i]] for i in order],
-                   [sum(1 << remap[j] for j in ups[i]) for i in order])
+    shape = _grid_shape(tuple(asp for _, asp in aspect_items), depth)
+    combos = list(itertools.product(*shape.pools))
+    return FinGrid(keys, [S.Row(zip(keys, combos[i])) for i in shape.order], shape)
 
 
 def grid_for(aspects: Mapping[str, S.Aspect], depth: int) -> FinGrid:
@@ -547,38 +597,39 @@ def random_monotone_den(rng: random.Random, in_aspects: Mapping[str, S.Aspect],
     """A uniform-ish random monotone map between enumerated row spaces.
 
     Built by assigning outputs along a linear extension of the input order,
-    restricted at each step to outputs above all already-assigned
-    predecessors; dead ends restart the assignment.
+    restricted at each step to the outputs above those of the row's covers
+    (hence above those of all its predecessors); dead ends restart the
+    assignment.  The table also seeds the denotation's memo, so a grid row
+    costs one lookup.
     """
     gin = grid_for(in_aspects, depth)
     gout = grid_for(out_aspects, depth)
-    n = len(gin.rows)
+    covers, ups = gin.shape.covers, gout.shape.upsets
     full = (1 << len(gout.rows)) - 1
-    table: dict[S.Row, S.Row] = {}
+    assign = [0] * len(gin.rows)
     for _ in range(max_tries):
-        assign: list[Optional[int]] = [None] * n
-        ok = True
-        for i in range(n):  # rows are already in a linear extension
+        # rows are in a linear extension: covers precede their row, so a
+        # restart reads only entries it has already rewritten
+        for i in range(len(assign)):
             mask = full
-            for p in gin.preds[i]:
-                mask &= gout.upsets[assign[p]]
-                if not mask:
-                    break
+            for p in covers(i):
+                mask &= ups[assign[p]]
             if not mask:
-                ok = False
                 break
-            choices = [b for b in range(len(gout.rows)) if mask >> b & 1]
-            assign[i] = rng.choice(choices)
-        if ok:
-            table = {gin.rows[i]: gout.rows[assign[i]] for i in range(n)}
+            # the k-th set bit, drawn as ``rng.choice`` over the list of them
+            for _ in range(rng.choice(range(mask.bit_count()))):
+                mask &= mask - 1
+            assign[i] = (mask & -mask).bit_length() - 1
+        else:
+            table = dict(zip(gin.rows, map(gout.rows.__getitem__, assign)))
             break
     else:
         table = {r: S.bot_row(gout.keys) for r in gin.rows}
 
-    def fn(row: S.Row) -> S.Row:
-        return table[row]
-
-    return S.Denotation(dict(in_aspects), dict(out_aspects), fn, label="table")
+    den = S.Denotation(dict(in_aspects), dict(out_aspects), table.__getitem__,
+                       label="table")
+    den._memo.update(table)
+    return den
 
 
 @lru_cache(maxsize=1)

@@ -601,7 +601,7 @@ class Parser:
             if self.at("<-"):
                 self.next()
                 used = self._chan_list()
-            left, synth = self._resolve_spawn(chan, name, used, nxt)
+            left, synth = self._resolve_spawn(chan, name, used, nxt, self._span(tok))
             if anno is None:
                 anno = synth
         else:
@@ -616,9 +616,11 @@ class Parser:
             return A.Cut(chan, left, right, anno, span=self._span(tok))
         return left
 
-    def _resolve_spawn(self, chan: str, name: str, used, tok: Token):
+    def _resolve_spawn(self, chan: str, name: str, used, tok: Token, span: A.Span):
+        """The process spawned at ``span`` by ``chan <- name <- used``."""
+        var = A.Var(name, span=self._span(tok))
         if name in self.bound_terms:
-            return A.Unquote(chan, A.Var(name, span=self._span(tok)), used), None
+            return A.Unquote(chan, var, used, span=span), None
         if name in self.proc_table:
             decl = self.proc_table[name]
             if len(used) != len(decl.delta):
@@ -630,8 +632,8 @@ class Parser:
             mapping.update({old: new for (old, _), new in zip(decl.delta, used)})
             return A.rename_channels(decl.proc, mapping), decl.ty
         if name in self.term_table:
-            return A.Unquote(chan, self.term_table[name], used), None
-        return A.Unquote(chan, A.Var(name, span=self._span(tok)), used), None
+            return A.Unquote(chan, self.term_table[name], used, span=span), None
+        return A.Unquote(chan, var, used, span=span), None
 
     # -- declarations
 

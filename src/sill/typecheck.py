@@ -344,20 +344,25 @@ _EXPECTED = {
 }
 
 
+def _entry(proc: A.Process, a: str, c: str):
+    """The ``_SIDES`` entry that checks ``proc`` on channel ``a``: its right
+    rule on the provided channel ``c``, its left rule on a used one."""
+    right, left = _SIDES[type(proc)]
+    return right if a == c else left
+
+
 def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict:
     def side(a: str):
         """The current type of channel ``a``, checked against the rule of
         ``proc`` on that side; the rule's name; and a builder for the
         continuation with ``a`` retyped."""
-        right, left = _SIDES[type(proc)]
+        want, pol, rule, message = _entry(proc, a, c)
         if a == c:
-            want, pol, rule, message = right
             t = ty
 
             def cont(p, retyped, delta=delta, psi=psi) -> dict:
                 return _check(psi, delta, p, c, retyped)
         else:
-            want, pol, rule, message = left
             t = _use(delta, a, c, proc, rule)
 
             def cont(p, retyped, delta=delta, psi=psi) -> dict:
@@ -434,12 +439,12 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
             t, rule, cont = side(a)
             _same_labels(bs, t.branches, proc, rule)
             ts = dict(t.branches)
-            return _join_branches([cont(p, ts[k]) for k, p in bs], proc)
+            return _join_branches([cont(p, ts[k]) for k, p in bs], proc, rule)
 
         case A.SendChan(channel=a, sent=b, cont=p):
             if b not in delta:
                 raise TypeCheckError(
-                    "unbound", "tensorR", f"unknown channel {b!r}", proc.span
+                    "unbound", _entry(proc, a, c)[2], f"unknown channel {b!r}", proc.span
                 )
             t, rule, cont = side(a)
             _expect_chan_type(delta[b], t.carried, b, proc, rule)
@@ -448,13 +453,14 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
         case A.RecvChan(bound=b, channel=a, cont=p):
             if b in delta or b == c:
                 raise TypeCheckError(
-                    "linear", "tensorL", f"received channel shadows {b!r}", proc.span
+                    "linear", _entry(proc, a, c)[2], f"received channel shadows {b!r}",
+                    proc.span,
                 )
-            t, _, cont = side(a)
+            t, rule, cont = side(a)
             rest = cont(p, t.cont, {**delta, b: t.carried})
             if b in rest:
                 raise TypeCheckError(
-                    "linear", "tensorL", f"received channel {b!r} is not consumed",
+                    "linear", rule, f"received channel {b!r} is not consumed",
                     proc.span,
                 )
             return rest
@@ -566,14 +572,14 @@ def _same_labels(branches, tybranches, proc: A.Process, rule: str) -> None:
         )
 
 
-def _join_branches(leftovers: list[dict], proc: A.Process) -> dict:
+def _join_branches(leftovers: list[dict], proc: A.Process, rule: str) -> dict:
     first = leftovers[0]
     for other in leftovers[1:]:
         if set(other) != set(first) or any(
             not A.types_equal(first[k], other[k]) for k in first
         ):
             raise TypeCheckError(
-                "linear", "plusL",
+                "linear", rule,
                 "branches consume the linear context differently", proc.span,
             )
     return first

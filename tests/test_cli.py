@@ -239,3 +239,33 @@ def test_eval_keeps_a_denote_time_fuel_out(tmp_path, capsys):
     diagnostics = json.loads(out)["diagnostics"]
     assert diagnostics["nonconverged"] is True
     assert diagnostics["fix_rounds"] == []
+
+
+# Negative counts are usage errors: a run at depth -1 or with -2 fuel
+# checks nothing, so it must not claim a verdict.
+
+def test_eval_rejects_negative_numbers(capsys):
+    for opt in ("--depth", "--fuel"):
+        err = usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc",
+                          "flip1", "--in", "b+ = 0·_", opt, "-2")
+        assert err.startswith(f"error: {opt} must be at least 0"), err
+
+
+def test_equiv_rejects_negative_numbers(capsys):
+    for opt in ("--depth", "--fuel"):
+        err = usage_error(capsys, "equiv", str(FIXTURES / "flip.sill"), "--left",
+                          "flip2", "--right", "fwdp", opt, "-1")
+        assert err.startswith(f"error: {opt} must be at least 0"), err
+
+
+def test_laws_rejects_negative_numbers(capsys):
+    for argv in (("--suite", "eta", "--depth", "-2"),
+                 ("--suite", "trace", "--rounds", "-1")):
+        err = usage_error(capsys, "laws", *argv)
+        assert err.startswith(f"error: {argv[2]} must be at least 0"), err
+
+
+def test_demo_flip_rejects_negative_numbers(capsys):
+    for opt in ("--depth", "--fuel"):
+        err = usage_error(capsys, "demo-flip", opt, "-3")
+        assert err.startswith(f"error: {opt} must be at least 0"), err

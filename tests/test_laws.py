@@ -1,6 +1,7 @@
 """The law-suite generators: finite grids of rows and their orders."""
 
 import itertools
+import random
 
 from sill import domain as D
 from sill import laws as L
@@ -9,23 +10,22 @@ from sill import semantics as S
 
 def pairwise_grid(aspects, depth: int) -> L.FinGrid:
     """The reference grid: compare every pair of rows with ``row_leq``,
-    then sort the rows into the linear extension by (#preds, index)."""
+    sort the rows into the linear extension by (#preds, index), and take
+    each row's covers by transitive reduction of the order."""
     keys = tuple(sorted(aspects))
     rows = list(S.row_grid(aspects, depth))
     n = len(rows)
     leq = [[S.row_leq(rows[i], rows[j]) for j in range(n)] for i in range(n)]
     preds = [[j for j in range(n) if j != i and leq[j][i]] for i in range(n)]
+    covers = [[j for j in below if not any(leq[j][k] for k in below if k != j)]
+              for below in preds]
     order = sorted(range(n), key=lambda i: (len(preds[i]), i))
     remap = {old: new for new, old in enumerate(order)}
-    upsets = []
-    for i in order:
-        mask = 0
-        for j in range(n):
-            if leq[i][j]:
-                mask |= 1 << remap[j]
-        upsets.append(mask)
-    return L.FinGrid(keys, [rows[i] for i in order],
-                     [[remap[j] for j in preds[i]] for i in order], upsets)
+    shape = L.GridShape.pack(
+        [D.enumerate_values(*aspects[k], depth) for k in keys], order,
+        [sorted(remap[j] for j in covers[i]) for i in order],
+        [sum(1 << remap[j] for j in range(n) if leq[i][j]) for i in order])
+    return L.FinGrid(keys, [rows[i] for i in order], shape)
 
 
 def test_grid_for_equals_the_pairwise_grid():
@@ -37,10 +37,13 @@ def test_grid_for_equals_the_pairwise_grid():
     for asp_list in cases:
         aspects = dict(zip("abc", asp_list))
         got, want = L.grid_for(aspects, 2), pairwise_grid(aspects, 2)
+        n = len(want.rows)
         assert got.keys == want.keys
         assert got.rows == want.rows, asp_list
-        assert got.preds == want.preds, asp_list
-        assert got.upsets == want.upsets, asp_list
+        assert got.shape.order == want.shape.order, asp_list
+        assert ([got.shape.covers(i) for i in range(n)]
+                == [want.shape.covers(i) for i in range(n)]), asp_list
+        assert got.shape.upsets == want.shape.upsets, asp_list
 
 
 def test_grid_compares_values_not_rows(monkeypatch):
@@ -49,6 +52,7 @@ def test_grid_compares_values_not_rows(monkeypatch):
     five = [asp for asp, n in L.aspect_battery(2) if n == 5][:3]
     assert len(five) == 3
     L._grid_cached.cache_clear()
+    L._grid_shape.cache_clear()
     L._aspect_order.cache_clear()
     calls = 0
     real_leq = D.leq
@@ -62,3 +66,77 @@ def test_grid_compares_values_not_rows(monkeypatch):
     grid = L.grid_for(dict(zip("abc", five)), 2)
     assert len(grid.rows) == 125
     assert calls <= 2 * 3 * 5 ** 2  # pairwise rows would take 125 ** 2
+
+
+def test_renaming_a_grid_reuses_its_shape(monkeypatch):
+    """The same aspects under other key names cost no D.leq and no product
+    of cones: only the rows are built, on the cached shape."""
+    five = [asp for asp, n in L.aspect_battery(2) if n == 5][:2]
+    grid = L.grid_for({"a": five[0], "b": five[1]}, 2)
+    L._grid_cached.cache_clear()
+    calls = {"leq": 0, "cones": 0}
+    real_leq, real_cones = D.leq, L._product_cones
+
+    def counting_leq(v, w):
+        calls["leq"] += 1
+        return real_leq(v, w)
+
+    def counting_cones(cones_per_aspect):
+        calls["cones"] += 1
+        return real_cones(cones_per_aspect)
+
+    monkeypatch.setattr(D, "leq", counting_leq)
+    monkeypatch.setattr(L, "_product_cones", counting_cones)
+    renamed = L.grid_for({"p": five[0], "q": five[1]}, 2)
+    assert calls == {"leq": 0, "cones": 0}
+    assert L._grid_cached.cache_info().misses == 1
+    assert renamed.shape is grid.shape
+    assert renamed.rows == [S.Row({"p": r["a"], "q": r["b"]}) for r in grid.rows]
+
+
+def reference_monotone_table(rng, in_aspects, out_aspects, depth, max_tries=200):
+    """The all-predecessor completion: each row's output is drawn, as
+    ``rng.choice`` over a list, from the outputs above those of every row
+    below it; dead ends restart the assignment."""
+    gin = L.grid_for(in_aspects, depth)
+    gout = L.grid_for(out_aspects, depth)
+    n = len(gin.rows)
+    preds = [[p for p in range(i) if gin.shape.upsets[p] >> i & 1] for i in range(n)]
+    ups = gout.shape.upsets
+    full = (1 << len(gout.rows)) - 1
+    for _ in range(max_tries):
+        assign = [None] * n
+        ok = True
+        for i in range(n):
+            mask = full
+            for p in preds[i]:
+                mask &= ups[assign[p]]
+                if not mask:
+                    break
+            if not mask:
+                ok = False
+                break
+            choices = [b for b in range(len(gout.rows)) if mask >> b & 1]
+            assign[i] = rng.choice(choices)
+        if ok:
+            return {gin.rows[i]: gout.rows[assign[i]] for i in range(n)}
+    return {r: S.bot_row(gout.keys) for r in gin.rows}
+
+
+def test_random_monotone_den_draws_the_reference_tables():
+    """Completing along covers and drawing the k-th set bit gives the same
+    tables, and leaves the generator in the same state, as the reference."""
+    battery = L.aspect_battery(2)
+    draws = random.Random(2024)
+    for seed in range(200):
+        sides = []
+        for names in ("abc", "xyz"):
+            k = draws.randint(1, 3)
+            pool = [asp for asp, n in battery if n <= (9 if k < 3 else 5)]
+            sides.append({name: draws.choice(pool) for name in names[:k]})
+        ins, outs = sides
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = reference_monotone_table(want_rng, ins, outs, 2)
+        den = L.random_monotone_den(got_rng, ins, outs, 2)
+        assert {row: den(row) for row in want} == want, (seed, ins, outs)
+        assert got_rng.getstate() == want_rng.getstate(), seed

@@ -271,6 +271,8 @@ TYPING_CASES = {
                                  "c", "1", {}),
     "lollyR/type": ({}, "b <- recv c; wait b; close c", "c", "1", {}),
     "lollyR/unconsumed": ({}, "b <- recv c; recv c shift; close c", "c", LOLLY, {}),
+    "lollyR/shadows-context": ({"b": "1"}, "b <- recv c; wait b; close c",
+                               "c", LOLLY, {}),
     "tensorL/unknown": ({}, "b <- recv a; close c", "c", "1", {}),
     "tensorL/type": ({"a": "1"}, "b <- recv a; close c", "c", "1", {}),
     "tensorL/unconsumed": ({"a": "1 * 1"}, "b <- recv a; wait a; close c",
