@@ -12,7 +12,7 @@ comparison-exempt field so that structural equality ignores positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
 
@@ -601,7 +601,7 @@ def subst_term(mapping: Mapping[str, Term], node):
 
 
 def rename_channels(proc: Process, mapping: Mapping[str, str]) -> Process:
-    """Rename free channel names in a process.
+    """Rename free channel names in a process, keeping every node's span.
 
     Binders (cut channels, received channels) are freshened when they would
     capture a target name.  Quoted terms are left untouched: a quote closes
@@ -618,43 +618,33 @@ def rename_channels(proc: Process, mapping: Mapping[str, str]) -> Process:
             return p
         match p:
             case Fwd(provided=b, used=a):
-                return Fwd(ch(b, m), ch(a, m))
+                return replace(p, provided=ch(b, m), used=ch(a, m))
             case Close(channel=a):
-                return Close(ch(a, m))
-            case Cut(channel=x, left=l, right=r, anno=t):
+                return replace(p, channel=ch(a, m))
+            case Cut(channel=x, left=l, right=r):
                 x2, m2 = rebind(x, m)
                 if x2 != x:
                     l = go(l, {x: x2})
                     r = go(r, {x: x2})
-                return Cut(x2, go(l, m2), go(r, m2), t)
-            case Wait(channel=a, cont=q):
-                return Wait(ch(a, m), go(q, m))
-            case SendShift(channel=a, cont=q):
-                return SendShift(ch(a, m), go(q, m))
-            case RecvShift(channel=a, cont=q):
-                return RecvShift(ch(a, m), go(q, m))
-            case SendLabel(channel=a, label=k, cont=q):
-                return SendLabel(ch(a, m), k, go(q, m))
+                return replace(p, channel=x2, left=go(l, m2), right=go(r, m2))
             case Case(channel=a, branches=bs):
-                return Case(ch(a, m), tuple((k, go(q, m)) for k, q in bs))
+                return replace(p, channel=ch(a, m),
+                               branches=tuple((k, go(q, m)) for k, q in bs))
             case SendChan(channel=a, sent=b, cont=q):
-                return SendChan(ch(a, m), ch(b, m), go(q, m))
+                return replace(p, channel=ch(a, m), sent=ch(b, m), cont=go(q, m))
             case RecvChan(bound=b, channel=a, cont=q):
                 a2 = ch(a, m)
                 b2, m2 = rebind(b, m)
                 if b2 != b:
                     q = go(q, {b: b2})
-                return RecvChan(b2, a2, go(q, m2))
-            case SendVal(channel=a, term=t, cont=q):
-                return SendVal(ch(a, m), t, go(q, m))
-            case RecvVal(bound=x, channel=a, cont=q):
-                return RecvVal(x, ch(a, m), go(q, m))
-            case SendUnfold(channel=a, cont=q):
-                return SendUnfold(ch(a, m), go(q, m))
-            case RecvUnfold(channel=a, cont=q):
-                return RecvUnfold(ch(a, m), go(q, m))
-            case Unquote(provided=a, term=t, used=us):
-                return Unquote(ch(a, m), t, tuple(ch(u, m) for u in us))
+                return replace(p, bound=b2, channel=a2, cont=go(q, m2))
+            case Unquote(provided=a, used=us):
+                return replace(p, provided=ch(a, m), used=tuple(ch(u, m) for u in us))
+            case Wait(channel=a, cont=q) | SendShift(channel=a, cont=q) \
+                    | RecvShift(channel=a, cont=q) | SendLabel(channel=a, cont=q) \
+                    | SendVal(channel=a, cont=q) | RecvVal(channel=a, cont=q) \
+                    | SendUnfold(channel=a, cont=q) | RecvUnfold(channel=a, cont=q):
+                return replace(p, channel=ch(a, m), cont=go(q, m))
         raise TypeError(f"not a process: {p!r}")
 
     def rebind(x: str, m: Mapping[str, str]) -> tuple[str, dict[str, str]]:

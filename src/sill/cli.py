@@ -201,6 +201,8 @@ def cmd_equiv(args) -> int:
 
 def cmd_laws(args) -> int:
     suites = [args.suite] if args.suite else ["eta", "structural", "trace"]
+    if "trace" in suites and args.rounds == 0:
+        raise UsageError("--rounds 0 checks no trace axiom instance")
     payload = {}
     ok = True
     approx = False

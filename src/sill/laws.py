@@ -681,7 +681,8 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No failure, and at least one instance checked."""
+        return not self.failures and any(self.checked.values())
 
     def summary_lines(self) -> list[str]:
         lines = []

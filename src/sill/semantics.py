@@ -16,6 +16,20 @@ The fixed-point operator iterates from bottom.  At a quoted-process type
 it computes only the points a query observes: each input row of the
 interface is an unknown, solved together with the rows it depends on the
 first time a query asks for it, and kept for later queries.
+
+Denotation is staged in two passes, as in a closure-generating interpreter
+(Feeley and Lapalme, "Using closures for code generation", 1987).  The
+static pass runs once per AST node and typing context: it resolves
+interfaces, keys, unfolded recursive types and inferred term types, and
+returns an instantiator ``inst(env, cfg)``.  The dynamic pass, calling it,
+binds only the functional environment, so a ``fix`` sweep, a received
+value and a closure application re-bind ``env`` instead of re-walking the
+syntax.  Static results are cached per :class:`EvalConfig`, never across
+configurations.  Message clauses instantiate to plain functions from rows
+to rows; a memoized :class:`Denotation` is kept only where a function is
+shared or queried again: the process :func:`denote_process` returns, the
+two operands of a cut (its Kleene loop calls them again with rows that
+repeat), a quote's body, and a ``fix`` site's value and probe.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import ast as A
@@ -120,6 +134,8 @@ class EvalConfig:
     fuel: Optional[int] = None
     diag: Diag = field(default_factory=Diag)
     func_enum: Optional[D.FuncEnum] = None
+    # the static pass's instantiators, by AST node and typing context
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fix_fuel(self) -> int:
         return self.fuel if self.fuel is not None else max(2 * self.depth + 8, 32)
@@ -182,32 +198,32 @@ def tensor(f: Denotation, g: Denotation) -> Denotation:
     return Denotation(inputs, outputs, fn, label=f"({f.label}*{g.label})")
 
 
-def relabel(den: Denotation, in_map: Mapping[str, str], out_map: Mapping[str, str]) -> Denotation:
-    """Rename interface keys; ``in_map`` maps new input keys to old ones."""
-    inputs = {new: den.inputs[old] for new, old in in_map.items()}
-    outputs = {new: den.outputs[old] for new, old in out_map.items()}
-    if len(inputs) != len(den.inputs) or len(outputs) != len(den.outputs):
-        raise ValueError("relabel must cover the whole interface")
+def _renamed(fn: Callable[[Row], Row], in_map: Mapping[str, str],
+             out_map: Mapping[str, str]) -> Callable[[Row], Row]:
+    """``fn`` with its keys renamed; each map sends a new key to an old one."""
 
-    def fn(row: Row) -> Row:
-        inner = Row({old: row[new] for new, old in in_map.items()})
-        out = den(inner)
+    def renamed(row: Row) -> Row:
+        out = fn(Row({old: row[new] for new, old in in_map.items()}))
         return Row({new: out[old] for new, old in out_map.items()})
 
-    return Denotation(inputs, outputs, fn, label=f"relabel({den.label})")
+    return renamed
 
 
 def strictify(den: Denotation, key: str) -> Denotation:
     """Force bottom output whenever the ``key`` input is bottom."""
     if key not in den.inputs:
         raise ValueError(f"{key} is not an input of {den!r}")
+    return Denotation(den.inputs, den.outputs, _strict(den, key, bot_row(den.outputs)),
+                      label=f"strict[{key}]({den.label})")
 
-    def fn(row: Row) -> Row:
-        if row[key] == D.BOT:
-            return bot_row(den.outputs)
-        return den(row)
 
-    return Denotation(den.inputs, den.outputs, fn, label=f"strict[{key}]({den.label})")
+def _strict(fn: Callable[[Row], Row], key: str, bot: Row) -> Callable[[Row], Row]:
+    """The strictness operator: ``fn``, but ``bot`` while ``key`` is bottom."""
+
+    def strict(row: Row) -> Row:
+        return bot if row[key] == D.BOT else fn(row)
+
+    return strict
 
 
 # ---------------------------------------------------------------------------
@@ -386,44 +402,79 @@ def proc_outputs(delta: Mapping[str, A.SType], c: str, cty: A.SType) -> dict[str
 
 
 # ---------------------------------------------------------------------------
+# Staging
+
+
+Inst = Callable[[Env, EvalConfig], object]
+
+
+def _staged(cfg: EvalConfig, node, ctx: tuple, compile_: Callable[[], Inst]) -> Inst:
+    """The instantiator of ``node`` in the typing context ``ctx``, from the
+    static pass run the first time ``cfg`` asks for it.  The entry keeps
+    ``node`` alive, so that its ``id`` is not reused."""
+    key = (id(node), ctx)
+    hit = cfg.compiled.get(key)
+    if hit is None:
+        hit = cfg.compiled[key] = (node, compile_())
+    return hit[1]
+
+
+def _interface_keys(provided: str, used: Iterable[str]) -> tuple[dict, dict]:
+    """Each input and output key of a process on these channels, mapped to
+    the canonical key of its quoted form."""
+    ins = {kplus(u): _canon_used(i) for i, u in enumerate(used)}
+    ins[kminus(provided)] = _PROV_KEY
+    outs = {kminus(u): _canon_used(i) for i, u in enumerate(used)}
+    outs[kplus(provided)] = _PROV_KEY
+    return ins, outs
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
 def denote_term(term: A.Term, ty: Optional[A.FType],
                 psi: Mapping[str, A.FType], env: Env, cfg: EvalConfig) -> D.FuncValue:
+    inst = _staged(cfg, term, (ty, tuple(psi.items())),
+                   lambda: _compile_term(term, ty, dict(psi)))
+    return inst(env, cfg)
+
+
+def _compile_term(term: A.Term, ty: Optional[A.FType], psi: dict[str, A.FType]) -> Inst:
+    """The static pass over a term: an instantiator of its value."""
     match term:
         case A.Var(name=x):
-            return env[x]
+            return lambda env, cfg: env[x]
         case A.Anno(term=m, ty=t):
-            return denote_term(m, t, psi, env, cfg)
+            return _compile_term(m, t, psi)
         case A.Lam(var=x, ty=t, body=m):
             if isinstance(ty, A.Arrow):
                 arrow = ty
             else:
                 arrow = A.Arrow(t, T.infer_term({**psi, x: t}, m))
-            return D.Closure(
-                x, m, arrow, env.as_tuple(), tuple(sorted(psi.items()))
-            )
+            scope = tuple(sorted(psi.items()))
+            return lambda env, cfg: D.Closure(x, m, arrow, env.as_tuple(), scope)
         case A.App(fn=f, arg=a):
             fty = T.infer_term(dict(psi), f)
             assert isinstance(fty, A.Arrow)
-            fv = denote_term(f, fty, psi, env, cfg)
-            av = denote_term(a, fty.arg, psi, env, cfg)
-            return apply_func(fv, av, cfg)
+            fn, arg = _compile_term(f, fty, psi), _compile_term(a, fty.arg, psi)
+            return lambda env, cfg: apply_func(fn(env, cfg), arg(env, cfg), cfg)
         case A.Quote(provided=a, proc=p, used=us):
             if not isinstance(ty, A.ProcType):
                 raise ValueError("quote needs its process type to evaluate")
             delta = {u: t for u, (_, t) in zip(us, ty.used)}
-            den = denote_process(p, delta, a, ty.provided, psi, env, cfg)
-            in_map = {_canon_used(i): kplus(u) for i, u in enumerate(us)}
-            in_map[_PROV_KEY] = kminus(a)
-            out_map = {_canon_used(i): kminus(u) for i, u in enumerate(us)}
-            out_map[_PROV_KEY] = kplus(a)
-            return D.QProc(relabel(den, in_map, out_map))
+            body = _compile_process(p, delta, a, ty.provided, psi)
+            ins, outs = _interface_keys(a, us)
+            inputs = {ins[k]: v for k, v in proc_inputs(delta, a, ty.provided).items()}
+            outputs = {outs[k]: v for k, v in proc_outputs(delta, a, ty.provided).items()}
+            in_map, out_map = ({new: old for old, new in m.items()} for m in (ins, outs))
+            return lambda env, cfg: D.QProc(Denotation(
+                inputs, outputs, _renamed(body(env, cfg), in_map, out_map), "quote"))
         case A.Fix(var=x, body=m):
             if ty is None:
                 raise ValueError("fix needs a type annotation to evaluate")
-            return _denote_fix(_FixSite(x, m, ty, psi, env, cfg))
+            body = _compile_term(m, ty, {**psi, x: ty})
+            return lambda env, cfg: _denote_fix(_FixSite(x, body, ty, env, cfg))
     raise ValueError(f"not a term: {term!r}")
 
 
@@ -437,12 +488,13 @@ def apply_func(fv: D.FuncValue, av: D.FuncValue, cfg: EvalConfig) -> D.FuncValue
         return D.FBOT
     psi = dict(fv.psi)
     psi[fv.var] = fv.ty.arg
-    env = Env(dict(fv.env)).updated(fv.var, av)
-    return denote_term(fv.body, fv.ty.res, psi, env, cfg)
+    body = _staged(cfg, fv.body, (fv.ty.res, tuple(psi.items())),
+                   lambda: _compile_term(fv.body, fv.ty.res, psi))
+    return body(Env(dict(fv.env)).updated(fv.var, av), cfg)
 
 
 class _FixSite:
-    """One occurrence of ``fix x. body``, denoted in ``env``.
+    """One occurrence of ``fix x. body``, instantiated in ``env``.
 
     At a quoted-process type the value of the fix is :attr:`value`.  The
     input rows of its interface are the unknowns of the fixed-point
@@ -451,16 +503,13 @@ class _FixSite:
     :attr:`solved` as constants for later queries.
     """
 
-    def __init__(self, x: str, body: A.Term, ty: A.FType,
-                 psi: Mapping[str, A.FType], env: Env, cfg: EvalConfig):
-        self.x, self.body, self.ty, self.cfg = x, body, ty, cfg
-        self.psi, self.env = {**psi, x: ty}, env
+    def __init__(self, x: str, body: Inst, ty: A.FType, env: Env, cfg: EvalConfig):
+        self.x, self.body, self.ty, self.env, self.cfg = x, body, ty, env, cfg
         self.solved: dict[Row, Row] = {}
 
     def unroll(self, v: D.FuncValue) -> D.FuncValue:
         """The body with the recursive variable bound to ``v``."""
-        return denote_term(self.body, self.ty, self.psi, self.env.updated(self.x, v),
-                           self.cfg)
+        return self.body(self.env.updated(self.x, v), self.cfg)
 
     @cached_property
     def value(self) -> D.QProc:
@@ -568,26 +617,6 @@ def _qproc_extensionally_equal(d1: Denotation, d2: Denotation,
     return True
 
 
-def unquote_den(v: D.FuncValue, provided: str, used: tuple[str, ...],
-                delta: Mapping[str, A.SType], cty: A.SType) -> Denotation:
-    """Lower a quoted-process value to a denotation at the spawn site.
-
-    Bottom and the quoted stuck process both lower to the function that
-    never produces output.
-    """
-    inputs = proc_inputs({u: delta[u] for u in used}, provided, cty)
-    outputs = proc_outputs({u: delta[u] for u in used}, provided, cty)
-    if isinstance(v, D.QProc):
-        in_map = {kplus(u): _canon_used(i) for i, u in enumerate(used)}
-        in_map[kminus(provided)] = _PROV_KEY
-        out_map = {kminus(u): _canon_used(i) for i, u in enumerate(used)}
-        out_map[kplus(provided)] = _PROV_KEY
-        return relabel(v.den, in_map, out_map)
-    if v == D.FBOT or isinstance(v, D.QProcBot):
-        return constant_bot(inputs, outputs)
-    raise ValueError(f"cannot spawn {v!r}")
-
-
 # ---------------------------------------------------------------------------
 # Processes
 
@@ -595,7 +624,31 @@ def unquote_den(v: D.FuncValue, provided: str, used: tuple[str, ...],
 def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                    cty: A.SType, psi: Mapping[str, A.FType], env: Env,
                    cfg: EvalConfig) -> Denotation:
-    """Build the denotation of a typechecked process.
+    """The denotation of a typechecked process in ``env``."""
+    ctx = (tuple(delta.items()), c, cty, tuple(psi.items()))
+    inst = _staged(cfg, proc, ctx, lambda: _compile_den(proc, delta, c, cty, dict(psi)))
+    return inst(env, cfg)
+
+
+def _compile_den(proc: A.Process, delta: Mapping[str, A.SType], c: str,
+                 cty: A.SType, psi: dict[str, A.FType]) -> Inst:
+    """The static pass over a process whose instances are memoized
+    denotations: a cut's instance is its trace, any other is wrapped."""
+    inputs, outputs = proc_inputs(delta, c, cty), proc_outputs(delta, c, cty)
+    inst = _compile_process(proc, delta, c, cty, psi)
+    label = type(proc).__name__
+
+    def den(env: Env, cfg: EvalConfig) -> Denotation:
+        fn = inst(env, cfg)
+        return fn if isinstance(fn, Denotation) else Denotation(inputs, outputs, fn, label)
+
+    return den
+
+
+def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
+                     cty: A.SType, psi: dict[str, A.FType]) -> Inst:
+    """The static pass over a typechecked process: an instantiator of the
+    function from its input rows to its output rows.
 
     The derivation is syntax-directed, so the clause to apply is read off
     the process and the evolving types; receiving clauses are wrapped with
@@ -605,84 +658,87 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
     incoming and outgoing aspects, and in which type the message advances.
     """
     delta = dict(delta)
-    inputs = proc_inputs(delta, c, cty)
-    outputs = proc_outputs(delta, c, cty)
 
-    def clause(fn, label) -> Denotation:
-        return Denotation(inputs, outputs, fn, label=label)
+    def bot_out() -> Row:
+        return bot_row(proc_outputs(delta, c, cty))
 
     def side(a: str):
         """The input key, output key and current type of channel ``a``, and
-        a builder for the continuation with ``a`` retyped."""
+        a compiler for the continuation with ``a`` retyped."""
         if a == c:
-            def cont(p, ty, delta=delta, psi=psi, env=env) -> Denotation:
-                return denote_process(p, delta, c, ty, psi, env, cfg)
+            def cont(p, ty, delta=delta, psi=psi) -> Inst:
+                return _compile_process(p, delta, c, ty, psi)
             return kminus(c), kplus(c), cty, cont
 
-        def cont(p, ty, delta=delta, psi=psi, env=env) -> Denotation:
-            return denote_process(p, {**delta, a: ty}, c, cty, psi, env, cfg)
+        def cont(p, ty, delta=delta, psi=psi) -> Inst:
+            return _compile_process(p, {**delta, a: ty}, c, cty, psi)
         return kplus(a), kminus(a), delta[a], cont
+
+    def clause(fn, *parts: Inst, strict: Optional[str] = None) -> Inst:
+        """Instantiate ``parts`` in order and pass them to ``fn`` ahead of
+        the row; ``strict`` names the awaited input key."""
+        bot = bot_out() if strict else None
+
+        def inst(env: Env, cfg: EvalConfig) -> Callable[[Row], Row]:
+            bound = partial(fn, *[part(env, cfg) for part in parts])
+            return bound if strict is None else _strict(bound, strict, bot)
+        return inst
 
     match proc:
         case A.Fwd(provided=b, used=a):
-            def fwd_fn(row: Row) -> Row:
+            def fwd(row: Row) -> Row:
                 return Row({kminus(a): row[kminus(b)], kplus(b): row[kplus(a)]})
-            return clause(fwd_fn, "fwd")
+            return clause(fwd)
 
         case A.Close(channel=a):
-            return clause(lambda row: Row({kplus(a): D.STAR}), "close")
+            return clause(lambda row: Row({kplus(a): D.STAR}))
 
         case A.Wait(channel=a, cont=p):
             rest = {d: t for d, t in delta.items() if d != a}
-            inner = denote_process(p, rest, c, cty, psi, env, cfg)
 
-            def wait_fn(row: Row) -> Row:
-                out = inner(row.without(kplus(a)))
-                return Row({**out, kminus(a): D.BOT})
+            def wait(inner, row: Row) -> Row:
+                return Row({**inner(row.without(kplus(a))), kminus(a): D.BOT})
 
-            return strictify(clause(wait_fn, "wait"), kplus(a))
+            return clause(wait, _compile_process(p, rest, c, cty, psi), strict=kplus(a))
 
         case A.SendShift(channel=a, cont=p):
             _, o, ty, cont = side(a)
             assert isinstance(ty, (A.Down, A.Up))
-            inner = cont(p, ty.body)
 
-            def send_shift(row: Row) -> Row:
+            def send_shift(inner, row: Row) -> Row:
                 out = inner(row)
                 return Row({**out, o: D.up(out[o])})
 
-            return clause(send_shift, "send-shift")
+            return clause(send_shift, cont(p, ty.body))
 
         case A.RecvShift(channel=a, cont=p):
             i, _, ty, cont = side(a)
             assert isinstance(ty, (A.Up, A.Down))
-            inner = cont(p, ty.body)
 
-            def recv_shift(row: Row) -> Row:
+            def recv_shift(inner, row: Row) -> Row:
                 return inner(row.updated({i: D.down(row[i])}))
 
-            return strictify(clause(recv_shift, "recv-shift"), i)
+            return clause(recv_shift, cont(p, ty.body), strict=i)
 
         case A.SendLabel(channel=a, label=k, cont=p):
             i, o, ty, cont = side(a)
             assert isinstance(ty, (A.Plus, A.With))
             labels = [l for l, _ in ty.branches]
-            inner = cont(p, dict(ty.branches)[k])
 
-            def send_label(row: Row) -> Row:
+            def send_label(inner, row: Row) -> Row:
                 out = inner(row.updated({i: D.split_record(row[i], labels)[k]}))
                 return Row({**out, o: D.tag(k, out[o])})
 
-            return clause(send_label, "send-label")
+            return clause(send_label, cont(p, dict(ty.branches)[k]))
 
         case A.Case(channel=a, branches=bs):
             i, o, ty, cont = side(a)
             assert isinstance(ty, (A.With, A.Plus))
             tys = dict(ty.branches)
-            inners = {k: cont(p, tys[k]) for k, p in bs}
+            arms = [(k, cont(p, tys[k])) for k, p in bs]
             labels = sorted(tys)
 
-            def recv_label(row: Row) -> Row:
+            def recv_label(inners, row: Row) -> Row:
                 v = row[i]
                 assert isinstance(v, D.Tag)
                 k, payload = v.label, v.inner.inner
@@ -690,14 +746,14 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                 chosen = D.record({l: out[o] if l == k else D.BOT for l in labels})
                 return Row({**out, o: chosen})
 
-            return strictify(clause(recv_label, "case"), i)
+            return clause(recv_label,
+                          lambda env, cfg: {k: arm(env, cfg) for k, arm in arms}, strict=i)
 
         case A.SendChan(channel=a, sent=b, cont=p):
             i, o, ty, cont = side(a)
             assert isinstance(ty, (A.Tensor, A.Lolly))
-            inner = cont(p, ty.cont, {d: t for d, t in delta.items() if d != b})
 
-            def send_chan(row: Row) -> Row:
+            def send_chan(inner, row: Row) -> Row:
                 b_neg, a_in = D.split_pair(row[i])
                 out = inner(row.without(kplus(b)).updated({i: a_in}))
                 return Row({
@@ -706,14 +762,14 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                     o: D.up(D.pair(row[kplus(b)], out[o])),
                 })
 
-            return clause(send_chan, "send-chan")
+            return clause(send_chan,
+                          cont(p, ty.cont, {d: t for d, t in delta.items() if d != b}))
 
         case A.RecvChan(bound=b, channel=a, cont=p):
             i, o, ty, cont = side(a)
             assert isinstance(ty, (A.Lolly, A.Tensor))
-            inner = cont(p, ty.cont, {**delta, b: ty.carried})
 
-            def recv_chan(row: Row) -> Row:
+            def recv_chan(inner, row: Row) -> Row:
                 b_pos, a_in = D.split_pair(D.down(row[i]))
                 out = inner(row.updated({i: a_in, kplus(b): b_pos}))
                 return Row({
@@ -721,53 +777,65 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                     o: D.pair(out[kminus(b)], out[o]),
                 })
 
-            return strictify(clause(recv_chan, "recv-chan"), i)
+            return clause(recv_chan, cont(p, ty.cont, {**delta, b: ty.carried}), strict=i)
 
         case A.SendVal(channel=a, term=m, cont=p):
             _, o, ty, cont = side(a)
             assert isinstance(ty, (A.AndVal, A.ImpVal))
-            v = denote_term(m, ty.val, psi, env, cfg)
-            inner = cont(p, ty.cont)
 
-            def send_val(row: Row) -> Row:
+            bot = bot_out()
+
+            def send_val(v, inner, row: Row) -> Row:
                 if v == D.FBOT:
-                    return bot_row(outputs)
+                    return bot
                 out = inner(row)
                 return Row({**out, o: D.up(D.valpair(v, out[o]))})
 
-            return clause(send_val, "send-val")
+            return clause(send_val, _compile_term(m, ty.val, psi), cont(p, ty.cont))
 
         case A.RecvVal(bound=x, channel=a, cont=p):
             i, _, ty, cont = side(a)
             assert isinstance(ty, (A.ImpVal, A.AndVal))
-            inner_cache: dict[D.FuncValue, Denotation] = {}
+            body, bot = cont(p, ty.cont, psi={**psi, x: ty.val}), bot_out()
 
-            def recv_val(row: Row) -> Row:
-                v, a_in = D.split_valpair(D.down(row[i]))
-                inner = inner_cache.get(v)
-                if inner is None:
-                    inner = cont(p, ty.cont, psi={**psi, x: ty.val}, env=env.updated(x, v))
-                    inner_cache[v] = inner
-                return inner(row.updated({i: a_in}))
+            def recv_val(env: Env, cfg: EvalConfig) -> Callable[[Row], Row]:
+                inners: dict[D.FuncValue, Callable[[Row], Row]] = {}
 
-            return strictify(clause(recv_val, "recv-val"), i)
+                def fn(row: Row) -> Row:
+                    v, a_in = D.split_valpair(D.down(row[i]))
+                    inner = inners.get(v)
+                    if inner is None:
+                        inner = inners[v] = body(env.updated(x, v), cfg)
+                    return inner(row.updated({i: a_in}))
+
+                return _strict(fn, i, bot)
+
+            return recv_val
 
         case A.SendUnfold(channel=a, cont=p) | A.RecvUnfold(channel=a, cont=p):
             i, o, ty, cont = side(a)
             assert isinstance(ty, A.Rec)
-            inner = cont(p, A.unfold_rec(ty))
 
-            def unfold_msg(row: Row) -> Row:
+            def unfold_msg(inner, row: Row) -> Row:
                 out = inner(row.updated({i: D.unfold(row[i])}))
                 return Row({**out, o: D.fold(out[o])})
 
-            return clause(unfold_msg, "unfold")
+            return clause(unfold_msg, cont(p, A.unfold_rec(ty)))
 
         case A.Unquote(provided=a, term=m, used=us):
             mty = T.infer_term(dict(psi), m)
             assert isinstance(mty, A.ProcType)
-            v = denote_term(m, mty, psi, env, cfg)
-            return unquote_den(v, a, us, delta, cty)
+            value, keys, bot = _compile_term(m, mty, psi), _interface_keys(a, us), bot_out()
+
+            def spawn(env: Env, cfg: EvalConfig) -> Callable[[Row], Row]:
+                v = value(env, cfg)
+                if isinstance(v, D.QProc):
+                    return _renamed(v.den, *keys)
+                if v == D.FBOT or isinstance(v, D.QProcBot):  # never outputs
+                    return lambda row: bot
+                raise ValueError(f"cannot spawn {v!r}")
+
+            return spawn
 
         case A.Cut(channel=x, left=l, right=r, anno=t):
             cut_ty = t
@@ -780,10 +848,10 @@ def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
             left_chans = A.free_channels(l)
             delta1 = {d: ty_ for d, ty_ in delta.items() if d in left_chans}
             delta2 = {d: ty_ for d, ty_ in delta.items() if d not in left_chans}
-            dl = denote_process(l, delta1, x, cut_ty, psi, env, cfg)
-            dr = denote_process(r, {**delta2, x: cut_ty}, c, cty, psi, env, cfg)
-            joint = tensor(dl, dr)
-            return trace(joint, [kminus(x), kplus(x)], cfg)
+            dl = _compile_den(l, delta1, x, cut_ty, psi)
+            dr = _compile_den(r, {**delta2, x: cut_ty}, c, cty, psi)
+            fb = [kminus(x), kplus(x)]
+            return lambda env, cfg: trace(tensor(dl(env, cfg), dr(env, cfg)), fb, cfg)
 
     raise ValueError(f"not a process: {proc!r}")
 

@@ -265,7 +265,75 @@ def test_laws_rejects_negative_numbers(capsys):
         assert err.startswith(f"error: {argv[2]} must be at least 0"), err
 
 
+def test_laws_trace_with_no_rounds_is_a_usage_error(capsys):
+    # zero rounds check no trace axiom instance, so they cannot pass
+    for argv in (("--suite", "trace"), (), ("--suite", "trace", "--json")):
+        err = usage_error(capsys, "laws", *argv, "--rounds", "0")
+        assert err.startswith("error: --rounds 0 checks no trace axiom"), err
+
+
 def test_demo_flip_rejects_negative_numbers(capsys):
     for opt in ("--depth", "--fuel"):
         err = usage_error(capsys, "demo-flip", opt, "-3")
         assert err.startswith(f"error: {opt} must be at least 0"), err
+
+
+# ---------------------------------------------------------------------------
+# Golden CLI battery: the full ``--json`` stdout and exit code of the
+# evaluation commands, pinned so that a change to the evaluator cannot move
+# any reported figure.  ``FIXTURES/`` in an argv stands for the fixture
+# directory.  Regenerate with ``PYTHONPATH=src python tests/test_cli.py``.
+
+CLI_GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+
+
+def cli_golden_cases() -> dict[str, list[str]]:
+    cases = {}
+    expected = json.loads((FIXTURES / "expected.json").read_text())
+    for fname, entry in expected.items():
+        for case in entry["cases"]:
+            cases[f"eval {fname} {case['in']}"] = [
+                "eval", f"FIXTURES/{fname}", "--proc", entry["proc"],
+                "--in", case["in"], "--depth", str(entry["depth"]), "--json"]
+    flip = "FIXTURES/flip.sill"
+    cases["eval flip1 depth 11"] = ["eval", flip, "--proc", "flip1", "--depth",
+                                    "11", "--in", "b+ = 0·1·1·0·1·_", "--json"]
+    cases["equiv flip2 fwdp depth 6"] = ["equiv", flip, "--left", "flip2",
+                                         "--right", "fwdp", "--depth", "6", "--json"]
+    cases["equiv flip1 fwdf depth 2"] = ["equiv", flip, "--left", "flip1",
+                                         "--right", "fwdf", "--depth", "2", "--json"]
+    cases["demo-flip depth 8"] = ["demo-flip", "--depth", "8", "--json"]
+    for suite in ("eta", "structural"):
+        cases[f"laws {suite}"] = ["laws", "--suite", suite, "--json"]
+    for seed in ("0", "7"):
+        cases[f"laws trace seed {seed}"] = ["laws", "--suite", "trace",
+                                            "--seed", seed, "--json"]
+    return cases
+
+
+def run_golden_case(argv, capture) -> dict:
+    code = main([a.replace("FIXTURES/", f"{FIXTURES}/") for a in argv])
+    return {"exit": code, "stdout": capture()}
+
+
+def test_cli_json_matches_golden(capsys):
+    golden = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
+    cases = cli_golden_cases()
+    assert sorted(golden) == sorted(cases)
+    for name, argv in cases.items():
+        got = run_golden_case(argv, lambda: capsys.readouterr().out)
+        assert got == golden[name], name
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    out = {}
+    for name, argv in cli_golden_cases().items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            out[name] = run_golden_case(argv, lambda: None)
+        out[name]["stdout"] = buf.getvalue()
+    CLI_GOLDEN.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n",
+                          encoding="utf-8")

@@ -140,3 +140,10 @@ def test_random_monotone_den_draws_the_reference_tables():
         den = L.random_monotone_den(got_rng, ins, outs, 2)
         assert {row: den(row) for row in want} == want, (seed, ins, outs)
         assert got_rng.getstate() == want_rng.getstate(), seed
+
+
+def test_a_suite_that_checked_nothing_does_not_pass():
+    for suite in (L.trace_axiom_suite, L.conway_identity_suite, L.trace_oracle_suite):
+        report = suite(seed=0, rounds=0)
+        assert not report.failures and not report.ok, suite.__name__
+    assert L.trace_axiom_suite(seed=0, rounds=1).ok

@@ -2,17 +2,21 @@
 
 import functools
 import itertools
+import json
 import random
+from pathlib import Path
 
 from sill import ast as A
 from sill import domain as D
 from sill import semantics as S
 from sill.ast import NEG, POS
+from sill.cli import main
 from sill.laws import (conway_identity_suite, corpus_processes, corpus_tables,
                        random_monotone_den, trace_axiom_suite)
 from sill.parser import parse_process, parse_program, parse_term, parse_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
+FLIP_SILL = Path(__file__).resolve().parent.parent / "src" / "sill" / "fixtures" / "flip.sill"
 
 
 def tbl():
@@ -193,7 +197,14 @@ def flip_den(depth):
     cfg = S.EvalConfig(depth=depth)
     value = S.denote_term(anno, None, {}, S.EMPTY_ENV, cfg)
     assert isinstance(value, D.QProc)
-    return S.unquote_den(value, "f", ("b",), {"b": BITS}, BITS), cfg
+    return spawn(value, anno.ty, "f", "b", cfg), cfg
+
+
+def spawn(value, ty, provided, used, cfg):
+    """The denotation of ``provided <- value <- used`` at bits."""
+    proc = A.Unquote(provided, A.Var("v"), (used,))
+    return S.denote_process(proc, {used: BITS}, provided, BITS, {"v": ty},
+                            S.Env({"v": value}), cfg)
 
 
 def test_flip_satisfies_its_recurrence():
@@ -306,6 +317,52 @@ def test_variable_denotes_projection():
     env = S.Env({"x": v})
     assert S.denote_term(A.Var("x"), quit_ty, {"x": quit_ty}, env,
                          S.EvalConfig()) == v
+
+
+# ---------------------------------------------------------------------------
+# Staging: the static pass runs once per node, never per unrolling
+
+
+def count_static_passes(monkeypatch) -> dict:
+    calls = {"n": 0}
+    for name in ("_compile_process", "_compile_term"):
+        orig = getattr(S, name)
+
+        def counted(*args, orig=orig):
+            calls["n"] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(S, name, counted)
+    return calls
+
+
+def test_static_pass_does_not_grow_with_the_fix_rounds(monkeypatch, capsys):
+    calls = count_static_passes(monkeypatch)
+    seen = []
+    for bits in ("0", "0·1·1·0·1·0·1"):
+        calls["n"] = 0
+        assert main(["eval", str(FLIP_SILL), "--proc", "flip1", "--depth", "8",
+                     "--in", f"b+ = {bits}·_", "--json"]) == 0
+        rounds = json.loads(capsys.readouterr().out)["diagnostics"]["fix_rounds"]
+        seen.append((calls["n"], rounds))
+    (short, short_rounds), (long, long_rounds) = seen
+    assert short_rounds == [2] and long_rounds == [8]
+    assert short == long > 0
+
+
+def test_configs_do_not_share_compiled_code(monkeypatch):
+    calls = count_static_passes(monkeypatch)
+    anno = tbl()["terms"]["flip"]
+    cfgs = [S.EvalConfig(depth=3), S.EvalConfig(depth=3)]
+    per_cfg = []
+    for cfg in cfgs:
+        calls["n"] = 0
+        S.denote_term(anno, None, {}, S.EMPTY_ENV, cfg)
+        S.denote_term(anno, None, {}, S.EMPTY_ENV, cfg)  # a hit: no new pass
+        per_cfg.append(calls["n"])
+    assert per_cfg[0] == per_cfg[1] > 0
+    (a,), (b,) = (cfg.compiled.values() for cfg in cfgs)
+    assert a[0] is b[0] is anno and a[1] is not b[1]
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +482,10 @@ def test_two_cell_pipeline_collapse():
     # ordinary function composition with relabelling
     depth = 5
     cfg = S.EvalConfig(depth=depth)
-    fden, _ = flip_den(depth)
-    f = S.relabel(fden, {"c1+": "b+", "c2-": "f-"}, {"c1-": "b-", "c2+": "f+"})
-    g = S.relabel(fden, {"c2+": "b+", "c3-": "f-"}, {"c2-": "b-", "c3+": "f+"})
+    anno = tbl()["terms"]["flip"]
+    value = S.denote_term(anno, None, {}, S.EMPTY_ENV, cfg)
+    f = spawn(value, anno.ty, "c2", "c1", cfg)
+    g = spawn(value, anno.ty, "c3", "c2", cfg)
     joint = S.tensor(f, g)
     traced = S.trace(joint, ["c2-", "c2+"], cfg)
     for v in D.enumerate_values(BITS, POS, depth):

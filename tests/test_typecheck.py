@@ -311,13 +311,18 @@ TYPING_CASES = {
     "Cut/annotation": ({}, "a <- x; wait a; close c", "c", "1", {"x": ENDO}),
     "Cut/unconsumed": ({}, "a : 1 <- (close a); close c", "c", "1", {}),
     "Cut/not-a-process": ({}, None, "c", "1", {}),
+    # a spawned declared proc is inlined; its error keeps the callee's span
+    "1L/spawned-proc": ({"b": POS_REC}, "x <- p <- b; wait x; close c", "c", "1", {}),
 }
+
+# the declared procs the cases may spawn
+SPAWNABLE = parse_program("proc p : (e : 1 |- d : 1) = wait e; close d").procs()
 
 
 def typing_diagnostic(case):
     delta, src, chan, ty, psi = case
     # no process parses to a term, so the last rejection needs an AST
-    proc = A.Var("x") if src is None else parse_process(src)
+    proc = A.Var("x") if src is None else parse_process(src, procs=SPAWNABLE)
     with pytest.raises(TypeCheckError) as err:
         check_process({x: parse_ftype(t) for x, t in psi.items()},
                       {a: tparse(t) for a, t in delta.items()},
