@@ -360,9 +360,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # the value notation is parsed recursively, about two frames per
-        # message: a stream of about 500 messages is deeper than the
-        # interpreter's recursion limit
+        # streams are read in a loop, but brackets such as up(up(…)) recurse:
+        # about a thousand of them exceed the interpreter's recursion limit
         print("error: input too deeply nested to evaluate", file=sys.stderr)
         return EXIT_USAGE
 

@@ -993,10 +993,18 @@ def _parse_raw(tokens: list[str], pos: int) -> tuple[_Raw, int]:
             raise ValueNotationError("unclosed {...}")
         return _RMap(tuple(entries)), q + 1
     if tok.isalnum():
-        if pos + 1 < len(tokens) and tokens[pos + 1] == "·":
-            inner, q = _parse_raw(tokens, pos + 2)
-            return _RDot(tok, inner), q
-        raise ValueNotationError(f"bare name {tok!r} is not a value")
+        # a k·v chain, such as a stream, is read in a loop: its length nests no calls
+        labels = []
+        while (tokens[pos + 1:pos + 2] == ["·"] and tokens[pos].isalnum()
+               and tokens[pos] not in ("up", "fold")):
+            labels.append(tokens[pos])
+            pos += 2
+        if not labels:
+            raise ValueNotationError(f"bare name {tok!r} is not a value")
+        raw, q = _parse_raw(tokens, pos)
+        for label in reversed(labels):
+            raw = _RDot(label, raw)
+        return raw, q
     raise ValueNotationError(f"unexpected token {tok!r} in value")
 
 
@@ -1019,6 +1027,27 @@ _EXPECTED = {
 
 
 def _coerce(raw: _Raw, s: Shape) -> CommValue:
+    # a chain of folds and labels (a stream) is read in a loop; None marks a fold
+    chain: list[Optional[str]] = []
+    while True:
+        if isinstance(s, FoldShape) and (isinstance(raw, _RFold)
+                                         or s.labelled and isinstance(raw, _RDot)):
+            chain.append(None)
+            raw, s = raw.inner if isinstance(raw, _RFold) else raw, s.body
+        elif isinstance(s, SumShape) and isinstance(raw, _RDot):
+            if raw.label not in s.branches:
+                raise ValueNotationError(f"label {raw.label!r} not among {sorted(s.branches)}")
+            chain.append(raw.label)
+            raw, s = raw.inner, s.branches[raw.label]
+        else:
+            break
+    v = _coerce_node(raw, s)
+    for label in reversed(chain):
+        v = fold(v) if label is None else tag(label, v)
+    return v
+
+
+def _coerce_node(raw: _Raw, s: Shape) -> CommValue:
     if isinstance(raw, _RBot):
         return BOT
     match s, raw:
@@ -1028,10 +1057,6 @@ def _coerce(raw: _Raw, s: Shape) -> CommValue:
             return STAR
         case LiftShape(inner=i), _RUp(inner=r):
             return Lift(_coerce(r, i))
-        case SumShape(branches=bs), _RDot(label=k, inner=r):
-            if k not in bs:
-                raise ValueNotationError(f"label {k!r} not among {sorted(bs)}")
-            return tag(k, _coerce(r, bs[k]))
         case RecordShape(fields=fs), _RMap(items=items):
             got = dict(items)
             if set(got) - set(fs):
@@ -1046,9 +1071,6 @@ def _coerce(raw: _Raw, s: Shape) -> CommValue:
                     "functional values have no notation beyond _ and <stuck>"
                 )
             return valpair(FBOT if isinstance(f, _RBot) else QPROC_BOT, _coerce(rest, r))
-        case FoldShape(), _RFold(inner=r):
-            return fold(_coerce(r, s.body))
         case FoldShape(), _:
-            # k·v is accepted directly for fold-of-label values
             return fold(_coerce(raw, s.body))
     raise ValueNotationError(_EXPECTED[type(s)])

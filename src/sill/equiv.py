@@ -83,36 +83,21 @@ def check_equiv(left: A.Process, right: A.Process,
     T.check_process(psi, dict(delta), right, c, cty)
 
     grid = input_grid(delta, c, cty, depth, func_enum)
-    in_aspects = S.proc_inputs(delta, c, cty)
-    out_aspects = S.proc_outputs(delta, c, cty)
 
     cfg = S.EvalConfig(depth=depth, fuel=fuel, func_enum=func_enum)
     dl = S.denote_process(left, delta, c, cty, psi, S.EMPTY_ENV, cfg)
     dr = S.denote_process(right, delta, c, cty, psi, S.EMPTY_ENV, cfg)
-    checked = 0
-    for row in grid:
-        out_l = S.row_truncate(dl(row), depth)
-        out_r = S.row_truncate(dr(row), depth)
-        checked += 1
-        if out_l != out_r:
-            if cfg.diag.nonconverged:
-                return Verdict(
-                    "approximate", depth, checked,
-                    witness=_format_row(row, in_aspects),
-                    left_out=_format_row(out_l, out_aspects),
-                    right_out=_format_row(out_r, out_aspects),
-                    reason="a fixed point did not converge within fuel",
-                )
-            return Verdict(
-                "distinguished", depth, checked,
-                witness=_format_row(row, in_aspects),
-                left_out=_format_row(out_l, out_aspects),
-                right_out=_format_row(out_r, out_aspects),
-                witness_row=row,
-            )
+    diff = S.first_difference(dl, dr, grid, depth)
+    checked = len(grid) if diff is None else grid.index(diff[0]) + 1
+    shown = {} if diff is None else {
+        "witness": _format_row(diff[0], S.proc_inputs(delta, c, cty)),
+        "left_out": _format_row(diff[1], S.proc_outputs(delta, c, cty)),
+        "right_out": _format_row(diff[2], S.proc_outputs(delta, c, cty))}
     if cfg.diag.nonconverged:
-        return Verdict("approximate", depth, checked,
+        return Verdict("approximate", depth, checked, **shown,
                        reason="a fixed point did not converge within fuel")
+    if diff is not None:
+        return Verdict("distinguished", depth, checked, **shown, witness_row=diff[0])
     note = _free_note(psi, left, right)
     if note:
         return Verdict("approximate", depth, checked, reason=note)
@@ -156,14 +141,11 @@ def _func_values_equal(vl: D.FuncValue, vr: D.FuncValue, ty: A.FType,
         # the literal stuck process is the quoted process that never outputs,
         # at the interface of the other side (one side is quoted, as vl != vr)
         quoted = vl if isinstance(vl, D.QProc) else vr
-
-        def as_den(v):
-            if isinstance(v, D.QProc):
-                return v.den
-            return S.constant_bot(quoted.den.inputs, quoted.den.outputs)
-
+        stuck = S.constant_bot(quoted.den.inputs, quoted.den.outputs)
+        left, right = (v.den if isinstance(v, D.QProc) else stuck for v in (vl, vr))
         try:
-            return S._qproc_extensionally_equal(as_den(vl), as_den(vr), cfg)
+            grid = S.row_grid(left.inputs, cfg.depth, cfg.func_enum)
+            return S.first_difference(left, right, grid, cfg.depth) is None
         except D.NotEnumerable:
             return None
     if isinstance(vl, D.Closure) or isinstance(vr, D.Closure):

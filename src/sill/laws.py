@@ -21,7 +21,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Collection, Mapping, Optional
 
 from . import ast as A
@@ -96,7 +96,6 @@ def _t(src: str) -> A.SType:
 
 def corpus_processes() -> list[CorpusProc]:
     """Small typed processes reused across the law instantiations."""
-    bits = _t("bits")
     entries = [
         ("close", "close c", (), "c", "1"),
         ("wait-close", "wait b; close c", (("b", "1"),), "c", "1"),
@@ -193,7 +192,6 @@ def law_suite(depth: int = 4,
     bits = _t("bits")
     nats = _t("nats")
     BITS = A.unfold_rec(bits)
-    NATS = A.unfold_rec(nats)
     quit_ty = A.ProcType("d", A.Unit(), ())
 
     # -- unit eta: P == cut z. (close z) (wait z; P)
@@ -215,28 +213,16 @@ def law_suite(depth: int = 4,
 
     # -- shift eta (negative cut type): cut a. P Q == cut a. (send a shift; P) (recv a shift; Q)
     if "shift-eta" in laws:
-        shift_pairs = [
-            ("up1", "recv a shift; close a", "up 1", "send a shift; wait a; close c", {}, "c", "1"),
-            ("up1-b", "wait d; recv a shift; close a", "up 1",
-             "send a shift; wait a; close c", {"d": "1"}, "c", "1"),
-            ("choice-j", "case a { j => recv a shift; close a | k => recv a shift; close a }",
-             "&{j: up 1, k: up 1}", "a.j; send a shift; wait a; close c", {}, "c", "1"),
-            ("choice-k", "case a { j => recv a shift; close a | k => recv a shift; close a }",
-             "&{j: up 1, k: up 1}", "a.k; send a shift; wait a; close c", {}, "c", "1"),
-            ("lolly", "b <- recv a; wait b; recv a shift; close a", "1 -o up 1",
-             "send a d; send a shift; wait a; close c", {"d": "1"}, "c", "1"),
-        ]
-        for name, psrc, aty, qsrc, ddelta, c, ctysrc in shift_pairs:
-            P = _p(psrc)
-            Q = _p(qsrc)
-            at = _t(aty)
-            delta = {d: _t(t) for d, t in ddelta.items()}
-            cty = _t(ctysrc)
-            left = A.Cut("a", P, Q, at)
-            right = A.Cut("a", A.SendShift("a", P), A.RecvShift("a", Q), A.Down(at))
-            _inst(report, "shift-eta", name, left, right, delta, c, cty, depth)
-        # a couple of providers with used channels
         for name, psrc, aty, qsrc, ddelta in [
+            ("up1", "recv a shift; close a", "up 1", "send a shift; wait a; close c", {}),
+            ("up1-b", "wait d; recv a shift; close a", "up 1",
+             "send a shift; wait a; close c", {"d": "1"}),
+            ("choice-j", "case a { j => recv a shift; close a | k => recv a shift; close a }",
+             "&{j: up 1, k: up 1}", "a.j; send a shift; wait a; close c", {}),
+            ("choice-k", "case a { j => recv a shift; close a | k => recv a shift; close a }",
+             "&{j: up 1, k: up 1}", "a.k; send a shift; wait a; close c", {}),
+            ("lolly", "b <- recv a; wait b; recv a shift; close a", "1 -o up 1",
+             "send a d; send a shift; wait a; close c", {"d": "1"}),
             ("up-fwd", "recv a shift; fwd a d", "up 1",
              "send a shift; wait a; close c", {"d": "1"}),
             ("up-pair", "recv a shift; a2 <- recv d; wait a2; wait d; close a", "up 1",
@@ -704,127 +690,63 @@ def _fail_on_fuel_out(report: AxiomReport, cfg: S.EvalConfig) -> AxiomReport:
     return report
 
 
-def _den_equal_on_grid(d1: S.Denotation, d2: S.Denotation, depth: int) -> Optional[str]:
-    grid = grid_for(d1.inputs, depth)
-    for row in grid.rows:
-        o1 = S.row_truncate(d1(row), depth)
-        o2 = S.row_truncate(d2(row), depth)
-        if o1 != o2:
-            return f"differ at {dict(row)}: {dict(o1)} vs {dict(o2)}"
-    return None
+def _check(report: AxiomReport, depth: int, axiom: str, i: int,
+           lhs: S.Denotation, rhs: S.Denotation) -> None:
+    """Count an instance of ``axiom``, failing if its sides differ on a grid row."""
+    report.checked[axiom] = report.checked.get(axiom, 0) + 1
+    diff = S.first_difference(lhs, rhs, grid_for(lhs.inputs, depth).rows, depth)
+    if diff is not None:
+        row, o1, o2 = diff
+        report.failures.append(AxiomFailure(
+            axiom, i, f"differ at {dict(row)}: {dict(o1)} vs {dict(o2)}"))
 
 
 def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> AxiomReport:
     """Check the six trace axioms on randomly generated monotone maps."""
     rng = random.Random(seed)
-    report = AxiomReport(rounds=rounds)
-    report.axioms = [
-        "left-tightening", "right-tightening", "sliding",
-        "vanishing", "superposing", "yanking",
-    ]
+    report = AxiomReport(rounds, ["left-tightening", "right-tightening", "sliding",
+                                  "vanishing", "superposing", "yanking"])
     cfg = S.EvalConfig(depth=depth)
-
-    def check(axiom: str, i: int, lhs: S.Denotation, rhs: S.Denotation):
-        report.checked[axiom] = report.checked.get(axiom, 0) + 1
-        detail = _den_equal_on_grid(lhs, rhs, depth)
-        if detail is not None:
-            report.failures.append(AxiomFailure(axiom, i, detail))
+    check = partial(_check, report, depth)
 
     for i in range(rounds):
-        asp_a = _pick_aspect(rng, depth, 5)
-        asp_a2 = _pick_aspect(rng, depth, 5)
-        asp_b = _pick_aspect(rng, depth, 5)
-        asp_u = _pick_aspect(rng, depth, 5)
-
+        asp_a, asp_a2, asp_b, asp_u = (_pick_aspect(rng, depth, 5) for _ in range(4))
         f = random_monotone_den(rng, {"a": asp_a, "u": asp_u},
                                 {"b": asp_b, "u": asp_u}, depth)
         g = random_monotone_den(rng, {"a2": asp_a2}, {"a": asp_a}, depth)
+        tr_f = S.trace(f, ["u"], cfg)
 
         # left tightening: Tr(f . (g x id)) == Tr(f) . g
-        fg = S.Denotation(
-            {"a2": asp_a2, "u": asp_u}, {"b": asp_b, "u": asp_u},
-            lambda row, f=f, g=g: f(S.Row({"a": g(row.project(["a2"]))["a"],
-                                           "u": row["u"]})),
-        )
-        lhs = S.trace(fg, ["u"], cfg)
-        tr_f = S.trace(f, ["u"], cfg)
-        rhs = S.Denotation(
-            {"a2": asp_a2}, {"b": asp_b},
-            lambda row, tr_f=tr_f, g=g: tr_f(S.Row({"a": g(row)["a"]})),
-        )
-        check("left-tightening", i, lhs, rhs)
+        check("left-tightening", i, S.trace(S.seq(g, f), ["u"], cfg), S.seq(g, tr_f))
 
         # right tightening: Tr((h x id) . f) == h . Tr(f)
         h = random_monotone_den(rng, {"b": asp_b}, {"b2": asp_a2}, depth)
-        hf = S.Denotation(
-            {"a": asp_a, "u": asp_u}, {"b2": asp_a2, "u": asp_u},
-            lambda row, f=f, h=h: (lambda out: S.Row(
-                {"b2": h(out.project(["b"]))["b2"], "u": out["u"]}
-            ))(f(row)),
-        )
-        lhs = S.trace(hf, ["u"], cfg)
-        rhs = S.Denotation(
-            {"a": asp_a}, {"b2": asp_a2},
-            lambda row, tr_f=tr_f, h=h: h(tr_f(row)),
-        )
-        check("right-tightening", i, lhs, rhs)
+        check("right-tightening", i, S.trace(S.seq(f, h), ["u"], cfg), S.seq(tr_f, h))
 
         # sliding: Tr^U((id x g) . f) == Tr^V(f . (id x g))
         asp_v = _pick_aspect(rng, depth, 5)
         f2 = random_monotone_den(rng, {"a": asp_a, "u": asp_u},
                                  {"b": asp_b, "v": asp_v}, depth)
         g2 = random_monotone_den(rng, {"v": asp_v}, {"u": asp_u}, depth)
-        lhs_inner = S.Denotation(
-            {"a": asp_a, "u": asp_u}, {"b": asp_b, "u": asp_u},
-            lambda row, f2=f2, g2=g2: (lambda out: S.Row(
-                {"b": out["b"], "u": g2(out.project(["v"]))["u"]}
-            ))(f2(row)),
-        )
-        rhs_inner = S.Denotation(
-            {"a": asp_a, "v": asp_v}, {"b": asp_b, "v": asp_v},
-            lambda row, f2=f2, g2=g2: f2(S.Row(
-                {"a": row["a"], "u": g2(row.project(["v"]))["u"]}
-            )),
-        )
-        check("sliding", i, S.trace(lhs_inner, ["u"], cfg),
-              S.trace(rhs_inner, ["v"], cfg))
+        check("sliding", i, S.trace(S.seq(f2, g2), ["u"], cfg),
+              S.trace(S.seq(g2, f2), ["v"], cfg))
 
         # vanishing: empty feedback is the identity; U x V in one step or two
         f0 = random_monotone_den(rng, {"a": asp_a}, {"b": asp_b}, depth)
         check("vanishing", i, S.trace(f0, [], cfg), f0)
-        f3 = random_monotone_den(
-            rng, {"a": asp_a, "u": asp_u, "v": asp_v},
-            {"b": asp_b, "u": asp_u, "v": asp_v}, depth,
-        )
-        joint = S.trace(f3, ["u", "v"], cfg)
-        nested = S.trace(S.trace(f3, ["v"], cfg), ["u"], cfg)
-        check("vanishing", i, joint, nested)
+        f3 = random_monotone_den(rng, {"a": asp_a, "u": asp_u, "v": asp_v},
+                                 {"b": asp_b, "u": asp_u, "v": asp_v}, depth)
+        check("vanishing", i, S.trace(f3, ["u", "v"], cfg),
+              S.trace(S.trace(f3, ["v"], cfg), ["u"], cfg))
 
         # superposing: Tr(id_C x f) == id_C x Tr(f)
-        asp_c = _pick_aspect(rng, depth, 5)
-        big = S.Denotation(
-            {"cc": asp_c, "a": asp_a, "u": asp_u},
-            {"cc": asp_c, "b": asp_b, "u": asp_u},
-            lambda row, f=f: S.Row({**dict(f(row.project(["a", "u"]))),
-                                    "cc": row["cc"]}),
-        )
-        lhs = S.trace(big, ["u"], cfg)
-        rhs = S.Denotation(
-            {"cc": asp_c, "a": asp_a}, {"cc": asp_c, "b": asp_b},
-            lambda row, tr_f=tr_f: S.Row({**dict(tr_f(row.project(["a"]))),
-                                          "cc": row["cc"]}),
-        )
-        check("superposing", i, lhs, rhs)
+        id_c = S.wire({"cc": _pick_aspect(rng, depth, 5)}, {"cc": "cc"})
+        check("superposing", i, S.trace(S.seq(id_c, f), ["u"], cfg), S.seq(id_c, tr_f))
 
         # yanking: the trace of the swap is the identity
         asp_x = _pick_aspect(rng, depth, 9)
-        swap = S.Denotation(
-            {"a": asp_x, "u": asp_x}, {"b": asp_x, "u": asp_x},
-            lambda row: S.Row({"b": row["u"], "u": row["a"]}),
-        )
-        ident = S.Denotation({"a": asp_x}, {"b": asp_x},
-                             lambda row: S.Row({"b": row["a"]}))
-        check("yanking", i, S.trace(swap, ["u"], cfg), ident)
+        swap = S.wire({"a": asp_x, "u": asp_x}, {"b": "u", "u": "a"})
+        check("yanking", i, S.trace(swap, ["u"], cfg), S.wire({"a": asp_x}, {"b": "a"}))
 
     return _fail_on_fuel_out(report, cfg)
 
@@ -832,80 +754,35 @@ def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> Axiom
 def conway_identity_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> AxiomReport:
     """Check the Conway identities for the parametrized fixed point."""
     rng = random.Random(seed)
-    report = AxiomReport(rounds=rounds)
-    report.axioms = ["naturality", "fixed-point", "dinaturality", "diagonal"]
+    report = AxiomReport(rounds, ["naturality", "fixed-point", "dinaturality", "diagonal"])
     cfg = S.EvalConfig(depth=depth)
-
-    def check(axiom: str, i: int, lhs: S.Denotation, rhs: S.Denotation):
-        report.checked[axiom] = report.checked.get(axiom, 0) + 1
-        detail = _den_equal_on_grid(lhs, rhs, depth)
-        if detail is not None:
-            report.failures.append(AxiomFailure(axiom, i, detail))
+    check = partial(_check, report, depth)
 
     for i in range(rounds):
-        asp_x = _pick_aspect(rng, depth, 5)
-        asp_a = _pick_aspect(rng, depth, 5)
-        asp_y = _pick_aspect(rng, depth, 5)
-
+        asp_x, asp_a, asp_y = (_pick_aspect(rng, depth, 5) for _ in range(3))
         f = random_monotone_den(rng, {"x": asp_x, "a": asp_a}, {"ao": asp_a}, depth)
 
         # naturality: sfix(f) . g == sfix(f . (g x id))
         g = random_monotone_den(rng, {"y": asp_y}, {"x": asp_x}, depth)
         sf = S.sfix_row(f, {"a": "ao"}, cfg)
-        lhs = S.Denotation({"y": asp_y}, {"ao": asp_a},
-                           lambda row, sf=sf, g=g: sf(S.Row({"x": g(row)["x"]})))
-        fg = S.Denotation(
-            {"y": asp_y, "a": asp_a}, {"ao": asp_a},
-            lambda row, f=f, g=g: f(S.Row({"x": g(row.project(["y"]))["x"],
-                                           "a": row["a"]})),
-        )
-        rhs = S.sfix_row(fg, {"a": "ao"}, cfg)
-        check("naturality", i, lhs, rhs)
+        check("naturality", i, S.seq(g, sf), S.sfix_row(S.seq(g, f), {"a": "ao"}, cfg))
 
         # parametrized fixed-point property: f . <id, sfix f> == sfix f
-        lhs = S.Denotation(
-            {"x": asp_x}, {"ao": asp_a},
-            lambda row, f=f, sf=sf: f(S.Row({"x": row["x"],
-                                             "a": sf(row)["ao"]})),
-        )
-        check("fixed-point", i, lhs, sf)
+        check("fixed-point", i, S.seq(sf, {"a": "ao"}, f), sf)
 
-        # dinaturality
+        # dinaturality: f . <id, sfix(g . <id, f>)> == sfix(f . <id, g>)
         asp_b = _pick_aspect(rng, depth, 5)
         fb = random_monotone_den(rng, {"x": asp_x, "b": asp_b}, {"ao": asp_a}, depth)
         gb = random_monotone_den(rng, {"x": asp_x, "a": asp_a}, {"bo": asp_b}, depth)
-        gf = S.Denotation(
-            {"x": asp_x, "b": asp_b}, {"bo": asp_b},
-            lambda row, fb=fb, gb=gb: gb(S.Row({"x": row["x"],
-                                                "a": fb(row)["ao"]})),
-        )
-        s1 = S.sfix_row(gf, {"b": "bo"}, cfg)
-        lhs = S.Denotation(
-            {"x": asp_x}, {"ao": asp_a},
-            lambda row, fb=fb, s1=s1: fb(S.Row({"x": row["x"],
-                                                "b": s1(row)["bo"]})),
-        )
-        fg2 = S.Denotation(
-            {"x": asp_x, "a": asp_a}, {"ao": asp_a},
-            lambda row, fb=fb, gb=gb: fb(S.Row({"x": row["x"],
-                                                "b": gb(row)["bo"]})),
-        )
-        rhs = S.sfix_row(fg2, {"a": "ao"}, cfg)
-        check("dinaturality", i, lhs, rhs)
+        s1 = S.sfix_row(S.seq(fb, {"a": "ao"}, gb), {"b": "bo"}, cfg)
+        check("dinaturality", i, S.seq(s1, {"b": "bo"}, fb),
+              S.sfix_row(S.seq(gb, {"b": "bo"}, fb), {"a": "ao"}, cfg))
 
         # diagonal: sfix(f . (id x dup)) == sfix(sfix f)
-        fd = random_monotone_den(
-            rng, {"x": asp_x, "a1": asp_a, "a2": asp_a}, {"ao": asp_a}, depth
-        )
-        dup = S.Denotation(
-            {"x": asp_x, "a": asp_a}, {"ao": asp_a},
-            lambda row, fd=fd: fd(S.Row({"x": row["x"], "a1": row["a"],
-                                         "a2": row["a"]})),
-        )
-        lhs = S.sfix_row(dup, {"a": "ao"}, cfg)
-        inner = S.sfix_row(fd, {"a2": "ao"}, cfg)
-        rhs = S.sfix_row(inner, {"a1": "ao"}, cfg)
-        check("diagonal", i, lhs, rhs)
+        fd = random_monotone_den(rng, {"x": asp_x, "a1": asp_a, "a2": asp_a}, {"ao": asp_a},
+                                 depth)
+        check("diagonal", i, S.sfix_row(S.seq({"a1": "a", "a2": "a"}, fd), {"a": "ao"}, cfg),
+              S.sfix_row(S.sfix_row(fd, {"a2": "ao"}, cfg), {"a1": "ao"}, cfg))
 
     return _fail_on_fuel_out(report, cfg)
 
@@ -914,21 +791,12 @@ def trace_oracle_suite(seed: int = 0, rounds: int = 500, depth: int = 2,
                        max_size: int = 5) -> AxiomReport:
     """Kleene trace against the Knaster-Tarski oracle on generated maps."""
     rng = random.Random(seed)
-    report = AxiomReport(rounds=rounds)
-    report.axioms = ["kleene-vs-knaster-tarski"]
+    report = AxiomReport(rounds, ["kleene-vs-knaster-tarski"])
     cfg = S.EvalConfig(depth=depth)
     for i in range(rounds):
-        asp_a = _pick_aspect(rng, depth, max_size)
-        asp_b = _pick_aspect(rng, depth, max_size)
-        asp_u = _pick_aspect(rng, depth, max_size)
+        asp_a, asp_b, asp_u = (_pick_aspect(rng, depth, max_size) for _ in range(3))
         f = random_monotone_den(rng, {"a": asp_a, "u": asp_u},
                                 {"b": asp_b, "u": asp_u}, depth)
-        kleene = S.trace(f, ["u"], cfg)
-        oracle = S.knaster_tarski_trace(f, ["u"], depth)
-        report.checked["kleene-vs-knaster-tarski"] = i + 1
-        detail = _den_equal_on_grid(kleene, oracle, depth)
-        if detail is not None:
-            report.failures.append(
-                AxiomFailure("kleene-vs-knaster-tarski", i, detail)
-            )
+        _check(report, depth, "kleene-vs-knaster-tarski", i,
+               S.trace(f, ["u"], cfg), S.knaster_tarski_trace(f, ["u"], depth))
     return _fail_on_fuel_out(report, cfg)

@@ -9,7 +9,10 @@ depth-truncated value space; truncation makes every ascending chain finite
 with a computable height bound, so iteration terminates and the result is
 the truncation of the true fixed point.  A brute-force Knaster-Tarski
 construction of the same operator (the meet of all post-fixed points over
-an enumerated grid) is provided as a testing oracle.
+an enumerated grid) is a testing oracle.  With :func:`tensor`, :func:`seq`
+(composition by key name) and :class:`wire`, :func:`trace` and
+:func:`sfix_row` form one combinator set: a cut is the trace of a tensor,
+and the law suites build both sides of every axiom from the set.
 
 Functional terms evaluate call-by-value into :class:`~sill.domain.FuncValue`.
 The fixed-point operator iterates from bottom.  At a quoted-process type
@@ -37,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import ast as A
@@ -196,6 +199,80 @@ def tensor(f: Denotation, g: Denotation) -> Denotation:
         return Row({**a, **b})
 
     return Denotation(inputs, outputs, fn, label=f"({f.label}*{g.label})")
+
+
+def seq(*stages: Denotation | Mapping[str, str]) -> Denotation:
+    """Sequential composition by key name over a shared row.
+
+    A stage reads each of its input keys from the latest earlier stage that
+    produced it, and otherwise from the outer input; the outputs are the
+    produced keys that no later stage reads.  A stage may be a :class:`wire`
+    or a plain mapping ``{new: old}``: it renames or copies keys, and is not
+    called.  An outer key that only plain mappings read has the aspect at
+    which its copy is read.
+    """
+    shape = tuple((tuple(s.inputs), tuple(s.outputs)) if type(s) is Denotation
+                  else (isinstance(s, wire), tuple(s.items())) for s in stages)
+    return _seq_maker(shape)(*stages)
+
+
+@lru_cache(maxsize=256)
+def _seq_maker(shape: tuple) -> Callable[..., Denotation]:
+    """:func:`seq` for stages of this ``shape``: each denotation's input and
+    output keys, or whether a map of keys is a :class:`wire` (whose inputs
+    give aspects) and its items.  It is compiled once from source, as
+    :mod:`dataclasses` compiles ``__init__``.  Row 0 is the outer input and
+    row ``n`` the output of stage ``n``; a row read whole is passed as it
+    is, any other is built as a dict display."""
+    at: dict[str, tuple[int, str]] = {}  # each key, as (row, key there)
+    unread: dict[str, tuple[int, str]] = {}  # the produced keys not read since
+    aspects: dict[str, str] = {}  # each outer key's aspect, as source
+    reads, rows = [], {}
+    for n, (keys, made) in enumerate(shape, 1):
+        den = type(keys) is tuple
+        pairs = [(k, k) for k in keys] if den else made
+        got = {new: at.get(old, (0, old)) for new, old in pairs}
+        for new, old in pairs:
+            unread.pop(old, None)
+            if got[new][0] == 0 and keys is not False:
+                aspects.setdefault(got[new][1], f"d{n}.inputs[{old!r}]")
+        if den:
+            reads.append((n, got))
+            rows[n] = made
+            got = {k: (n, k) for k in made}
+        at.update(got)
+        unread.update(got)
+    if any(j == 0 and s not in aspects for j, s in unread.values()):
+        raise ValueError("an output copies an outer key that no stage reads")
+    rows[0] = list(aspects)
+
+    def row(got: dict[str, tuple[int, str]]) -> str:
+        whole = [j for j, keys in rows.items() if got == {k: (j, k) for k in keys}]
+        return f"r{whole[0]}" if whole else (
+            "Row({" + ", ".join(f"{k!r}: r{j}[{s!r}]" for k, (j, s) in got.items()) + "})")
+
+    args = ", ".join(f"d{n}" for n in range(1, len(shape) + 1))
+    body = "".join(f"        r{n} = d{n}({row(got)})\n" for n, got in reads)
+    ins = ", ".join(f"{k!r}: {a}" for k, a in aspects.items())
+    outs = ", ".join(f"{k!r}: " + (f"d{j}.outputs[{s!r}]" if j else aspects[s])
+                     for k, (j, s) in unread.items())
+    scope = {"Row": Row, "Denotation": Denotation}
+    exec(f"def make({args}):\n    def fn(r0):\n{body}        return {row(unread)}\n"
+         f"    return Denotation({{{ins}}}, {{{outs}}}, fn, 'seq')\n", scope)
+    return scope["make"]
+
+
+class wire(Denotation):
+    """A swap, an identity or a copy: each output ``new`` carries input ``old``.
+    Its ``items()`` are those of ``mapping``, so :func:`seq` reads it as a map."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, inputs: Mapping[str, Aspect], mapping: Mapping[str, str]):
+        super().__init__(inputs, {new: inputs[old] for new, old in mapping.items()},
+                         lambda row: Row({new: row[old] for new, old in mapping.items()}),
+                         "wire")
+        self.items = dict(mapping).items
 
 
 def _renamed(fn: Callable[[Row], Row], in_map: Mapping[str, str],
@@ -604,17 +681,19 @@ def _func_converged(v: D.FuncValue, w: D.FuncValue, cfg: EvalConfig,
     if v == w:
         return True
     if isinstance(v, D.QProc) and isinstance(w, D.QProc):
-        return all(row_truncate(v.den(r), cfg.depth) == row_truncate(w.den(r), cfg.depth)
-                   for r in rows)
+        return first_difference(v.den, w.den, rows, cfg.depth) is None
     return False
 
 
-def _qproc_extensionally_equal(d1: Denotation, d2: Denotation,
-                               cfg: EvalConfig) -> bool:
-    for row in row_grid(d1.inputs, cfg.depth, cfg.func_enum):
-        if row_truncate(d1(row), cfg.depth) != row_truncate(d2(row), cfg.depth):
-            return False
-    return True
+def first_difference(d1: Denotation, d2: Denotation, rows: Iterable[Row],
+                     depth: int) -> Optional[tuple[Row, Row, Row]]:
+    """The first of ``rows`` where ``d1`` and ``d2`` differ after truncation
+    at ``depth``, with both truncated outputs; None if they agree on all."""
+    for row in rows:
+        o1, o2 = row_truncate(d1(row), depth), row_truncate(d2(row), depth)
+        if o1 != o2:
+            return row, o1, o2
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,19 @@ def test_eval_long_input_is_truncated_at_the_working_depth(capsys):
     assert out.splitlines()[0] == "b- = _, f+ = 1·0·1·_"
 
 
-@pytest.mark.parametrize("bits", [1200])
-def test_eval_long_input_is_a_usage_error(capsys, bits):
+@pytest.mark.parametrize("bits", [600, 3000])
+def test_eval_reads_a_long_stream(capsys, bits):
+    # a stream is parsed and coerced in a loop, not a call per message
+    code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
+                    "--depth", "8", "--in", f"b+ = {long_stream(bits)}")
+    assert code == 0
+    assert out.splitlines()[0] == "b- = _, f+ = 1·0·1·0·1·0·1·0·1·_"
+
+
+@pytest.mark.parametrize("levels", [1200])
+def test_eval_deeply_nested_input_is_a_usage_error(capsys, levels):
     usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
-                "--depth", "2", "--in", f"b+ = {long_stream(bits)}")
+                "--depth", "2", "--in", f"b+ = {'up(' * levels}_{')' * levels}")
 
 
 def test_equiv_exit_codes(capsys):

@@ -1,7 +1,13 @@
-"""The law-suite generators: finite grids of rows and their orders."""
+"""The law-suite generators (finite grids of rows and their orders) and the
+axiom suites' composites."""
 
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
+
+import pytest
 
 from sill import domain as D
 from sill import laws as L
@@ -147,3 +153,58 @@ def test_a_suite_that_checked_nothing_does_not_pass():
         report = suite(seed=0, rounds=0)
         assert not report.failures and not report.ok, suite.__name__
     assert L.trace_axiom_suite(seed=0, rounds=1).ok
+
+
+# ---------------------------------------------------------------------------
+# Golden axiom battery: every pair the axiom suites compare, pinned by a
+# digest of each side's truncated outputs over the compared rows, so that a
+# mis-wired composite fails even where both sides of its axiom still agree.
+# Regenerate with ``PYTHONPATH=src python tests/test_laws.py``.
+
+AXIOM_GOLDEN = Path(__file__).resolve().parent / "axiom_golden.json"
+AXIOM_SUITES = {"trace": L.trace_axiom_suite, "conway": L.conway_identity_suite,
+                "oracle": L.trace_oracle_suite}
+
+
+def axiom_digests(monkeypatch) -> dict[str, list[list[str]]]:
+    """Each suite's compared pairs at seeds 0 and 7, 25 rounds, in order:
+    the axiom and a sha256 of ``repr`` of each side's outputs."""
+    real = L._check
+    out = {}
+
+    def digest(den, rows, depth):
+        outs = [S.row_truncate(den(row), depth) for row in rows]
+        return hashlib.sha256(repr(outs).encode()).hexdigest()
+
+    for name, suite in AXIOM_SUITES.items():
+        for seed in (0, 7):
+            pairs = out[f"{name} seed {seed}"] = []
+
+            def record(report, depth, axiom, i, lhs, rhs):
+                rows = L.grid_for(lhs.inputs, depth).rows
+                pairs.append([axiom, digest(lhs, rows, depth), digest(rhs, rows, depth)])
+                real(report, depth, axiom, i, lhs, rhs)
+
+            monkeypatch.setattr(L, "_check", record)
+            assert suite(seed=seed, rounds=25).ok
+    return out
+
+
+def test_axiom_composites_match_golden(monkeypatch):
+    golden = json.loads(AXIOM_GOLDEN.read_text(encoding="utf-8"))
+    got = axiom_digests(monkeypatch)
+    assert sorted(got) == sorted(golden)
+    for name, pairs in got.items():
+        assert len(pairs) == len(golden[name]), name
+        for k, (pair, want) in enumerate(zip(pairs, golden[name])):
+            assert pair == want, (name, k)
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as mp:
+        digests = axiom_digests(mp)
+    AXIOM_GOLDEN.write_text(
+        "{\n" + ",\n".join(
+            f" {json.dumps(name)}: [\n" + ",\n".join(f"  {json.dumps(p)}" for p in pairs)
+            + "\n ]" for name, pairs in digests.items()) + "\n}\n",
+        encoding="utf-8")

@@ -6,6 +6,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from sill import ast as A
 from sill import domain as D
 from sill import semantics as S
@@ -669,3 +671,80 @@ def test_axiom_suites_fail_when_a_fixed_point_runs_out_of_fuel(monkeypatch):
         assert not report.ok
         assert any("did not converge" in f.detail for f in report.failures)
         assert any("did not converge" in line for line in report.summary_lines())
+
+
+# ---------------------------------------------------------------------------
+# Combinators: sequential composition by key name, and wirings
+
+ONE = (parse_type("1"), POS)
+
+
+def recording(inputs, outputs, fn, seen):
+    """A denotation that appends each row it is called with to ``seen``."""
+    return S.Denotation({k: ONE for k in inputs}, {k: ONE for k in outputs},
+                        lambda row: seen.append(row) or fn(row))
+
+
+def test_seq_reads_the_latest_producer_else_the_outer_row():
+    seen = []
+    p = recording(["a"], ["a"], lambda row: S.Row({"a": D.up(row["a"])}), [])
+    q = recording(["a", "b"], ["c"], lambda row: S.Row({"c": row["a"]}), seen)
+    both = S.seq(p, q)
+    assert sorted(both.inputs) == ["a", "b"] and sorted(both.outputs) == ["c"]
+    out = both(S.Row({"a": D.STAR, "b": D.BOT}))
+    # q reads a from p, which produced it last, and b from the outer row
+    assert seen == [S.Row({"a": D.up(D.STAR), "b": D.BOT})]
+    assert out == S.Row({"c": D.up(D.STAR)})
+
+
+def test_seq_outputs_the_produced_keys_no_later_stage_reads():
+    seen = []
+    f = recording(["a", "u"], ["b", "u"], lambda row: S.Row({"b": row["a"], "u": row["u"]}), [])
+    g = recording(["b"], ["c"], lambda row: S.Row({"c": row["b"]}), [])
+    h = recording(["c"], ["d"], lambda row: S.Row({"d": row["c"]}), seen)
+    assert sorted(S.seq(f, g).outputs) == ["c", "u"]
+    # h reads all of g's row, under the same names, and is the whole output:
+    # both rows pass as they are
+    gh = S.seq(g, h)
+    row = S.Row({"b": D.STAR})
+    out = gh(row)
+    assert seen[0] is g(row) and out is h(g(row))
+    assert out == S.Row({"d": D.STAR})
+
+
+def test_seq_mapping_copies_one_key_to_two():
+    seen = []
+    fd = recording(["x", "a1", "a2"], ["ao"], lambda row: S.Row({"ao": row["a1"]}), seen)
+    dup = S.seq({"a1": "a", "a2": "a"}, fd)
+    # the outer key a, which only the mapping reads, takes fd's aspect of a1
+    assert dup.inputs == {"x": ONE, "a": ONE} and dup.outputs == {"ao": ONE}
+    dup(S.Row({"x": D.BOT, "a": D.STAR}))
+    assert seen == [S.Row({"x": D.BOT, "a1": D.STAR, "a2": D.STAR})]
+    with pytest.raises(ValueError):
+        S.seq({"c": "a"})
+
+
+def test_wire_swaps_and_renames():
+    down = (parse_type("down 1"), POS)
+    swap = S.wire({"a": ONE, "u": down}, {"b": "u", "u": "a"})
+    assert swap.outputs == {"b": down, "u": ONE}
+    assert swap(S.Row({"a": D.STAR, "u": D.BOT})) == S.Row({"b": D.BOT, "u": D.STAR})
+    ident = S.wire({"a": ONE}, {"b": "a"})
+    for v in D.enumerate_values(*ONE, 2):
+        assert ident(S.Row({"a": v})) == S.Row({"b": v})
+
+
+def test_trace_axioms_run_the_same_kleene_loops(monkeypatch):
+    """The suites' composites query each trace at the same rows as the
+    hand-wired ones did: the same loops and iterations, seeds 0 and 7."""
+    configs, real = [], S.EvalConfig
+
+    def config(*args, **kwargs):
+        configs.append(real(*args, **kwargs))
+        return configs[-1]
+
+    monkeypatch.setattr(S, "EvalConfig", config)
+    for seed in (0, 7):
+        assert trace_axiom_suite(seed=seed, rounds=200).ok
+    loops = [n for cfg in configs for n in cfg.diag.trace_iters]
+    assert (len(loops), sum(loops)) == (16960, 21135)
