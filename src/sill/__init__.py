@@ -23,7 +23,7 @@ from . import ast
 from .ast import NEG, POS, Polarity
 from .domain import (BOT, STAR, CommValue, FuncValue, NotEnumerable,
                      conforms, down, enumerate_values, fold, format_value, leq,
-                     lub2, meet2, parse_value, truncate, unfold, up)
+                     meet2, parse_value, truncate, unfold, up)
 from .equiv import Verdict, check_equiv, term_equiv
 from .laws import (conway_identity_suite, law_suite, trace_axiom_suite,
                    trace_oracle_suite)
@@ -43,7 +43,7 @@ __all__ = [
     "ast", "Polarity", "POS", "NEG",
     "BOT", "STAR", "CommValue", "FuncValue", "NotEnumerable",
     "conforms", "down", "enumerate_values", "fold", "format_value", "leq",
-    "lub2", "meet2", "parse_value", "truncate", "unfold", "up",
+    "meet2", "parse_value", "truncate", "unfold", "up",
     "Verdict", "check_equiv", "term_equiv",
     "law_suite", "trace_axiom_suite", "conway_identity_suite",
     "trace_oracle_suite",

@@ -12,9 +12,9 @@ comparison-exempt field so that structural equality ignores positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union, get_type_hints
 
 
 class Polarity(str, Enum):
@@ -195,13 +195,13 @@ class Var(Term):
 
 @dataclass(frozen=True)
 class Fix(Term):
-    var: str
+    var: str = field(metadata={"binds": "term"})
     body: Term
 
 
 @dataclass(frozen=True)
 class Lam(Term):
-    var: str
+    var: str = field(metadata={"binds": "term"})
     ty: FType
     body: Term
 
@@ -221,7 +221,7 @@ class Quote(Term):
     """
 
     provided: str
-    proc: "Process"
+    proc: Process
     used: tuple[str, ...] = ()
 
 
@@ -256,7 +256,7 @@ class Cut(Process):
     when the left branch is an unquote, whose type determines it.
     """
 
-    channel: str
+    channel: str = field(metadata={"binds": "channel"})
     left: Process
     right: Process
     anno: Optional[SType] = None
@@ -307,7 +307,7 @@ class SendChan(Process):
 
 @dataclass(frozen=True)
 class RecvChan(Process):
-    bound: str
+    bound: str = field(metadata={"binds": "channel"})
     channel: str
     cont: Process
 
@@ -321,7 +321,7 @@ class SendVal(Process):
 
 @dataclass(frozen=True)
 class RecvVal(Process):
-    bound: str
+    bound: str = field(metadata={"binds": "term"})
     channel: str
     cont: Process
 
@@ -353,6 +353,63 @@ def case(channel: str, mapping: Mapping[str, Process]) -> Case:
 
 
 # ---------------------------------------------------------------------------
+# The node table: the fields of each term and process class, by role, as the
+# generic traversals below need them.  A field whose metadata has "binds"
+# names the term variable or the channel that the node binds in its children.
+
+
+class _Shape(NamedTuple):
+    kids: tuple[str, ...]  # subterms, subprocesses and (label, process) branches
+    var: Optional[str]  # the bound term variable
+    chan: Optional[str]  # the bound channel
+    names: tuple[str, ...]  # free channel names: a name or a tuple of names
+
+
+def _describe(cls: type) -> _Shape:
+    hints, fs = get_type_hints(cls), fields(cls)
+    binds = {f.metadata["binds"]: f.name for f in fs if "binds" in f.metadata}
+    kid_types = (Term, Process, tuple[tuple[str, Process], ...])
+    return _Shape(
+        kids=tuple(f.name for f in fs if hints[f.name] in kid_types),
+        var=binds.get("term"), chan=binds.get("channel"),
+        names=tuple(f.name for f in fs if issubclass(cls, Process) and "binds" not in f.metadata
+                    and f.name in ("channel", "provided", "used", "sent")))
+
+
+_SHAPES = {cls: _describe(cls) for base in (Term, Process) for cls in base.__subclasses__()}
+
+
+def _shape(node, what: str = "term or process") -> _Shape:
+    shape = _SHAPES.get(type(node))
+    if shape is None or (what == "process" and not isinstance(node, Process)):
+        raise TypeError(f"not a {what}: {node!r}")
+    return shape
+
+
+def _children(node) -> Iterator:
+    for name in _SHAPES[type(node)].kids:
+        value = getattr(node, name)
+        yield from (q for _, q in value) if isinstance(value, tuple) else (value,)
+
+
+def _map(node, f, **changes):
+    """``node`` with ``f`` applied to every child and ``changes`` made to
+    its other fields; the span is kept."""
+    for name in _SHAPES[type(node)].kids:
+        value = getattr(node, name)
+        changes[name] = (tuple((k, f(q)) for k, q in value)
+                         if isinstance(value, tuple) else f(value))
+    return replace(node, **changes)
+
+
+def _rename(value, m: Mapping[str, str]):
+    """A channel-name field (a name or a tuple of names) renamed by ``m``."""
+    if isinstance(value, tuple):
+        return tuple(m.get(a, a) for a in value)
+    return m.get(value, value)
+
+
+# ---------------------------------------------------------------------------
 # Free names
 
 
@@ -379,68 +436,32 @@ def free_type_vars(ty: SType) -> frozenset[str]:
 
 
 def free_term_vars(node: Union[Term, Process]) -> frozenset[str]:
-    match node:
-        case Var(name=x):
-            return frozenset({x})
-        case Fix(var=x, body=m) | Lam(var=x, body=m):
-            return free_term_vars(m) - {x}
-        case App(fn=m, arg=n):
-            return free_term_vars(m) | free_term_vars(n)
-        case Anno(term=m):
-            return free_term_vars(m)
-        case Quote(proc=p):
-            return free_term_vars(p)
-        case Fwd() | Close():
-            return frozenset()
-        case Cut(left=l, right=r):
-            return free_term_vars(l) | free_term_vars(r)
-        case Case(branches=bs):
-            out: frozenset[str] = frozenset()
-            for _, p in bs:
-                out |= free_term_vars(p)
-            return out
-        case SendVal(term=m, cont=p):
-            return free_term_vars(m) | free_term_vars(p)
-        case RecvVal(bound=x, cont=p):
-            return free_term_vars(p) - {x}
-        case Unquote(term=m):
-            return free_term_vars(m)
-        case Wait(cont=p) | SendShift(cont=p) | RecvShift(cont=p) | \
-                SendLabel(cont=p) | SendChan(cont=p) | RecvChan(cont=p) | \
-                SendUnfold(cont=p) | RecvUnfold(cont=p):
-            return free_term_vars(p)
-    raise TypeError(f"not a term or process: {node!r}")
+    if isinstance(node, Var):
+        return frozenset({node.name})
+    shape = _shape(node)
+    out: frozenset[str] = frozenset()
+    for kid in _children(node):
+        out |= free_term_vars(kid)
+    return out - {getattr(node, shape.var)} if shape.var else out
 
 
 def free_channels(proc: Process) -> frozenset[str]:
     """Channels a process refers to, excluding ones it binds internally.
 
     The provided channel of the ambient judgment is included when used.
+    Terms are not entered: a quote closes over functional variables only.
     """
-    match proc:
-        case Fwd(provided=b, used=a):
-            return frozenset({b, a})
-        case Close(channel=a):
-            return frozenset({a})
-        case Cut(channel=x, left=l, right=r):
-            return (free_channels(l) | free_channels(r)) - {x}
-        case Wait(channel=a, cont=p) | SendShift(channel=a, cont=p) | \
-                RecvShift(channel=a, cont=p) | SendLabel(channel=a, cont=p) | \
-                SendUnfold(channel=a, cont=p) | RecvUnfold(channel=a, cont=p) | \
-                SendVal(channel=a, cont=p) | RecvVal(channel=a, cont=p):
-            return free_channels(p) | {a}
-        case Case(channel=a, branches=bs):
-            out = frozenset({a})
-            for _, p in bs:
-                out |= free_channels(p)
-            return out
-        case SendChan(channel=a, sent=b, cont=p):
-            return free_channels(p) | {a, b}
-        case RecvChan(bound=b, channel=a, cont=p):
-            return (free_channels(p) - {b}) | {a}
-        case Unquote(provided=a, used=us):
-            return frozenset({a, *us})
-    raise TypeError(f"not a process: {proc!r}")
+    shape = _shape(proc, "process")
+    out: frozenset[str] = frozenset()
+    for kid in _children(proc):
+        if isinstance(kid, Process):
+            out |= free_channels(kid)
+    if shape.chan:
+        out -= {getattr(proc, shape.chan)}
+    for name in shape.names:
+        value = getattr(proc, name)
+        out |= set(value) if isinstance(value, tuple) else {value}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +528,10 @@ def unfold_rec(ty: Rec) -> SType:
 def is_contractive(ty: Rec) -> bool:
     """The bound variable must be guarded by a constructor other than Rec."""
     body = ty.body
-    shadowed = False
     while isinstance(body, Rec):
         if body.var == ty.var:
-            shadowed = True
-            break
+            return True
         body = body.body
-    if shadowed:
-        return True
     return not isinstance(body, TVar) or body.name != ty.var
 
 
@@ -525,77 +542,27 @@ def is_contractive(ty: Rec) -> bool:
 def subst_term(mapping: Mapping[str, Term], node):
     """Simultaneous capture-avoiding substitution of term variables.
 
-    Works uniformly over terms and processes; channel names are untouched.
+    Works uniformly over terms and processes, keeping every node's span;
+    channel names are untouched.
     """
-    if not mapping:
-        return node
-
-    def captured_by(ms: Mapping[str, Term]) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for v in ms.values():
-            out |= free_term_vars(v)
-        return out
 
     def go(n, ms: Mapping[str, Term]):
         if not ms:
             return n
-        match n:
-            case Var(name=x):
-                return ms.get(x, n)
-            case Fix(var=x, body=m):
-                x2, m2, ms2 = rebind(x, m, ms)
-                return n if ms2 is None else Fix(x2, go(m2, ms2))
-            case Lam(var=x, ty=t, body=m):
-                x2, m2, ms2 = rebind(x, m, ms)
-                return n if ms2 is None else Lam(x2, t, go(m2, ms2))
-            case App(fn=m, arg=a):
-                return App(go(m, ms), go(a, ms))
-            case Anno(term=m, ty=t):
-                return Anno(go(m, ms), t)
-            case Quote(provided=a, proc=p, used=us):
-                return Quote(a, go(p, ms), us)
-            case Fwd() | Close():
-                return n
-            case Cut(channel=x, left=l, right=r, anno=t):
-                return Cut(x, go(l, ms), go(r, ms), t)
-            case Wait(channel=a, cont=p):
-                return Wait(a, go(p, ms))
-            case SendShift(channel=a, cont=p):
-                return SendShift(a, go(p, ms))
-            case RecvShift(channel=a, cont=p):
-                return RecvShift(a, go(p, ms))
-            case SendLabel(channel=a, label=k, cont=p):
-                return SendLabel(a, k, go(p, ms))
-            case Case(channel=a, branches=bs):
-                return Case(a, tuple((k, go(p, ms)) for k, p in bs))
-            case SendChan(channel=a, sent=b, cont=p):
-                return SendChan(a, b, go(p, ms))
-            case RecvChan(bound=b, channel=a, cont=p):
-                return RecvChan(b, a, go(p, ms))
-            case SendVal(channel=a, term=m, cont=p):
-                return SendVal(a, go(m, ms), go(p, ms))
-            case RecvVal(bound=x, channel=a, cont=p):
-                x2, p2, ms2 = rebind(x, p, ms)
-                return n if ms2 is None else RecvVal(x2, a, go(p2, ms2))
-            case SendUnfold(channel=a, cont=p):
-                return SendUnfold(a, go(p, ms))
-            case RecvUnfold(channel=a, cont=p):
-                return RecvUnfold(a, go(p, ms))
-            case Unquote(provided=a, term=m, used=us):
-                return Unquote(a, go(m, ms), us, span=n.span)
-        raise TypeError(f"not a term or process: {n!r}")
-
-    def rebind(x: str, body, ms: Mapping[str, Term]):
-        """Drop the shadowed entry; rename the binder if it would capture."""
+        if isinstance(n, Var):
+            return ms.get(n.name, n)
+        binder = _shape(n).var
+        if binder is None:
+            return _map(n, lambda c: go(c, ms))
+        x = getattr(n, binder)
         inner = {k: v for k, v in ms.items() if k != x}
         if not inner:
-            return x, body, None
-        cap = captured_by(inner)
-        if x in cap:
-            x2 = fresh_name(x, cap | free_term_vars(body) | frozenset(inner))
-            body = go(body, {x: Var(x2)})
-            x = x2
-        return x, body, inner
+            return n
+        cap = frozenset().union(*map(free_term_vars, inner.values()))
+        if x in cap:  # freshen x; as cap holds x, this avoids the body's free vars too
+            x2 = fresh_name(x, cap | free_term_vars(n) | frozenset(inner))
+            n = _map(n, lambda c: go(c, {x: Var(x2)}), **{binder: x2})
+        return _map(n, lambda c: go(c, inner))
 
     return go(node, dict(mapping))
 
@@ -607,51 +574,22 @@ def rename_channels(proc: Process, mapping: Mapping[str, str]) -> Process:
     capture a target name.  Quoted terms are left untouched: a quote closes
     over functional variables only.
     """
-    if not mapping:
-        return proc
-
-    def ch(name: str, m: Mapping[str, str]) -> str:
-        return m.get(name, name)
 
     def go(p: Process, m: Mapping[str, str]) -> Process:
         if not m:
             return p
-        match p:
-            case Fwd(provided=b, used=a):
-                return replace(p, provided=ch(b, m), used=ch(a, m))
-            case Close(channel=a):
-                return replace(p, channel=ch(a, m))
-            case Cut(channel=x, left=l, right=r):
-                x2, m2 = rebind(x, m)
-                if x2 != x:
-                    l = go(l, {x: x2})
-                    r = go(r, {x: x2})
-                return replace(p, channel=x2, left=go(l, m2), right=go(r, m2))
-            case Case(channel=a, branches=bs):
-                return replace(p, channel=ch(a, m),
-                               branches=tuple((k, go(q, m)) for k, q in bs))
-            case SendChan(channel=a, sent=b, cont=q):
-                return replace(p, channel=ch(a, m), sent=ch(b, m), cont=go(q, m))
-            case RecvChan(bound=b, channel=a, cont=q):
-                a2 = ch(a, m)
-                b2, m2 = rebind(b, m)
-                if b2 != b:
-                    q = go(q, {b: b2})
-                return replace(p, bound=b2, channel=a2, cont=go(q, m2))
-            case Unquote(provided=a, used=us):
-                return replace(p, provided=ch(a, m), used=tuple(ch(u, m) for u in us))
-            case Wait(channel=a, cont=q) | SendShift(channel=a, cont=q) \
-                    | RecvShift(channel=a, cont=q) | SendLabel(channel=a, cont=q) \
-                    | SendVal(channel=a, cont=q) | RecvVal(channel=a, cont=q) \
-                    | SendUnfold(channel=a, cont=q) | RecvUnfold(channel=a, cont=q):
-                return replace(p, channel=ch(a, m), cont=go(q, m))
-        raise TypeError(f"not a process: {p!r}")
+        shape = _shape(p, "process")
+        changes = {name: _rename(getattr(p, name), m) for name in shape.names}
+        if shape.chan:
+            x = getattr(p, shape.chan)
+            m = {k: v for k, v in m.items() if k != x}
+            if x in m.values():
+                changes[shape.chan] = x2 = fresh_name(x, frozenset(m.values()) | frozenset(m))
+                p = _map(p, lambda q: kid(q, {x: x2}))
+        return _map(p, lambda q: kid(q, m), **changes)
 
-    def rebind(x: str, m: Mapping[str, str]) -> tuple[str, dict[str, str]]:
-        m2 = {k: v for k, v in m.items() if k != x}
-        if x in m2.values():
-            x = fresh_name(x, frozenset(m2.values()) | frozenset(m2))
-        return x, m2
+    def kid(q, m: Mapping[str, str]):
+        return go(q, m) if isinstance(q, Process) else q
 
     return go(proc, dict(mapping))
 

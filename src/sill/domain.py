@@ -53,7 +53,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import ast as A
 from .ast import NEG, POS, Polarity
@@ -61,10 +61,6 @@ from .ast import NEG, POS, Polarity
 
 class DomainError(ValueError):
     """A value was used at an aspect it does not conform to."""
-
-
-class JoinError(ValueError):
-    """The join of two incomparable values was requested."""
 
 
 class NotEnumerable(ValueError):
@@ -338,7 +334,7 @@ def split_valpair(v: CommValue) -> tuple[FuncValue, CommValue]:
 
 
 # ---------------------------------------------------------------------------
-# Order, join, meet
+# Order and meet
 
 
 def func_leq(f: FuncValue, g: FuncValue) -> bool:
@@ -377,48 +373,6 @@ def leq(v: CommValue, w: CommValue) -> bool:
         case (Pair(), Record()) | (Record(), Pair()):
             raise DomainError(f"shape mismatch: {v!r} vs {w!r}")
     return False
-
-
-def _func_lub(f: FuncValue, g: FuncValue) -> FuncValue:
-    if f == FBOT:
-        return g
-    if g == FBOT:
-        return f
-    if isinstance(f, QProcBot) and isinstance(g, (QProcBot, QProc)):
-        return g
-    if isinstance(g, QProcBot) and isinstance(f, QProc):
-        return f
-    if f == g:
-        return f
-    raise JoinError(f"functional values have no join: {f!r} vs {g!r}")
-
-
-def lub2(v: CommValue, w: CommValue) -> CommValue:
-    """Least upper bound of two compatible values (chain elements always are)."""
-    if v == BOT:
-        return w
-    if w == BOT:
-        return v
-    match v, w:
-        case StarValue(), StarValue():
-            return STAR
-        case Lift(inner=a), Lift(inner=b):
-            return Lift(lub2(a, b))
-        case Tag(label=k, inner=a), Tag(label=l, inner=b):
-            if k != l:
-                raise JoinError(f"incomparable labels {k!r} and {l!r} have no join")
-            return Tag(k, lub2(a, b))
-        case Pair(left=a1, right=a2), Pair(left=b1, right=b2):
-            return pair(lub2(a1, b1), lub2(a2, b2))
-        case ValPair(val=f, rest=a), ValPair(val=g, rest=b):
-            return valpair(_func_lub(f, g), lub2(a, b))
-        case Record(entries=es), Record(entries=fs):
-            if [k for k, _ in es] != [k for k, _ in fs]:
-                raise DomainError("records with different keys have no join")
-            return record({k: lub2(a, b) for (k, a), (_, b) in zip(es, fs)})
-        case Fold(inner=a), Fold(inner=b):
-            return fold(lub2(a, b))
-    raise DomainError(f"shape mismatch: {v!r} vs {w!r}")
 
 
 def _func_meet(f: FuncValue, g: FuncValue) -> FuncValue:
@@ -604,9 +558,6 @@ def aspect(ty: A.SType, pol: Polarity) -> Shape:
 # Conformance
 
 
-FuncEnum = Callable[[A.FType], Sequence[FuncValue]]
-
-
 def conforms(v: CommValue, ty: A.SType, pol: Polarity) -> bool:
     try:
         check_conforms(v, ty, pol)
@@ -649,36 +600,25 @@ def _check(v: CommValue, s: Shape) -> None:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-_DEFAULT_QPROC_POINTS: tuple[FuncValue, ...] = (FBOT, QPROC_BOT)
-
-
-def default_func_enum(ty: A.FType) -> Sequence[FuncValue]:
-    """Quoted-process types enumerate their two canonical points; other
-    functional types admit no finite enumeration."""
-    if isinstance(ty, A.ProcType):
-        return _DEFAULT_QPROC_POINTS
-    raise NotEnumerable(ty)
-
-
-def enumerate_values(ty: A.SType, pol: Polarity, depth: int,
-                     func_enum: Optional[FuncEnum] = None) -> list[CommValue]:
+def enumerate_values(ty: A.SType, pol: Polarity, depth: int) -> list[CommValue]:
     """All conforming values whose height is at most ``depth``.
 
     Deterministically ordered.  Recursive occurrences reachable without
     crossing a message boundary contribute only BOT (the least solution of
     the enumeration equation), matching the degenerate domains such types
-    denote.
+    denote.  A transmitted quoted process takes its two canonical points,
+    FBOT and QPROC_BOT; any other functional type raises NotEnumerable.
     """
-    return list(_enumerate(aspect(ty, pol), depth, func_enum or default_func_enum))
+    return list(_enumerate(aspect(ty, pol), depth))
 
 
 @lru_cache(maxsize=None)
-def _enumerate(shape: Shape, depth: int, fe: FuncEnum) -> tuple[CommValue, ...]:
+def _enumerate(shape: Shape, depth: int) -> tuple[CommValue, ...]:
     """The sorted values of ``shape`` up to ``depth``, memoized at each
     message boundary, where the cycle cut starts afresh."""
 
     def below(s: Shape) -> Sequence[CommValue]:
-        return _enumerate(s, depth - 1, fe) if depth > 0 else ()
+        return _enumerate(s, depth - 1) if depth > 0 else ()
 
     def go(s: Shape, seen: frozenset) -> list[CommValue]:
         if s in seen:
@@ -697,7 +637,9 @@ def _enumerate(shape: Shape, depth: int, fe: FuncEnum) -> tuple[CommValue, ...]:
             case PairShape(left=l, right=r):
                 return [pair(x, y) for x in go(l, seen) for y in go(r, seen)]
             case ValPairShape(val=tau, rest=r):
-                return [valpair(f, y) for f in fe(tau) for y in go(r, seen)]
+                if not isinstance(tau, A.ProcType):
+                    raise NotEnumerable(tau)
+                return [valpair(f, y) for f in (FBOT, QPROC_BOT) for y in go(r, seen)]
             case FoldShape():
                 return [fold(x) for x in go(s.body, seen)]
 

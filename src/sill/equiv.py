@@ -56,9 +56,9 @@ def _format_row(row: S.Row, aspects: Mapping[str, S.Aspect]) -> dict:
     }
 
 
-def input_grid(delta: Mapping[str, A.SType], c: str, cty: A.SType, depth: int,
-               func_enum: Optional[D.FuncEnum] = None) -> list[S.Row]:
-    return list(S.row_grid(S.proc_inputs(delta, c, cty), depth, func_enum))
+def input_grid(delta: Mapping[str, A.SType], c: str, cty: A.SType,
+               depth: int) -> list[S.Row]:
+    return list(S.row_grid(S.proc_inputs(delta, c, cty), depth))
 
 
 def _free_note(psi: Mapping[str, A.FType], *phrases) -> str:
@@ -75,16 +75,15 @@ def check_equiv(left: A.Process, right: A.Process,
                 delta: Mapping[str, A.SType], c: str, cty: A.SType,
                 psi: Optional[Mapping[str, A.FType]] = None,
                 depth: int = 4,
-                func_enum: Optional[D.FuncEnum] = None,
                 fuel: Optional[int] = None) -> Verdict:
     """Compare two processes at a common interface."""
     psi = dict(psi or {})
     T.check_process(psi, dict(delta), left, c, cty)
     T.check_process(psi, dict(delta), right, c, cty)
 
-    grid = input_grid(delta, c, cty, depth, func_enum)
+    grid = input_grid(delta, c, cty, depth)
 
-    cfg = S.EvalConfig(depth=depth, fuel=fuel, func_enum=func_enum)
+    cfg = S.EvalConfig(depth=depth, fuel=fuel)
     dl = S.denote_process(left, delta, c, cty, psi, S.EMPTY_ENV, cfg)
     dr = S.denote_process(right, delta, c, cty, psi, S.EMPTY_ENV, cfg)
     diff = S.first_difference(dl, dr, grid, depth)
@@ -106,13 +105,12 @@ def check_equiv(left: A.Process, right: A.Process,
 
 def term_equiv(left: A.Term, right: A.Term, ty: A.FType,
                psi: Optional[Mapping[str, A.FType]] = None,
-               depth: int = 4,
-               func_enum: Optional[D.FuncEnum] = None) -> Verdict:
+               depth: int = 4) -> Verdict:
     """Compare two functional terms; quoted processes compare extensionally."""
     psi = dict(psi or {})
     T.check_term(psi, left, ty)
     T.check_term(psi, right, ty)
-    cfg = S.EvalConfig(depth=depth, func_enum=func_enum)
+    cfg = S.EvalConfig(depth=depth)
     vl = S.denote_term(left, ty, psi, S.EMPTY_ENV, cfg)
     vr = S.denote_term(right, ty, psi, S.EMPTY_ENV, cfg)
     verdict = _func_values_equal(vl, vr, ty, cfg)
@@ -144,7 +142,7 @@ def _func_values_equal(vl: D.FuncValue, vr: D.FuncValue, ty: A.FType,
         stuck = S.constant_bot(quoted.den.inputs, quoted.den.outputs)
         left, right = (v.den if isinstance(v, D.QProc) else stuck for v in (vl, vr))
         try:
-            grid = S.row_grid(left.inputs, cfg.depth, cfg.func_enum)
+            grid = S.row_grid(left.inputs, cfg.depth)
             return S.first_difference(left, right, grid, cfg.depth) is None
         except D.NotEnumerable:
             return None

@@ -99,11 +99,10 @@ def row_truncate(a: Row, depth: int) -> Row:
     return Row({k: D.truncate(v, depth) for k, v in a.items()})
 
 
-def row_grid(aspects: Mapping[str, Aspect], depth: int,
-             func_enum: Optional[D.FuncEnum] = None) -> Iterator[Row]:
+def row_grid(aspects: Mapping[str, Aspect], depth: int) -> Iterator[Row]:
     """Every row over ``aspects`` whose values have height at most ``depth``."""
     keys = sorted(aspects)
-    pools = [D.enumerate_values(*aspects[k], depth, func_enum) for k in keys]
+    pools = [D.enumerate_values(*aspects[k], depth) for k in keys]
     return (Row(zip(keys, combo)) for combo in itertools.product(*pools))
 
 
@@ -136,7 +135,6 @@ class EvalConfig:
     depth: int = 4
     fuel: Optional[int] = None
     diag: Diag = field(default_factory=Diag)
-    func_enum: Optional[D.FuncEnum] = None
     # the static pass's instantiators, by AST node and typing context
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -351,8 +349,7 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
     return Denotation(inputs, outputs, fn, label=f"trace({den.label})")
 
 
-def knaster_tarski_trace(den: Denotation, fb_keys, depth: int,
-                         func_enum: Optional[D.FuncEnum] = None) -> Denotation:
+def knaster_tarski_trace(den: Denotation, fb_keys, depth: int) -> Denotation:
     """The trace as the meet of all post-fixed points, by exhaustive search.
 
     For each plain input, every candidate pair of an output row and a
@@ -364,8 +361,8 @@ def knaster_tarski_trace(den: Denotation, fb_keys, depth: int,
     inputs = {k: v for k, v in den.inputs.items() if k not in fb}
     outputs = {k: v for k, v in den.outputs.items() if k not in fb}
 
-    x_grid = list(row_grid({k: den.inputs[k] for k in fb}, depth, func_enum))
-    b_grid = list(row_grid(outputs, depth, func_enum))
+    x_grid = list(row_grid({k: den.inputs[k] for k in fb}, depth))
+    b_grid = list(row_grid(outputs, depth))
 
     def fn(row: Row) -> Row:
         post: list[tuple[Row, Row]] = []

@@ -74,13 +74,6 @@ def bits_to_list(v):
     return out
 
 
-def list_to_bits(labels):
-    v = D.BOT
-    for label in reversed(labels):
-        v = D.fold(D.tag(label, v))
-    return v
-
-
 def oracle_leq(v, w):
     lv, lw = bits_to_list(v), bits_to_list(w)
     return lv == lw[: len(lv)]
@@ -90,19 +83,6 @@ def test_bits_order_matches_prefix_oracle():
     values = enum(BITS, POS, 3)
     for v, w in itertools.product(values, repeat=2):
         assert D.leq(v, w) == oracle_leq(v, w), (v, w)
-
-
-def test_bits_lub_matches_prefix_oracle():
-    values = enum(BITS, POS, 2)
-    for v, w in itertools.product(values, repeat=2):
-        lv, lw = bits_to_list(v), bits_to_list(w)
-        comparable = lv == lw[: len(lv)] or lw == lv[: len(lw)]
-        if comparable:
-            expected = list_to_bits(max((lv, lw), key=len))
-            assert D.lub2(v, w) == expected
-        else:
-            with pytest.raises(D.JoinError):
-                D.lub2(v, w)
 
 
 def test_leq_examples():
@@ -115,13 +95,6 @@ def test_leq_examples():
     lo = D.parse_value("up((*, _))", t11, POS)
     hi = D.parse_value("up((*, *))", t11, POS)
     assert D.leq(lo, hi)
-
-
-def test_lub_unit_and_equality():
-    x = D.parse_value("0·1·_", BITS, POS)
-    assert D.lub2(D.BOT, x) == x
-    assert D.STAR == D.STAR
-    assert D.lub2(D.parse_value("0·_", BITS, POS), x) == x
 
 
 # ---------------------------------------------------------------------------

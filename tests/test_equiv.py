@@ -136,29 +136,13 @@ def test_trace_oracle_suite_small():
 
 def test_not_enumerable_interface_raises():
     # the used channel transmits arrow-typed values, which cannot be
-    # enumerated without registered generators
+    # enumerated
     arrow = A.Arrow(A.ProcType("d", A.Unit(), ()), A.ProcType("d", A.Unit(), ()))
     aty = A.AndVal(arrow, A.Unit())
     left = A.RecvVal("x", "a", A.Wait("a", A.Close("c")))
     right = A.RecvVal("y", "a", A.Wait("a", A.Close("c")))
     with pytest.raises(D.NotEnumerable):
         check_equiv(left, right, {"a": aty}, "c", A.Unit(), depth=2)
-
-
-def test_registered_values_make_an_interface_enumerable():
-    arrow = A.Arrow(A.ProcType("d", A.Unit(), ()), A.ProcType("d", A.Unit(), ()))
-    aty = A.AndVal(arrow, A.Unit())
-    left = A.RecvVal("x", "a", A.Wait("a", A.Close("c")))
-    right = A.RecvVal("y", "a", A.Wait("a", A.Close("c")))
-
-    def enum_with_samples(ty):
-        if isinstance(ty, A.Arrow):
-            return (D.FBOT,)
-        return D.default_func_enum(ty)
-
-    verdict = check_equiv(left, right, {"a": aty}, "c", A.Unit(), depth=2,
-                          func_enum=enum_with_samples)
-    assert verdict.equivalent
 
 
 def test_law_suite_accepts_a_custom_corpus():

@@ -1,10 +1,18 @@
 """Parser/printer round trips and substitution."""
 
+import dataclasses
+import functools
+import itertools
+import json
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from sill import ast as A
+from sill import equiv as E
+from sill import laws as L
 from sill.parser import (SillSyntaxError, parse_process, parse_program,
                          parse_term, parse_type)
 from sill.pretty import pp_process, pp_term, pp_type
@@ -246,10 +254,28 @@ def test_subst_term_capture_avoiding():
     assert out.body == A.Var("y")
 
 
+def test_subst_term_freshens_past_the_body_free_vars(monkeypatch):
+    # the first fresh name for y is y_0, which the body already uses
+    monkeypatch.setattr(A, "_fresh_counter", itertools.count())
+    lam = A.Lam("y", A.ProcType("d", A.Unit(), ()), A.App(A.Var("x"), A.Var("y_0")))
+    out = A.subst_term({"x": A.Var("y")}, lam)
+    assert out.var not in {"y", "y_0"}
+    assert out.body == A.App(A.Var("y"), A.Var("y_0"))
+
+
 def test_subst_into_process():
     proc = A.SendVal("a", A.Var("x"), A.Close("a"))
     m = parse_term("{d <- close d}")
     assert A.subst_term({"x": m}, proc) == A.SendVal("a", m, A.Close("a"))
+
+
+def test_subst_term_keeps_spans():
+    proc = parse_process("wait d; send a (x); close c")
+    out = A.subst_term({"x": A.Var("z")}, proc)
+    assert out.span == A.Span(1, 1)
+    assert out.cont.span == A.Span(1, 9)
+    assert out.cont.term == A.Var("z")
+    assert out.cont.cont.span == proc.cont.cont.span
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +310,101 @@ def test_channel_renaming_avoids_capture():
     assert isinstance(renamed, A.Cut)
     assert renamed.channel != "t"
     assert "t" in A.free_channels(renamed)
+
+
+# ---------------------------------------------------------------------------
+# Golden traversal battery: free names, term substitution and channel
+# renaming of every fixture declaration and every law-suite side, each with
+# a mapping that forces every binder to be freshened.
+# Regenerate with ``PYTHONPATH=src python tests/test_syntax.py``.
+
+AST_GOLDEN = Path(__file__).resolve().parent / "ast_golden.json"
+FIXTURES = Path(A.__file__).resolve().parent / "fixtures"
+
+
+def _nodes(node):
+    """``node`` and every dataclass node below it, in preorder."""
+    yield node
+    for f in dataclasses.fields(node):
+        if f.name == "span":
+            continue
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, tuple):  # a (label, node) branch
+                item = item[1]
+            if dataclasses.is_dataclass(item):
+                yield from _nodes(item)
+
+
+def traversal_cases() -> dict:
+    """Every fixture term, quoted process and proc, then both sides of each
+    law-suite instance, keyed by where they come from."""
+    cases = {}
+    for path in sorted(FIXTURES.glob("*.sill")):
+        prog = parse_program(path.read_text(encoding="utf-8"))
+        for name, decl in prog.terms().items():
+            cases[f"{path.name}/term {name}"] = decl.term
+            quotes = [n for n in _nodes(decl.term) if isinstance(n, A.Quote)]
+            for i, q in enumerate(quotes):
+                cases[f"{path.name}/term {name}/quote {i}"] = q.proc
+        for name, decl in prog.procs().items():
+            cases[f"{path.name}/proc {name}"] = decl.proc
+
+    sides, fix_subst = [], itertools.count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L, "_inst", lambda report, law, name, left, right, *_, **__:
+                   sides.append((f"{law}/{name}", left, right)))
+        mp.setattr(E, "term_equiv", lambda left, right, *_, **__:
+                   sides.append((f"fix-subst/{next(fix_subst)}", left, right)))
+        L.law_suite()
+    for name, left, right in sides:
+        assert f"law {name}/left" not in cases, name
+        cases[f"law {name}/left"] = left
+        cases[f"law {name}/right"] = right
+    return cases
+
+
+def _counted_from_zero(fn, *args):
+    """``fn(*args)`` with fresh names numbered from 0, so that a case does
+    not depend on the ones before it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_fresh_counter", itertools.count())
+        return fn(*args)
+
+
+def traversal_record(node) -> dict:
+    # Each substituted term mentions every term binder of ``node`` and each
+    # renaming targets every channel binder, so every binder is freshened;
+    # the unused "zz" entries keep a closed node's mapping non-empty.
+    nodes = list(_nodes(node))
+    binders = sorted({n.var for n in nodes if isinstance(n, (A.Fix, A.Lam))}
+                     | {n.bound for n in nodes if isinstance(n, A.RecvVal)})
+    capture = functools.reduce(A.App, map(A.Var, binders), A.Var("w"))
+    ftv = sorted(A.free_term_vars(node))
+    subst = _counted_from_zero(A.subst_term, {x: capture for x in [*ftv, "zz"]}, node)
+    out = {"free_term_vars": ftv, "subst_term": repr(subst),
+           "free_channels": None, "rename_channels": None}
+    if isinstance(node, A.Process):
+        fc = sorted(A.free_channels(node))
+        cbs = sorted({n.channel for n in nodes if isinstance(n, A.Cut)}
+                     | {n.bound for n in nodes if isinstance(n, A.RecvChan)})
+        targets = cbs or ["zz"]
+        mapping = {a: targets[i % len(targets)] for i, a in enumerate(fc)}
+        mapping.update({f"zz{i}": b for i, b in enumerate(cbs)})
+        out["free_channels"] = fc
+        out["rename_channels"] = repr(_counted_from_zero(A.rename_channels, node, mapping))
+    return out
+
+
+def test_traversals_match_golden():
+    golden = json.loads(AST_GOLDEN.read_text(encoding="utf-8"))
+    cases = traversal_cases()
+    assert list(golden) == list(cases)
+    for key, node in cases.items():
+        assert traversal_record(node) == golden[key], key
+
+
+if __name__ == "__main__":
+    AST_GOLDEN.write_text(json.dumps(
+        {key: traversal_record(node) for key, node in traversal_cases().items()},
+        indent=1) + "\n", encoding="utf-8")
