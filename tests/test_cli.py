@@ -1,6 +1,9 @@
 """Command-line behaviour: fixtures, exit codes, and JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -285,6 +288,35 @@ def test_demo_flip_rejects_negative_numbers(capsys):
     for opt in ("--depth", "--fuel"):
         err = usage_error(capsys, "demo-flip", opt, "-3")
         assert err.startswith(f"error: {opt} must be at least 0"), err
+
+
+def test_repeated_main_calls_match_lone_calls(capsys, monkeypatch):
+    # One process may call ``main`` many times: no option value, default or
+    # help layout may leak from one call into the next.
+    flip = str(FIXTURES / "flip.sill")
+    query = ["eval", flip, "--proc", "flip1", "--in", "b+ = 0·1·1·0·1·_"]
+    calls = [
+        ([*query, "--depth", "3", "--json"], "80"),
+        ([*query, "--json"], "80"),  # the default depth 8, not 3
+        (["eval", flip, "--depth", "three"], "80"),
+        (["check", flip], "80"),
+        (["--help"], "60"),
+        (["eval", "--help"], "100"),
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    got, lone = [], []
+    for argv, columns in calls:
+        monkeypatch.setenv("COLUMNS", columns)
+        code = main(argv)
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+        run = subprocess.run(
+            [sys.executable, "-m", "sill.cli", *argv], capture_output=True,
+            encoding="utf-8", env={**os.environ, "PYTHONPATH": src})
+        lone.append((run.returncode, run.stdout, run.stderr))
+    assert got == lone
+    assert [code for code, _, _ in got] == [0, 0, 3, 0, 0, 0]
+    assert got[0][1] != got[1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from sill import ast as A
 from sill import equiv as E
 from sill import laws as L
 from sill.parser import (SillSyntaxError, parse_process, parse_program,
-                         parse_term, parse_type)
+                         parse_term, parse_type, tokenize)
 from sill.pretty import pp_process, pp_term, pp_type
 
 CHANS = ["a", "b", "c", "d", "e"]
@@ -56,15 +56,19 @@ def stypes():
 
 
 def ftypes(types=None):
-    types = types or stypes()
+    types = stypes() if types is None else types
     proc = st.builds(
         lambda c, t, used: A.ProcType(c, t, tuple(used)),
         st.sampled_from(CHANS),
         types,
         st.lists(st.tuples(st.sampled_from(CHANS), types), max_size=2),
     )
-    return st.recursive(proc, lambda kids: st.builds(A.Arrow, kids, kids),
-                        max_leaves=3)
+    # The arrows of at most three leaves, spelled out: inside the recursion of
+    # ``stypes`` a nested ``st.recursive`` would render ``types`` whole each
+    # time Hypothesis validates it.
+    arrow = st.builds(A.Arrow, proc, proc)
+    return st.one_of(proc, arrow, st.builds(A.Arrow, arrow, proc),
+                     st.builds(A.Arrow, proc, arrow))
 
 
 def terms():
@@ -404,7 +408,57 @@ def test_traversals_match_golden():
         assert traversal_record(node) == golden[key], key
 
 
+# ---------------------------------------------------------------------------
+# Golden token battery: the kind, text, line and column of every token of
+# every fixture, the law corpus and a few hand-written sources that stress
+# line and column bookkeeping, or the message and position of the lexical
+# error.  Regenerate with ``PYTHONPATH=src python tests/test_syntax.py``.
+
+TOKEN_GOLDEN = Path(__file__).resolve().parent / "token_golden.json"
+
+LEXING_CASES = {
+    "crlf and tabs": "type u = 1\r\n\tproc p : (|- c : u) =\r\n\t\tclose c\r\n",
+    "trailing comments": ("type bits = rho b. +{0: b, 1: b} // a stream\n"
+                          "term t : {c : 1} = {c <- close c}  # hash comment\n"
+                          "proc p : (a : bits |- b : bits) = fwd b a // no newline"),
+    "operators": "|- -> -o <- => /\\ {}(),:;.|*=\\&+ 0 12 x_1 _y fix rho",
+    "adjacent tokens": "a<-{x}<-b,c;wait a;close b",
+    "empty": "",
+    "only whitespace": "  \r\n\t \n   ",
+    "stray after comments": "// one\n# two\n\t  // three\n   @ close c",
+    "stray after crlf": "proc p : (|- c : 1) =\r\n  close c $",
+    "stray at start": "!",
+}
+
+
+def token_cases() -> dict[str, str]:
+    cases = {}
+    for path in sorted(FIXTURES.glob("**/*.sill")):
+        cases[path.relative_to(FIXTURES).as_posix()] = path.read_text(encoding="utf-8")
+    cases["laws.CORPUS_SRC"] = L.CORPUS_SRC
+    cases.update(LEXING_CASES)
+    return cases
+
+
+def token_record(source: str):
+    try:
+        return [[t.kind, t.text, t.line, t.col] for t in tokenize(source)]
+    except SillSyntaxError as exc:
+        return {"error": str(exc), "line": exc.line, "col": exc.col}
+
+
+def test_tokens_match_golden():
+    golden = json.loads(TOKEN_GOLDEN.read_text(encoding="utf-8"))
+    cases = token_cases()
+    assert list(golden) == list(cases)
+    for name, source in cases.items():
+        assert token_record(source) == golden[name], name
+
+
 if __name__ == "__main__":
     AST_GOLDEN.write_text(json.dumps(
         {key: traversal_record(node) for key, node in traversal_cases().items()},
         indent=1) + "\n", encoding="utf-8")
+    TOKEN_GOLDEN.write_text(json.dumps(
+        {name: token_record(src) for name, src in token_cases().items()},
+        indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
