@@ -21,9 +21,6 @@ class Polarity(str, Enum):
     POS = "+"
     NEG = "-"
 
-    def flip(self) -> "Polarity":
-        return Polarity.NEG if self is Polarity.POS else Polarity.POS
-
     def __str__(self) -> str:
         return self.value
 
@@ -600,6 +597,8 @@ def rename_channels(proc: Process, mapping: Mapping[str, str]) -> Process:
 
 def types_equal(a: SType, b: SType) -> bool:
     """Structural equality of session types up to renaming of Rec binders."""
+    if a is b:  # only at the top: below it, the binder maps may differ
+        return True
 
     def go(x: SType, y: SType, ex: dict[str, int], ey: dict[str, int], depth: int) -> bool:
         match x, y:

@@ -20,6 +20,7 @@ Exit codes: 0 success/equivalent, 1 check failure/distinguished,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -293,7 +294,10 @@ def cmd_demo_flip(args) -> int:
     return EXIT_OK if not mismatches else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` makes a
+    fresh namespace each call, and help is laid out when it is printed."""
     parser = argparse.ArgumentParser(
         prog="sill",
         description="Typecheck, evaluate, and compare session-typed processes.",

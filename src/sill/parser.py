@@ -43,13 +43,23 @@ its channels renamed), a ``term`` declaration, or a functional variable.
 The names of the shift and unfold messages are conventions of this grammar;
 message sends and receives for them are written with the same keywords as
 channel transmission.
+
+Comments run from ``//`` or ``#`` to the end of the line.  The tokenizer
+reads the source in one regular-expression scan: whitespace and comments
+only advance the line number and the offset where the line starts, and a
+token's column is its offset from there, counted from 1 (a tab is one
+column).  The parser is recursive descent over the token list with one
+token of lookahead, except that a value receive ``(x) <- recv a`` looks
+four tokens ahead and a session type that opens with ``{`` or ``(``
+backtracks unless it is ``TAU /\ A`` or ``TAU => A``.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ast as A
 from .ast import Span
@@ -61,19 +71,18 @@ KEYWORDS = {
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|\#[^\n]*)
+    (?P<skip>(?:\s+|//[^\n]*|\#[^\n]*)+)
   | (?P<op>\|-|->|-o|<-|=>|/\\)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<punct>[{}(),:;.|*=\\&+])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident', 'int', 'kw', 'op', 'punct', 'eof'
     text: str
     line: int
@@ -90,30 +99,26 @@ class SillSyntaxError(SyntaxError):
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of ``source`` and a final ``eof``, in one scan.  Whitespace
+    and comments only move the line count and the offset where the current
+    line starts; a token's column is counted from that offset."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise SillSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "ident":
-            tokens.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
-        elif kind == "int":
-            tokens.append(Token("int", text, line, col))
-        elif kind in ("op", "punct"):
-            tokens.append(Token(kind, text, line, col))
-        # whitespace and comments are skipped
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rfind("\n") + 1
+            continue
+        if kind == "bad":
+            raise SillSyntaxError(f"unexpected character {text!r}", line,
+                                  pos - line_start + 1)
+        if kind == "ident" and text in KEYWORDS:
+            kind = "kw"
+        tokens.append(Token(kind, text, line, pos - line_start + 1))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -180,7 +185,10 @@ class Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + ahead]
+        except IndexError:  # looking ahead past the end
+            return self.tokens[-1]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -189,7 +197,8 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        # ``text`` is never empty, so the eof token never matches
+        return self.tokens[self.pos].text == text
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -415,19 +424,15 @@ class Parser:
             f"found {tok.text!r}", tok.line, tok.col, expected=("a term",)
         )
 
+    @contextmanager
     def _bind_term(self, var: str):
-        parser = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.shadow = var in parser.bound_terms
-                parser.bound_terms.add(var)
-
-            def __exit__(self, *exc):
-                if not self.shadow:
-                    parser.bound_terms.discard(var)
-
-        return _Ctx()
+        shadow = var in self.bound_terms
+        self.bound_terms.add(var)
+        try:
+            yield
+        finally:
+            if not shadow:
+                self.bound_terms.discard(var)
 
     def _chan_list(self) -> tuple[str, ...]:
         chans = [self.expect_ident("a channel name").text]

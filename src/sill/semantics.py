@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -580,31 +581,44 @@ class _FixSite:
     def __init__(self, x: str, body: Inst, ty: A.FType, env: Env, cfg: EvalConfig):
         self.x, self.body, self.ty, self.env, self.cfg = x, body, ty, env, cfg
         self.solved: dict[Row, Row] = {}
+        self._value: Optional[weakref.ref] = None
 
     def unroll(self, v: D.FuncValue) -> D.FuncValue:
         """The body with the recursive variable bound to ``v``."""
         return self.body(self.env.updated(self.x, v), self.cfg)
 
     @cached_property
-    def value(self) -> D.QProc:
+    def interface(self) -> tuple[dict[str, Aspect], dict[str, Aspect]]:
+        """The input and output aspects of :attr:`value`."""
         assert isinstance(self.ty, A.ProcType)
         used = self.ty.used_types()
         inputs = {_canon_used(i): (t, POS) for i, t in enumerate(used)}
         outputs = {_canon_used(i): (t, NEG) for i, t in enumerate(used)}
         inputs[_PROV_KEY] = (self.ty.provided, NEG)
         outputs[_PROV_KEY] = (self.ty.provided, POS)
+        return inputs, outputs
 
-        def solve(row: Row) -> Row:
-            hit = self.solved.get(row)
-            return _denote_fix(self, row) if hit is None else hit
+    @property
+    def value(self) -> D.QProc:
+        """The same quoted process for as long as anything holds it.  It
+        holds the site, so the site holds it weakly: a strong reference
+        back would make a cycle that keeps :attr:`cfg` until the cyclic
+        collector runs."""
+        value = self._value and self._value()
+        if value is None:
+            def solve(row: Row) -> Row:
+                hit = self.solved.get(row)
+                return _denote_fix(self, row) if hit is None else hit
 
-        return D.QProc(Denotation(inputs, outputs, solve, label="fix"))
+            value = D.QProc(Denotation(*self.interface, solve, label="fix"))
+            self._value = weakref.ref(value)
+        return value
 
     def step(self, table: Mapping[Row, Row], open_rows: list[Row]) -> tuple[D.QProc, D.QProc]:
         """The iterate held in ``table`` and :attr:`solved`, as a quoted
         process, and the next iterate.  A row that neither holds reads as
         bottom and is appended to ``open_rows``."""
-        inputs, outputs = self.value.den.inputs, self.value.den.outputs
+        inputs, outputs = self.interface
 
         def read(row: Row) -> Row:
             hit = self.solved.get(row, table.get(row))
@@ -654,7 +668,7 @@ def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
             v = w
         result = site.value if quoted and v != D.FBOT else v
     else:
-        table = {row: bot_row(site.value.den.outputs)}
+        table = {row: bot_row(site.interface[1])}
         while not done and rounds < fuel:
             open_rows = list(table)
             v, w = site.step(table, open_rows)

@@ -69,8 +69,24 @@ class TypeCheckError(Exception):
 # Session types
 
 
+# While ``check_program`` runs, the polarity of each closed session type it
+# has checked, by identity: its declarations name the same few type nodes
+# again and again.  Each entry keeps its type alive, so that no other node
+# can take over its id.
+_closed_polarity: Optional[dict[int, tuple[A.SType, Polarity]]] = None
+
+
 def check_session_type(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
     """Return the polarity of ``ty`` under the type-variable context ``xi``."""
+    if xi or _closed_polarity is None:
+        return _polarity(xi, ty)
+    hit = _closed_polarity.get(id(ty))
+    if hit is None:
+        hit = _closed_polarity[id(ty)] = (ty, _polarity(xi, ty))
+    return hit[1]
+
+
+def _polarity(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
     match ty:
         case A.Unit():
             return POS
@@ -602,21 +618,26 @@ def check_program(program) -> list[tuple[str, str]]:
     """Check every declaration; returns (name, kind) pairs in order."""
     from .parser import ProcDecl, TermDecl, TypeDecl
 
+    global _closed_polarity
+    _closed_polarity = {}
     results = []
-    for decl in program.decls:
-        if isinstance(decl, TypeDecl):
-            check_session_type({}, decl.ty)
-            results.append((decl.name, "type"))
-        elif isinstance(decl, TermDecl):
-            check_ftype(decl.ty)
-            check_term({}, decl.term, decl.ty)
-            results.append((decl.name, "term"))
-        elif isinstance(decl, ProcDecl):
-            for _, t in decl.delta:
-                check_session_type({}, t)
-            check_session_type({}, decl.ty)
-            check_process({}, dict(decl.delta), decl.proc, decl.channel, decl.ty)
-            results.append((decl.name, "proc"))
-        else:
-            raise TypeCheckError("rule", "Cut", f"unknown declaration: {decl!r}")
+    try:
+        for decl in program.decls:
+            if isinstance(decl, TypeDecl):
+                check_session_type({}, decl.ty)
+                results.append((decl.name, "type"))
+            elif isinstance(decl, TermDecl):
+                check_ftype(decl.ty)
+                check_term({}, decl.term, decl.ty)
+                results.append((decl.name, "term"))
+            elif isinstance(decl, ProcDecl):
+                for _, t in decl.delta:
+                    check_session_type({}, t)
+                check_session_type({}, decl.ty)
+                check_process({}, dict(decl.delta), decl.proc, decl.channel, decl.ty)
+                results.append((decl.name, "proc"))
+            else:
+                raise TypeCheckError("rule", "Cut", f"unknown declaration: {decl!r}")
+    finally:
+        _closed_polarity = None
     return results

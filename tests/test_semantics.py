@@ -1,9 +1,11 @@
 """Denotation clauses, strictness, monotonicity, and trace properties."""
 
 import functools
+import gc
 import itertools
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -286,6 +288,26 @@ def test_fix_over_a_function_carrying_interface_converges():
     assert value.den(S.Row({"$p": D.BOT}))["$p"] == D.BOT
     assert cfg.diag.fix_rounds == [2, 1]
     assert not cfg.diag.nonconverged
+
+
+def test_fix_site_does_not_outlive_its_query():
+    # A fix site holds its config.  Nothing a query leaves behind may hold the
+    # site in a reference cycle, or the config, its compiled code and its
+    # memo tables would wait for the cyclic collector.
+    flip1 = parse_program(FLIP_SILL.read_text(encoding="utf-8")).procs()["flip1"]
+    gc.disable()
+    try:
+        cfg = S.EvalConfig(depth=8)
+        den = S.denote_process(flip1.proc, dict(flip1.delta), flip1.channel,
+                               flip1.ty, {}, S.EMPTY_ENV, cfg)
+        out = den(S.Row({"b+": val("0·1·1·_", BITS, POS), "f-": D.BOT}))
+        assert cfg.diag.fix_rounds == [2, 4]
+        config = weakref.ref(cfg)
+        del cfg, den
+        assert config() is None
+    finally:
+        gc.enable()
+    assert out["f+"] == val("1·0·0·_", BITS, POS)
 
 
 def test_quoted_stuck_process_is_not_bottom():

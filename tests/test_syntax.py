@@ -47,12 +47,18 @@ def stypes():
             st.builds(A.Lolly, children, children),
             st.builds(A.AndVal, ftypes(children), children),
             st.builds(A.ImpVal, ftypes(children), children),
-            st.tuples(st.sampled_from(TVARS), children)
-            .map(lambda p: A.Rec(p[0], p[1]))
-            .filter(A.is_contractive),
+            st.tuples(st.sampled_from(TVARS), children).map(_contractive_rec),
         )
 
     return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _contractive_rec(pair):
+    """``rho a. body``, or ``body`` itself where that binder would not be
+    contractive.  (A filter would have Hypothesis render the whole strategy
+    each time it rejects a draw.)"""
+    rec = A.Rec(*pair)
+    return rec if A.is_contractive(rec) else pair[1]
 
 
 def ftypes(types=None):
