@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sill.cli import main
+from sill.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sill" / "fixtures"
 
@@ -317,6 +317,7 @@ def test_repeated_main_calls_match_lone_calls(capsys, monkeypatch):
     assert got == lone
     assert [code for code, _, _ in got] == [0, 0, 3, 0, 0, 0]
     assert got[0][1] != got[1][1]
+    assert build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
