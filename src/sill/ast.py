@@ -599,47 +599,46 @@ def types_equal(a: SType, b: SType) -> bool:
     """Structural equality of session types up to renaming of Rec binders."""
     if a is b:  # only at the top: below it, the binder maps may differ
         return True
-
-    def go(x: SType, y: SType, ex: dict[str, int], ey: dict[str, int], depth: int) -> bool:
-        match x, y:
-            case Unit(), Unit():
-                return True
-            case TVar(name=m), TVar(name=n):
-                if m in ex or n in ey:
-                    return ex.get(m) == ey.get(n) and ex.get(m) is not None
-                return m == n
-            case Down(body=p), Down(body=q):
-                return go(p, q, ex, ey, depth)
-            case Up(body=p), Up(body=q):
-                return go(p, q, ex, ey, depth)
-            case Plus(branches=ps), Plus(branches=qs):
-                return _branches_eq(ps, qs, ex, ey, depth, go)
-            case With(branches=ps), With(branches=qs):
-                return _branches_eq(ps, qs, ex, ey, depth, go)
-            case Tensor(carried=l1, cont=r1), Tensor(carried=l2, cont=r2):
-                return go(l1, l2, ex, ey, depth) and go(r1, r2, ex, ey, depth)
-            case Lolly(carried=l1, cont=r1), Lolly(carried=l2, cont=r2):
-                return go(l1, l2, ex, ey, depth) and go(r1, r2, ex, ey, depth)
-            case AndVal(val=v1, cont=r1), AndVal(val=v2, cont=r2):
-                return ftypes_equal(v1, v2) and go(r1, r2, ex, ey, depth)
-            case ImpVal(val=v1, cont=r1), ImpVal(val=v2, cont=r2):
-                return ftypes_equal(v1, v2) and go(r1, r2, ex, ey, depth)
-            case Rec(var=m, body=p), Rec(var=n, body=q):
-                ex2 = dict(ex)
-                ey2 = dict(ey)
-                ex2[m] = depth
-                ey2[n] = depth
-                return go(p, q, ex2, ey2, depth + 1)
-        return False
-
-    return go(a, b, {}, {}, 0)
+    return _types_equal(a, b, {}, {}, 0)
 
 
-def _branches_eq(ps, qs, ex, ey, depth, go) -> bool:
+def _types_equal(x: SType, y: SType, ex: dict[str, int], ey: dict[str, int],
+                 depth: int) -> bool:
+    """:func:`types_equal` below ``depth`` enclosing ``Rec`` binders, where
+    ``ex`` and ``ey`` map each bound name to the depth of its binder."""
+    match x, y:
+        case Unit(), Unit():
+            return True
+        case TVar(name=m), TVar(name=n):
+            if m in ex or n in ey:
+                return ex.get(m) == ey.get(n) and ex.get(m) is not None
+            return m == n
+        case Down(body=p), Down(body=q):
+            return _types_equal(p, q, ex, ey, depth)
+        case Up(body=p), Up(body=q):
+            return _types_equal(p, q, ex, ey, depth)
+        case Plus(branches=ps), Plus(branches=qs):
+            return _branches_eq(ps, qs, ex, ey, depth)
+        case With(branches=ps), With(branches=qs):
+            return _branches_eq(ps, qs, ex, ey, depth)
+        case Tensor(carried=l1, cont=r1), Tensor(carried=l2, cont=r2):
+            return _types_equal(l1, l2, ex, ey, depth) and _types_equal(r1, r2, ex, ey, depth)
+        case Lolly(carried=l1, cont=r1), Lolly(carried=l2, cont=r2):
+            return _types_equal(l1, l2, ex, ey, depth) and _types_equal(r1, r2, ex, ey, depth)
+        case AndVal(val=v1, cont=r1), AndVal(val=v2, cont=r2):
+            return ftypes_equal(v1, v2) and _types_equal(r1, r2, ex, ey, depth)
+        case ImpVal(val=v1, cont=r1), ImpVal(val=v2, cont=r2):
+            return ftypes_equal(v1, v2) and _types_equal(r1, r2, ex, ey, depth)
+        case Rec(var=m, body=p), Rec(var=n, body=q):
+            return _types_equal(p, q, {**ex, m: depth}, {**ey, n: depth}, depth + 1)
+    return False
+
+
+def _branches_eq(ps, qs, ex, ey, depth) -> bool:
     if len(ps) != len(qs):
         return False
     return all(
-        k1 == k2 and go(t1, t2, ex, ey, depth)
+        k1 == k2 and _types_equal(t1, t2, ex, ey, depth)
         for (k1, t1), (k2, t2) in zip(ps, qs)
     )
 

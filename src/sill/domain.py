@@ -616,34 +616,40 @@ def enumerate_values(ty: A.SType, pol: Polarity, depth: int) -> list[CommValue]:
 def _enumerate(shape: Shape, depth: int) -> tuple[CommValue, ...]:
     """The sorted values of ``shape`` up to ``depth``, memoized at each
     message boundary, where the cycle cut starts afresh."""
+    return tuple(sorted(set(_enumerate_in(shape, depth, frozenset())), key=value_key))
 
-    def below(s: Shape) -> Sequence[CommValue]:
-        return _enumerate(s, depth - 1) if depth > 0 else ()
 
-    def go(s: Shape, seen: frozenset) -> list[CommValue]:
-        if s in seen:
-            return [BOT]
-        seen = seen | {s}
-        match s:
-            case UnitShape(star=star):
-                return [BOT, STAR] if star else [BOT]
-            case LiftShape(inner=i):
-                return [BOT, *(Lift(x) for x in below(i))]
-            case SumShape(branches=bs):
-                return [BOT, *(tag(k, x) for k, b in bs.items() for x in below(b))]
-            case RecordShape(fields=fs):
-                pools = [go(f, seen) for f in fs.values()]
-                return [record(zip(fs, combo)) for combo in itertools.product(*pools)]
-            case PairShape(left=l, right=r):
-                return [pair(x, y) for x in go(l, seen) for y in go(r, seen)]
-            case ValPairShape(val=tau, rest=r):
-                if not isinstance(tau, A.ProcType):
-                    raise NotEnumerable(tau)
-                return [valpair(f, y) for f in (FBOT, QPROC_BOT) for y in go(r, seen)]
-            case FoldShape():
-                return [fold(x) for x in go(s.body, seen)]
+def _below(s: Shape, depth: int) -> Sequence[CommValue]:
+    """The values of ``s`` under a message boundary at ``depth``."""
+    return _enumerate(s, depth - 1) if depth > 0 else ()
 
-    return tuple(sorted(set(go(shape, frozenset())), key=value_key))
+
+def _enumerate_in(s: Shape, depth: int, seen: frozenset) -> list[CommValue]:
+    """The values of ``s`` within one message boundary; a shape in ``seen``
+    recurs without crossing one, and contributes only BOT."""
+    if s in seen:
+        return [BOT]
+    seen = seen | {s}
+    match s:
+        case UnitShape(star=star):
+            return [BOT, STAR] if star else [BOT]
+        case LiftShape(inner=i):
+            return [BOT, *(Lift(x) for x in _below(i, depth))]
+        case SumShape(branches=bs):
+            return [BOT, *(tag(k, x) for k, b in bs.items() for x in _below(b, depth))]
+        case RecordShape(fields=fs):
+            pools = [_enumerate_in(f, depth, seen) for f in fs.values()]
+            return [record(zip(fs, combo)) for combo in itertools.product(*pools)]
+        case PairShape(left=l, right=r):
+            return [pair(x, y) for x in _enumerate_in(l, depth, seen)
+                    for y in _enumerate_in(r, depth, seen)]
+        case ValPairShape(val=tau, rest=r):
+            if not isinstance(tau, A.ProcType):
+                raise NotEnumerable(tau)
+            return [valpair(f, y) for f in (FBOT, QPROC_BOT)
+                    for y in _enumerate_in(r, depth, seen)]
+        case FoldShape():
+            return [fold(x) for x in _enumerate_in(s.body, depth, seen)]
 
 
 def value_key(v: CommValue):
@@ -689,51 +695,51 @@ def _func_key(f: FuncValue):
 def recursive(ty: A.SType, pol: Polarity) -> bool:
     """Whether the aspect has a ``rho``: only then can a value be deeper than
     every depth, so that truncation may lose part of it."""
+    return _has_fold(aspect(ty, pol))
 
-    def go(s: Shape) -> bool:
-        match s:
-            case FoldShape():
-                return True
-            case LiftShape(inner=i) | ValPairShape(rest=i):
-                return go(i)
-            case SumShape(branches=fs) | RecordShape(fields=fs):
-                return any(go(f) for f in fs.values())
-            case PairShape(left=l, right=r):
-                return go(l) or go(r)
-        return False
 
-    return go(aspect(ty, pol))
+def _has_fold(s: Shape) -> bool:
+    match s:
+        case FoldShape():
+            return True
+        case LiftShape(inner=i) | ValPairShape(rest=i):
+            return _has_fold(i)
+        case SumShape(branches=fs) | RecordShape(fields=fs):
+            return any(_has_fold(f) for f in fs.values())
+        case PairShape(left=l, right=r):
+            return _has_fold(l) or _has_fold(r)
+    return False
 
 
 def chain_steps(ty: A.SType, pol: Polarity, depth: float) -> int:
     """An upper bound on the number of strict steps any ascending chain can
     take in the depth-truncated aspect; ``math.inf`` gives the full height
     of an aspect that is not recursive."""
+    return _chain_steps(aspect(ty, pol), depth, frozenset())
 
-    def go(s: Shape, d: int, seen: frozenset) -> int:
-        if s in seen:
-            return 0
-        seen = seen | {s}
-        match s:
-            case UnitShape(star=star):
-                return int(star)
-            case LiftShape(inner=i):
-                return 1 + go(i, d - 1, frozenset()) if d > 0 else 0
-            case SumShape(branches=bs):
-                if d <= 0:
-                    return 0
-                return 1 + max(go(b, d - 1, frozenset()) for b in bs.values())
-            case RecordShape(fields=fs):
-                return sum(go(f, d, seen) for f in fs.values())
-            case PairShape(left=l, right=r):
-                return go(l, d, seen) + go(r, d, seen)
-            case ValPairShape(rest=r):
-                # absent < stuck < a quoted process
-                return 2 + go(r, d, seen)
-            case FoldShape():
-                return go(s.body, d, seen)
 
-    return go(aspect(ty, pol), depth, frozenset())
+def _chain_steps(s: Shape, d: float, seen: frozenset) -> int:
+    if s in seen:
+        return 0
+    seen = seen | {s}
+    match s:
+        case UnitShape(star=star):
+            return int(star)
+        case LiftShape(inner=i):
+            return 1 + _chain_steps(i, d - 1, frozenset()) if d > 0 else 0
+        case SumShape(branches=bs):
+            if d <= 0:
+                return 0
+            return 1 + max(_chain_steps(b, d - 1, frozenset()) for b in bs.values())
+        case RecordShape(fields=fs):
+            return sum(_chain_steps(f, d, seen) for f in fs.values())
+        case PairShape(left=l, right=r):
+            return _chain_steps(l, d, seen) + _chain_steps(r, d, seen)
+        case ValPairShape(rest=r):
+            # absent < stuck < a quoted process
+            return 2 + _chain_steps(r, d, seen)
+        case FoldShape():
+            return _chain_steps(s.body, d, seen)
 
 
 # ---------------------------------------------------------------------------

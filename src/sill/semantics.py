@@ -18,7 +18,9 @@ Functional terms evaluate call-by-value into :class:`~sill.domain.FuncValue`.
 The fixed-point operator iterates from bottom.  At a quoted-process type
 it computes only the points a query observes: each input row of the
 interface is an unknown, solved together with the rows it depends on the
-first time a query asks for it, and kept for later queries.
+first time a query asks for it, and kept for later queries.  Within one
+:class:`EvalConfig`, every instantiation of a ``fix`` node with the same
+free-variable values is one site, so each fixed point is solved once.
 
 Denotation is staged in two passes, as in a closure-generating interpreter
 (Feeley and Lapalme, "Using closures for code generation", 1987).  The
@@ -138,6 +140,9 @@ class EvalConfig:
     diag: Diag = field(default_factory=Diag)
     # the static pass's instantiators, by AST node and typing context
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the live fix sites, by node, typing context and free-variable values
+    fixes: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False)
 
     def fix_fuel(self) -> int:
         return self.fuel if self.fuel is not None else max(2 * self.depth + 8, 32)
@@ -549,7 +554,18 @@ def _compile_term(term: A.Term, ty: Optional[A.FType], psi: dict[str, A.FType]) 
             if ty is None:
                 raise ValueError("fix needs a type annotation to evaluate")
             body = _compile_term(m, ty, {**psi, x: ty})
-            return lambda env, cfg: _denote_fix(_FixSite(x, body, ty, env, cfg))
+            free = sorted(A.free_term_vars(term))
+            ctx = (term, ty, *(psi[y] for y in free))
+            static = tuple(map(id, ctx))
+
+            def fix(env: Env, cfg: EvalConfig) -> D.FuncValue:
+                key = (static, tuple(id(env[y]) for y in free))
+                site = cfg.fixes.get(key)
+                if site is None:
+                    site = cfg.fixes[key] = _FixSite(x, body, ty, env, cfg, ctx)
+                return site.instance()
+
+            return fix
     raise ValueError(f"not a term: {term!r}")
 
 
@@ -568,20 +584,42 @@ def apply_func(fv: D.FuncValue, av: D.FuncValue, cfg: EvalConfig) -> D.FuncValue
     return body(Env(dict(fv.env)).updated(fv.var, av), cfg)
 
 
+_QUOTED = object()  # a site's value-level result is its quoted :attr:`_FixSite.value`
+
+
 class _FixSite:
-    """One occurrence of ``fix x. body``, instantiated in ``env``.
+    """One fixed point ``fix x. body`` in one query: the ``Fix`` node, in its
+    typing context ``ctx`` (the node, ``ty`` and the types of its free
+    variables), with the values ``env`` binds to those variables.
+
+    While the site lives, every instantiation of the node in the same
+    context with the same values (by identity) is this site:
+    ``cfg.fixes`` holds it weakly under their ids, and the site holds
+    ``ctx`` and ``env``, so those ids stay valid while the entry exists.
+    The value level is iterated once, at the first instantiation.
 
     At a quoted-process type the value of the fix is :attr:`value`.  The
     input rows of its interface are the unknowns of the fixed-point
-    equation: the first time a query asks for a row, :func:`_denote_fix`
-    solves it together with the rows it depends on, and keeps them in
-    :attr:`solved` as constants for later queries.
+    equation: the first time any instantiation asks for a row,
+    :func:`_denote_fix` solves it together with the rows it depends on,
+    and keeps them in :attr:`solved` as constants for later queries.
     """
 
-    def __init__(self, x: str, body: Inst, ty: A.FType, env: Env, cfg: EvalConfig):
-        self.x, self.body, self.ty, self.env, self.cfg = x, body, ty, env, cfg
+    def __init__(self, x: str, body: Inst, ty: A.FType, env: Env, cfg: EvalConfig,
+                 ctx: tuple):
+        self.x, self.body, self.ty, self.env, self.cfg, self.ctx = x, body, ty, env, cfg, ctx
         self.solved: dict[Row, Row] = {}
         self._value: Optional[weakref.ref] = None
+        # FBOT, a closure or _QUOTED, once the value level is solved
+        self._level: object = None
+
+    def instance(self) -> D.FuncValue:
+        """The value of the fix, from the site's one value-level solve.
+        The quoted value is not kept here: it holds the site."""
+        if self._level is None:
+            v = _denote_fix(self)
+            self._level = _QUOTED if isinstance(v, D.QProc) else v
+        return self.value if self._level is _QUOTED else self._level
 
     def unroll(self, v: D.FuncValue) -> D.FuncValue:
         """The body with the recursive variable bound to ``v``."""
@@ -637,7 +675,9 @@ class _FixSite:
 def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
     """Kleene iteration from bottom for a ``fix``, within the fuel.
 
-    Without ``row``, iterate the value of the fix, and return it.  Iterates
+    Without ``row``, iterate the value of the fix, and return it;
+    :meth:`_FixSite.instance` does so once per site, however many
+    instantiations share it.  Iterates
     converge when they are equal.  At a quoted-process type only the value
     level is iterated: once an iterate is above bottom, so is the fix, and
     the next iterate is :attr:`_FixSite.value`, whose rows are solved on
@@ -653,7 +693,9 @@ def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
     the subsystem the query depends on (a local solver, after Le Charlier
     and Van Hentenryck 1992).
 
-    Each call appends its number of rounds to ``cfg.diag.fix_rounds``.
+    Each call appends its number of rounds to ``cfg.diag.fix_rounds``, so
+    the list has one entry per solve actually run: a row that any
+    instantiation of the site solved before adds none.
     """
     cfg = site.cfg
     fuel = cfg.fix_fuel()

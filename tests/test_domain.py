@@ -257,6 +257,30 @@ def test_intern_table_lets_a_quoted_process_die():
     assert len(D._INTERNED) < interned
 
 
+def test_type_traversals_leave_no_cyclic_garbage():
+    # a self-recursive helper nested in a function is a function <-> cell
+    # cycle on every call, which only the cyclic collector frees
+    ty = parse_type("rho q. +{x: q, y: (rho r. &{u: up r}) * q}")
+    same = parse_type("rho p. +{x: p, y: (rho s. &{u: up s}) * p}")
+    other = parse_type("rho p. +{x: p, y: (rho s. &{u: up p}) * p}")
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        steps = [D.chain_steps(ty, pol, 3) for pol in (POS, NEG)]
+        recursive = D.recursive(ty, POS)
+        values = D.enumerate_values(ty, POS, 2)
+        equal = A.types_equal(ty, same), A.types_equal(ty, other)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert (steps, recursive, len(values), equal) == ([3, 3], True, 6, (True, False))
+    assert garbage == []
+
+
 # ---------------------------------------------------------------------------
 # Truncation
 

@@ -15,6 +15,7 @@ from sill import domain as D
 from sill import semantics as S
 from sill.ast import NEG, POS
 from sill.cli import main
+from sill.equiv import check_equiv, input_grid
 from sill.laws import (conway_identity_suite, corpus_processes, corpus_tables,
                        random_monotone_den, trace_axiom_suite)
 from sill.parser import parse_process, parse_program, parse_term, parse_type
@@ -290,24 +291,133 @@ def test_fix_over_a_function_carrying_interface_converges():
     assert not cfg.diag.nonconverged
 
 
+def flip_procs():
+    return parse_program(FLIP_SILL.read_text(encoding="utf-8")).procs()
+
+
+def config_outlives(query, depth: int) -> bool:
+    """Whether the config ``query`` fills is still alive once the query's
+    results are dropped, with the cyclic collector off."""
+    gc.disable()
+    try:
+        cfg = S.EvalConfig(depth=depth)
+        held = query(cfg)
+        config = weakref.ref(cfg)
+        del cfg, held
+        return config() is not None
+    finally:
+        gc.enable()
+
+
 def test_fix_site_does_not_outlive_its_query():
     # A fix site holds its config.  Nothing a query leaves behind may hold the
     # site in a reference cycle, or the config, its compiled code and its
-    # memo tables would wait for the cyclic collector.
-    flip1 = parse_program(FLIP_SILL.read_text(encoding="utf-8")).procs()["flip1"]
-    gc.disable()
-    try:
-        cfg = S.EvalConfig(depth=8)
-        den = S.denote_process(flip1.proc, dict(flip1.delta), flip1.channel,
-                               flip1.ty, {}, S.EMPTY_ENV, cfg)
+    # memo tables would wait for the cyclic collector.  The table of shared
+    # sites holds them weakly, under keys that hold no node or value.
+    procs = flip_procs()
+
+    def flip1(cfg):
+        p = procs["flip1"]
+        den = S.denote_process(p.proc, dict(p.delta), p.channel, p.ty, {}, S.EMPTY_ENV, cfg)
         out = den(S.Row({"b+": val("0·1·1·_", BITS, POS), "f-": D.BOT}))
         assert cfg.diag.fix_rounds == [2, 4]
-        config = weakref.ref(cfg)
-        del cfg, den
-        assert config() is None
-    finally:
-        gc.enable()
-    assert out["f+"] == val("1·0·0·_", BITS, POS)
+        assert out["f+"] == val("1·0·0·_", BITS, POS)
+        return den
+
+    def flip2_fwdp(cfg):
+        dens = [S.denote_process(p.proc, dict(p.delta), p.channel, p.ty, {},
+                                 S.EMPTY_ENV, cfg) for p in (procs["flip2"], procs["fwdp"])]
+        grid = input_grid(dict(procs["fwdp"].delta), "b", BITS, cfg.depth)
+        assert S.first_difference(*dens, grid, cfg.depth) is None
+        assert len(cfg.fixes) == 1  # both flips are one site
+        return dens
+
+    nested = parse_term("fix F. {a <- send a unfold; a.0; a <- {(fix G. F : {a : bits})}}",
+                        types=tbl()["types"])
+
+    def nested_fix(cfg):
+        value = S.term_denotation(nested, A.ProcType("a", BITS, ()), cfg=cfg)
+        assert value.den(S.Row({"$p": D.BOT}))["$p"] == val("0·0·0·0·0·0·0·_", BITS, POS)
+        return value
+
+    assert not config_outlives(flip1, 8)
+    assert not config_outlives(flip2_fwdp, 6)
+    assert not config_outlives(nested_fix, 6)
+
+
+def test_both_flips_of_flip2_share_their_row_solves(capsys):
+    # both spawns of `flip` name the one fixed point, so a row the first
+    # solved is not solved again for the second
+    assert main(["eval", str(FLIP_SILL), "--proc", "flip2",
+                 "--in", "a+ = 0·1·1·_", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["output"] == {"a-": "_", "b+": "0·1·1·_"}
+    assert out["diagnostics"] == {"fix_rounds": [4, 4], "nonconverged": False,
+                                  "trace_iterations": [2]}
+
+
+def test_no_fixed_point_row_is_solved_twice_in_one_query(monkeypatch):
+    procs = flip_procs()
+    flip2, fwdp = procs["flip2"], procs["fwdp"]
+    solves = []
+    orig = S._denote_fix
+
+    def denote_fix(site, row=None):
+        # the site is kept, so that the ids of its node and values stay valid
+        solves.append((site, row))
+        return orig(site, row)
+
+    monkeypatch.setattr(S, "_denote_fix", denote_fix)
+    verdict = check_equiv(flip2.proc, fwdp.proc, dict(flip2.delta), flip2.channel,
+                          flip2.ty, depth=6)
+    assert verdict.kind == "equivalent"
+    # a fixed point is its node with the values of its free variables
+    solved = [(id(site.ctx[0]), tuple(id(v) for _, v in site.env.as_tuple()), row)
+              for site, row in solves]
+    assert len(solved) == len(set(solved)) == 1 + 75  # the value, then each row
+
+
+FIX_OF_ARG = r"\g : {a : bits}. (fix F. {a <- send a unfold; a.0; a <- g} : {a : bits})"
+
+
+def test_a_fix_is_not_shared_across_different_free_values():
+    lam = parse_term(FIX_OF_ARG, types=tbl()["types"], terms=tbl()["terms"])
+    row = S.Row({"$p": D.BOT})
+
+    def applied(arg, cfg):
+        term = A.App(lam, tbl()["terms"][arg])
+        return S.term_denotation(term, lam.ty, cfg=cfg)
+
+    cfg = S.EvalConfig(depth=4)
+    zeros, ones = applied("zeros", cfg), applied("ones", cfg)
+    assert applied("zeros", cfg) is zeros  # the same argument: the same site
+    assert cfg.diag.fix_rounds == [2, 2, 2, 2]  # zeros, F over zeros, ones, F over ones
+    outs = [v.den(row)["$p"] for v in (zeros, ones)]
+    assert outs == [val("0·0·0·0·0·0·_", BITS, POS), val("0·1·1·1·1·1·_", BITS, POS)]
+    for arg, out in zip(("zeros", "ones"), outs):
+        assert applied(arg, S.EvalConfig(depth=4)).den(row)["$p"] == out
+
+
+def test_a_shared_inner_fix_lets_the_outer_solve_converge():
+    # each unfolding sends the value of a closed inner fix.  Unshared, every
+    # sweep built a new quoted process, so the sent values never agreed
+    # and the solve ran out of fuel; shared, the sweeps send the same one
+    prog = parse_program(r"""
+        type vs = rho t. {d : 1} /\ t
+        term src : {a : vs} =
+          fix F. {a <- send a unfold; send a ((fix G. {d <- close d} : {d : 1})); a <- F}
+    """)
+    src = prog.terms()["src"]
+    cfg = S.EvalConfig(depth=3)
+    value = S.term_denotation(src.term, src.ty, cfg=cfg)
+    out = value.den(S.Row({"$p": D.BOT}))["$p"]
+    assert cfg.diag.fix_rounds == [2, 2, 2, 4]  # G, F, G again in the row solve, F's row
+    assert not cfg.diag.nonconverged
+    sent = []
+    while out != D.BOT:
+        sent.append(out.inner.inner.val)
+        out = out.inner.inner.rest
+    assert len(sent) == 4 and len(set(map(id, sent))) == 1
 
 
 def test_quoted_stuck_process_is_not_bottom():
