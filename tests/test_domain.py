@@ -3,6 +3,8 @@
 import gc
 import itertools
 import json
+import random
+import re
 import weakref
 from pathlib import Path
 
@@ -368,6 +370,91 @@ def test_notation_roundtrip_on_battery():
             assert D.parse_value(text, ty, pol) == v
 
 
+# The value-notation golden: (type, polarity, text) cases, each mapped to the
+# printed value read from it or to the error text.  The texts are every
+# formatted value of depth at most 3 read at every aspect, each token prefix
+# and some seeded one-token mutations of those values at their own aspect,
+# and a few hand-written texts.  Regenerate with
+# ``PYTHONPATH=src python tests/test_domain.py``.
+
+VALUE_GOLDEN = Path(__file__).resolve().parent / "value_golden.json"
+
+# Besides the battery: a record whose fields have different shapes, a
+# recursive pair, and a recursive type read through nested up(...).
+NOTATION_BATTERY = BATTERY + [
+    (parse_type("+{j: down up 1, k: 1}"), NEG),
+    (parse_type("rho t. 1 * t"), POS),
+    (parse_type("rho t. down up t"), POS),
+]
+
+NOTATION_TOKEN = re.compile(r"<[^>]*>|[^\W_]\w*|\S")
+MUTANTS = ["_", "*", "(", ")", "{", "}", ",", ":", "·", "up", "fold", "<stuck>",
+           "<proc>", "0", "1", "j", "k", "zz", "a_b", "$", "<"]
+HANDWRITTEN = [
+    "", " ", "_", "*", "()", "{}", "(_)", "((_))", "(_, _, _)", "_ _", "up", "fold",
+    "up(", "up(_", "up(_))", "up(*, *))", "up((*, *))", "up(_ _)", "fold(_)",
+    "fold(fold(_))", "fold(0·_)", "(fold(_))", "0·", "0.1._", " 0 · 1 · _ ", "2·_",
+    "·_", "0··_", "x", "a_b·_", "0·a_b·_", "0·up·_", "<proc>", "<fun>", "<stuck>",
+    "<oops", "<a_b>", "$", "{zz: _}", "{j _}", "{j: _", "{j: _,}", "{zz: _, yy: *}",
+    "{j: _, j: up(_)}", "{k: up(_), j: *}", "{<a_b>: _}", "(<stuck>, _)",
+    "(<proc>, _)", "(*, _)", "up((_, up(*)))", "{j: up(*), k: up(_)}", "(_, {j: _)",
+]
+
+
+def notation_texts(values):
+    """Each text of ``values`` at its own aspect, its token prefixes and
+    three seeded one-token mutations (a replacement, a deletion or an
+    insertion of a token from ``MUTANTS``)."""
+    texts = []
+    for text in values:
+        spans = [m.span() for m in NOTATION_TOKEN.finditer(text)]
+        texts += [text[:end] for _, end in spans[:-1]]
+        rng = random.Random(text)
+        for _ in range(3):
+            start, end = rng.choice(spans)
+            op, new = rng.choice(["replace", "delete", "insert"]), rng.choice(MUTANTS)
+            if op == "replace":
+                texts.append(text[:start] + new + text[end:])
+            elif op == "delete":
+                texts.append(text[:start] + text[end:])
+            else:
+                texts.append(text[:start] + new + " " + text[start:])
+    return texts
+
+
+def notation_reading(text, ty, pol):
+    try:
+        return {"value": D.format_value(D.parse_value(text, ty, pol), ty, pol)}
+    except D.ValueNotationError as exc:
+        return {"error": str(exc)}
+
+
+def notation_golden_cases() -> dict[str, list[str]]:
+    own = {battery_key(ty, pol): [D.format_value(v, ty, pol) for v in enum(ty, pol, 3)]
+           for ty, pol in NOTATION_BATTERY}
+    every = sorted({t for texts in own.values() for t in texts})
+    return {key: list(dict.fromkeys(every + HANDWRITTEN + notation_texts(own[key])))
+            for key in own}
+
+
+def notation_golden() -> dict[str, dict[str, dict]]:
+    cases = notation_golden_cases()
+    return {battery_key(ty, pol): {t: notation_reading(t, ty, pol)
+                                   for t in cases[battery_key(ty, pol)]}
+            for ty, pol in NOTATION_BATTERY}
+
+
+def test_notation_matches_golden():
+    golden = json.loads(VALUE_GOLDEN.read_text(encoding="utf-8"))
+    cases = notation_golden_cases()
+    assert list(golden) == list(cases)
+    for ty, pol in NOTATION_BATTERY:
+        key = battery_key(ty, pol)
+        assert list(golden[key]) == cases[key], key
+        for text, want in golden[key].items():
+            assert notation_reading(text, ty, pol) == want, (key, text)
+
+
 def test_notation_accepts_ascii_dot():
     assert D.parse_value("0.1._", BITS, POS) == D.parse_value("0·1·_", BITS, POS)
 
@@ -386,3 +473,8 @@ def test_conformance_checker():
     assert not D.conforms(D.STAR, parse_type("1"), NEG)
     assert not D.conforms(D.tag("9", D.BOT), BITS, POS)
     assert D.conforms(D.BOT, AMP, NEG)
+
+
+if __name__ == "__main__":
+    VALUE_GOLDEN.write_text(json.dumps(notation_golden(), indent=1, ensure_ascii=False)
+                            + "\n", encoding="utf-8")
