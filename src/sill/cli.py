@@ -49,8 +49,15 @@ def _emit_json(payload) -> None:
 
 
 def _load_program(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return parse_program(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    return parse_program(source)
 
 
 def cmd_check(args) -> int:
@@ -112,7 +119,10 @@ def _parse_input_row(text: str, aspects) -> dict:
         if "=" not in part:
             raise UsageError(f"bad input entry {part!r}; write key = value")
         key, _, val = part.partition("=")
-        entries[key.strip()] = val.strip()
+        key = key.strip()
+        if key in entries:
+            raise UsageError(f"input key {key!r} is given twice")
+        entries[key] = val.strip()
     row = {}
     for key, aspect in aspects.items():
         if key in entries:
@@ -134,11 +144,7 @@ def _parse_input_row(text: str, aspects) -> dict:
 
 def cmd_eval(args) -> int:
     program = _load_program(args.file)
-    try:
-        T.check_program(program)
-    except T.TypeCheckError as exc:
-        print(f"typecheck failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    T.check_program(program)
     decl = _find_proc(program, args.proc)
     delta = dict(decl.delta)
     cfg = S.EvalConfig(depth=args.depth, fuel=args.fuel)
@@ -177,8 +183,7 @@ def cmd_equiv(args) -> int:
     right = _find_proc(program, args.right)
     if (dict(left.delta) != dict(right.delta) or left.channel != right.channel
             or not A.types_equal(left.ty, right.ty)):
-        print("the two processes have different interfaces", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("the two processes have different interfaces")
     verdict = E.check_equiv(
         left.proc, right.proc, dict(left.delta), left.channel, left.ty,
         depth=args.depth, fuel=args.fuel,
@@ -360,12 +365,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SillSyntaxError, T.TypeCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (UsageError, FileNotFoundError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # streams are read in a loop, but brackets such as up(up(…)) recurse:
-        # about a thousand of them exceed the interpreter's recursion limit
+        # streams and unary brackets such as up(up(…)) are read in a loop, but
+        # each pair or record nests a call: a few hundred nested pairs exceed
+        # the interpreter's recursion limit
         print("error: input too deeply nested to evaluate", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,8 +16,8 @@ built from the constructors such domains are made of:
 
 The neutral connectives (``down`` at -, ``up`` at +, ``/\\`` at -, ``=>`` at
 +) take their body's shape, and a sent channel or value is a lifted
-product.  Conformance, enumeration, chain heights and the text notation
-are traversals of the shape tree.
+product.  Conformance, enumeration, chain heights, and printing and
+reading the text notation are traversals of the shape tree.
 
 The finite elements of an aspect are trees of values:
 
@@ -50,9 +50,10 @@ object and a traversal finds such an occurrence by the node it revisits.
 from __future__ import annotations
 
 import itertools
+import re
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import ast as A
@@ -800,169 +801,18 @@ def format_func_value(f: FuncValue) -> str:
     raise DomainError(f"not a functional value: {f!r}")
 
 
-# Raw value-notation trees, coerced against an aspect afterwards.
+# Reading the notation is one scan and one walk of the aspect's shape, as
+# printing is.  Unary wrappers (up(...), fold(...), k·v, implicit folds and
+# grouping parentheses) are read in a loop and their closing brackets checked
+# on the way out, so neither a long stream nor deep up(up(…)) nests a call per
+# level; pairs and records recurse.  A fault is reported where the reading
+# meets it, so a shape fault is reported before a later syntax fault.
 
+_VALUE_TOKEN = re.compile(r"\s*(<[^>]*>|[^\W_]\w*|\S)")
 
-@dataclass(frozen=True)
-class _Raw:
-    pass
-
-
-@dataclass(frozen=True)
-class _RBot(_Raw):
-    pass
-
-
-@dataclass(frozen=True)
-class _RStar(_Raw):
-    pass
-
-
-@dataclass(frozen=True)
-class _RStuck(_Raw):
-    pass
-
-
-@dataclass(frozen=True)
-class _RUp(_Raw):
-    inner: _Raw
-
-
-@dataclass(frozen=True)
-class _RFold(_Raw):
-    inner: _Raw
-
-
-@dataclass(frozen=True)
-class _RDot(_Raw):
-    label: str
-    inner: _Raw
-
-
-@dataclass(frozen=True)
-class _RTuple(_Raw):
-    items: tuple[_Raw, ...]
-
-
-@dataclass(frozen=True)
-class _RMap(_Raw):
-    items: tuple[tuple[str, _Raw], ...]
-
-
-def _tokenize_value(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()*{},:_":
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "<":
-            j = text.find(">", i)
-            if j < 0:
-                raise ValueNotationError("unclosed <...> in value")
-            out.append(text[i:j + 1])
-            i = j + 1
-            continue
-        if ch in "·.":
-            out.append("·")
-            i += 1
-            continue
-        if ch.isalnum():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-            continue
-        raise ValueNotationError(f"unexpected character {ch!r} in value")
-    return out
-
-
-def _parse_raw(tokens: list[str], pos: int) -> tuple[_Raw, int]:
-    if pos >= len(tokens):
-        raise ValueNotationError("unexpected end of value")
-    tok = tokens[pos]
-    if tok == "_":
-        return _RBot(), pos + 1
-    if tok == "*":
-        return _RStar(), pos + 1
-    if tok == "<stuck>":
-        return _RStuck(), pos + 1
-    if tok in ("<proc>", "<fun>"):
-        raise ValueNotationError(
-            f"{tok} displays a functional value with no written form"
-        )
-    if tok in ("up", "fold"):
-        if pos + 1 >= len(tokens) or tokens[pos + 1] != "(":
-            raise ValueNotationError(f"{tok} needs parentheses")
-        inner, q = _parse_raw(tokens, pos + 2)
-        if q >= len(tokens) or tokens[q] != ")":
-            raise ValueNotationError(f"unclosed {tok}(...)")
-        node = _RUp(inner) if tok == "up" else _RFold(inner)
-        return node, q + 1
-    if tok == "(":
-        items = []
-        q = pos + 1
-        while True:
-            item, q = _parse_raw(tokens, q)
-            items.append(item)
-            if q < len(tokens) and tokens[q] == ",":
-                q += 1
-                continue
-            break
-        if q >= len(tokens) or tokens[q] != ")":
-            raise ValueNotationError("unclosed (...)")
-        if len(items) == 1:
-            return items[0], q + 1
-        return _RTuple(tuple(items)), q + 1
-    if tok == "{":
-        entries = []
-        q = pos + 1
-        while True:
-            if q >= len(tokens):
-                raise ValueNotationError("unclosed {...}")
-            label = tokens[q]
-            if not label.isalnum() and "_" not in label:
-                raise ValueNotationError(f"bad record label {label!r}")
-            if q + 1 >= len(tokens) or tokens[q + 1] != ":":
-                raise ValueNotationError("record entries are written label: value")
-            item, q = _parse_raw(tokens, q + 2)
-            entries.append((label, item))
-            if q < len(tokens) and tokens[q] == ",":
-                q += 1
-                continue
-            break
-        if q >= len(tokens) or tokens[q] != "}":
-            raise ValueNotationError("unclosed {...}")
-        return _RMap(tuple(entries)), q + 1
-    if tok.isalnum():
-        # a k·v chain, such as a stream, is read in a loop: its length nests no calls
-        labels = []
-        while (tokens[pos + 1:pos + 2] == ["·"] and tokens[pos].isalnum()
-               and tokens[pos] not in ("up", "fold")):
-            labels.append(tokens[pos])
-            pos += 2
-        if not labels:
-            raise ValueNotationError(f"bare name {tok!r} is not a value")
-        raw, q = _parse_raw(tokens, pos)
-        for label in reversed(labels):
-            raw = _RDot(label, raw)
-        return raw, q
-    raise ValueNotationError(f"unexpected token {tok!r} in value")
-
-
-def parse_value(text: str, ty: A.SType, pol: Polarity) -> CommValue:
-    tokens = _tokenize_value(text)
-    raw, pos = _parse_raw(tokens, 0)
-    if pos != len(tokens):
-        raise ValueNotationError(f"trailing input in value: {tokens[pos:]}")
-    return _coerce(raw, aspect(ty, pol))
-
+@dataclass(frozen=True, eq=False)
+class _FuncSlot(Shape):
+    """Where the notation writes a sent functional value: _ or <stuck>."""
 
 _EXPECTED = {
     UnitShape: "the unit type carries only _ or *",
@@ -971,54 +821,152 @@ _EXPECTED = {
     RecordShape: "expected a record {label: value, ...}",
     PairShape: "expected a pair (v, w)",
     ValPairShape: "expected a pair (value, w)",
+    FoldShape: "expected fold(...) or _",  # a fold that reaches itself with no message
+    _FuncSlot: "functional values have no notation beyond _ and <stuck>",
 }
 
 
-def _coerce(raw: _Raw, s: Shape) -> CommValue:
-    # a chain of folds and labels (a stream) is read in a loop; None marks a fold
-    chain: list[Optional[str]] = []
-    while True:
-        if isinstance(s, FoldShape) and (isinstance(raw, _RFold)
-                                         or s.labelled and isinstance(raw, _RDot)):
-            chain.append(None)
-            raw, s = raw.inner if isinstance(raw, _RFold) else raw, s.body
-        elif isinstance(s, SumShape) and isinstance(raw, _RDot):
-            if raw.label not in s.branches:
-                raise ValueNotationError(f"label {raw.label!r} not among {sorted(s.branches)}")
-            chain.append(raw.label)
-            raw, s = raw.inner, s.branches[raw.label]
-        else:
-            break
-    v = _coerce_node(raw, s)
-    for label in reversed(chain):
-        v = fold(v) if label is None else tag(label, v)
+def parse_value(text: str, ty: A.SType, pol: Polarity) -> CommValue:
+    reader = _Reader(text)
+    v = reader.value(aspect(ty, pol))
+    if reader.pos != reader.end:
+        rest = reader.tokens[reader.pos:reader.end]
+        raise ValueNotationError(f"trailing input in value: {rest}")
     return v
 
 
-def _coerce_node(raw: _Raw, s: Shape) -> CommValue:
-    if isinstance(raw, _RBot):
-        return BOT
-    match s, raw:
-        case UnitShape(star=False), _:
-            raise ValueNotationError("nothing flows this way on a unit channel; use _")
-        case UnitShape(), _RStar():
-            return STAR
-        case LiftShape(inner=i), _RUp(inner=r):
-            return Lift(_coerce(r, i))
-        case RecordShape(fields=fs), _RMap(items=items):
-            got = dict(items)
-            if set(got) - set(fs):
-                raise ValueNotationError(f"unknown labels {sorted(set(got) - set(fs))}")
-            return record({k: _coerce(got[k], f) if k in got else BOT
-                           for k, f in fs.items()})
-        case PairShape(left=l, right=r), _RTuple(items=(a, b)):
-            return pair(_coerce(a, l), _coerce(b, r))
-        case ValPairShape(rest=r), _RTuple(items=(f, rest)):
-            if not isinstance(f, (_RBot, _RStuck)):
+def _is_label(tok: Optional[str]) -> bool:
+    return tok is not None and (tok.isalnum() or "_" in tok)
+
+
+class _Reader:
+    """The tokens of one text, read against shapes from ``pos`` on.  Two
+    ``None`` after the last token stand for the end of the text."""
+
+    def __init__(self, text: str):
+        # For each ( or { the positions of its top-level commas: they tell a
+        # tuple from grouping parentheses and give a record's labels before
+        # any field is read.
+        self.tokens: list[Optional[str]] = _VALUE_TOKEN.findall(text)
+        self.commas: dict[int, list[int]] = {}
+        self.pos, self.end = 0, len(self.tokens)
+        open_at: list[int] = []
+        for at, tok in enumerate(self.tokens):
+            if tok in ("(", "{"):
+                self.commas[at] = []
+                open_at.append(at)
+            elif tok in (")", "}"):
+                if open_at:
+                    open_at.pop()
+            elif tok == ",":
+                if open_at:
+                    self.commas[open_at[-1]].append(at)
+            elif tok in ("·", "."):
+                self.tokens[at] = "·"
+            elif tok == "<":
+                raise ValueNotationError("unclosed <...> in value")
+            elif len(tok) == 1 and tok not in "*:_" and not tok.isalnum():
+                raise ValueNotationError(f"unexpected character {tok!r} in value")
+        self.tokens += (None, None)
+
+    def expect(self, tok: str, message: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise ValueNotationError(message)
+        self.pos += 1
+
+    def value(self, s: Shape) -> CommValue:
+        """Read one value of shape ``s``."""
+        wrappers = []  # (closing bracket's name or None, constructor or None)
+        implicit = set()  # (fold shape, position) pairs unfolded without a token
+        while True:
+            tok, after = self.tokens[self.pos], self.tokens[self.pos + 1]
+            if tok is None:
+                raise ValueNotationError("unexpected end of value")
+            if tok in ("<proc>", "<fun>"):
                 raise ValueNotationError(
-                    "functional values have no notation beyond _ and <stuck>"
-                )
-            return valpair(FBOT if isinstance(f, _RBot) else QPROC_BOT, _coerce(rest, r))
-        case FoldShape(), _:
-            return fold(_coerce(raw, s.body))
-    raise ValueNotationError(_EXPECTED[type(s)])
+                    f"{tok} displays a functional value with no written form")
+            if tok in ("up", "fold"):
+                if after != "(":
+                    raise ValueNotationError(f"{tok} needs parentheses")
+            elif tok.isalnum():
+                if after != "·":
+                    raise ValueNotationError(f"bare name {tok!r} is not a value")
+            elif tok not in ("_", "*", "<stuck>", "(", "{"):
+                raise ValueNotationError(f"unexpected token {tok!r} in value")
+            pair_open = tok == "(" and len(self.commas[self.pos]) == 1
+            if tok == "(" and not self.commas[self.pos]:
+                wrappers.append(("(...)", None))
+                self.pos += 1
+                continue
+            if tok == "_":
+                v, self.pos = BOT, self.pos + 1
+                break
+            match s:
+                case FoldShape():
+                    explicit = tok == "fold"
+                    if not explicit and (s, self.pos) in implicit:
+                        raise ValueNotationError(_EXPECTED[FoldShape])
+                    implicit.add((s, self.pos))
+                    wrappers.append(("fold(...)" if explicit else None, fold))
+                    s, self.pos = s.body, self.pos + 2 * explicit
+                    continue
+                case SumShape(branches=bs) if after == "·":
+                    if tok not in bs:
+                        raise ValueNotationError(f"label {tok!r} not among {sorted(bs)}")
+                    wrappers.append((None, partial(tag, tok)))
+                    s, self.pos = bs[tok], self.pos + 2
+                    continue
+                case LiftShape(inner=i) if tok == "up":
+                    wrappers.append(("up(...)", Lift))
+                    s, self.pos = i, self.pos + 2
+                    continue
+                case UnitShape(star=False):
+                    raise ValueNotationError("nothing flows this way on a unit channel; use _")
+                case UnitShape() if tok == "*":
+                    v, self.pos = STAR, self.pos + 1
+                case _FuncSlot() if tok == "<stuck>":
+                    v, self.pos = QPROC_BOT, self.pos + 1
+                case RecordShape(fields=fs) if tok == "{":
+                    v = self.record(fs)
+                case PairShape(left=l, right=r) if pair_open:
+                    v = pair(*self.pair(l, r))
+                case ValPairShape(rest=r) if pair_open:
+                    f, rest = self.pair(_FuncSlot(), r)
+                    v = valpair(FBOT if f is BOT else f, rest)
+                case _:
+                    raise ValueNotationError(_EXPECTED[type(s)])
+            break
+        for closer, build in reversed(wrappers):
+            if closer:
+                self.expect(")", f"unclosed {closer}")
+            if build:
+                v = build(v)
+        return v
+
+    def pair(self, l: Shape, r: Shape) -> tuple:
+        self.pos += 1
+        a = self.value(l)
+        self.expect(",", "unclosed (...)")
+        b = self.value(r)
+        self.expect(")", "unclosed (...)")
+        return a, b
+
+    def record(self, fs: dict[str, Shape]) -> CommValue:
+        labels = {self.tokens[at + 1] for at in [self.pos, *self.commas[self.pos]]}
+        unknown = sorted({k for k in labels if _is_label(k)} - set(fs))
+        if unknown:
+            raise ValueNotationError(f"unknown labels {unknown}")
+        got = {}
+        while True:
+            label = self.tokens[self.pos + 1]
+            if label is None:
+                raise ValueNotationError("unclosed {...}")
+            if not _is_label(label):
+                raise ValueNotationError(f"bad record label {label!r}")
+            self.pos += 2
+            self.expect(":", "record entries are written label: value")
+            got[label] = self.value(fs[label])
+            if self.tokens[self.pos] != ",":
+                break
+        self.expect("}", "unclosed {...}")
+        return record({k: got.get(k, BOT) for k in fs})

@@ -120,8 +120,52 @@ def test_eval_reads_a_long_stream(capsys, bits):
 
 @pytest.mark.parametrize("levels", [1200])
 def test_eval_deeply_nested_input_is_a_usage_error(capsys, levels):
-    usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
-                "--depth", "2", "--in", f"b+ = {'up(' * levels}_{')' * levels}")
+    # up(...) is read in a loop; it is not a bits value, whatever its depth
+    err = usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
+                      "--depth", "2", "--in", f"b+ = {'up(' * levels}_{')' * levels}")
+    assert "expected a labelled value" in err
+
+
+def test_eval_deeply_nested_pairs_are_a_usage_error(tmp_path, capsys):
+    # each pair nests a call, so enough of them reach the recursion limit
+    f = tmp_path / "pairs.sill"
+    f.write_text("type pairs = rho t. 1 * t\n"
+                 "proc fw : (a : pairs |- b : pairs) = fwd b a\n")
+    levels = 1200
+    err = usage_error(capsys, "eval", str(f), "--proc", "fw", "--depth", "2",
+                      "--in", f"a+ = {'up((_, ' * levels}_{'))' * levels}")
+    assert err == "error: input too deeply nested to evaluate\n"
+
+
+def test_eval_duplicate_input_key_is_a_usage_error(capsys):
+    err = usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
+                      "--in", "b+ = 0·_, b+ = 1·_")
+    assert err == "error: input key 'b+' is given twice\n"
+
+
+def test_eval_ill_typed_file_reports_one_error_line(capsys):
+    code = main(["eval", str(FIXTURES / "ill" / "ill_down_positive.sill"),
+                 "--proc", "p"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_equiv_of_different_interfaces_is_a_usage_error(capsys):
+    err = usage_error(capsys, "equiv", str(FIXTURES / "flip.sill"),
+                      "--left", "flip1", "--right", "flip2")
+    assert err == "error: the two processes have different interfaces\n"
+
+
+@pytest.mark.parametrize("command", [["check"], ["eval", "--proc", "p"],
+                                     ["equiv", "--left", "p", "--right", "q"]])
+def test_unreadable_source_is_a_usage_error(tmp_path, capsys, command):
+    binary = tmp_path / "latin1.sill"
+    binary.write_bytes("type caf\u00e9 = 1\n".encode("latin-1"))
+    for path, reason in ((tmp_path, "Is a directory"),
+                         (binary, "not UTF-8 text (invalid continuation byte at byte 8)")):
+        err = usage_error(capsys, command[0], str(path), *command[1:])
+        assert err == f"error: cannot read {path}: {reason}\n"
 
 
 def test_equiv_exit_codes(capsys):

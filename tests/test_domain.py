@@ -3,8 +3,11 @@
 import gc
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -453,6 +456,40 @@ def test_notation_matches_golden():
         assert list(golden[key]) == cases[key], key
         for text, want in golden[key].items():
             assert notation_reading(text, ty, pol) == want, (key, text)
+
+
+def test_notation_reads_deep_unary_nesting():
+    # up(...) and implicit folds are read in a loop, not a call per level
+    ty = parse_type("rho t. down up t")
+    deep = D.parse_value("up(" * 5000 + "_" + ")" * 5000, ty, POS)
+    assert D.truncate(deep, 3) == D.parse_value("up(up(up(_)))", ty, POS)
+
+
+def test_notation_at_a_fold_that_reaches_itself_does_not_hang():
+    # the body of rho a. down a at - is the fold itself: reading anything but
+    # _ or fold(...) there must stop rather than unfold forever
+    code = ("from sill import domain as D\n"
+            "from sill.ast import NEG\n"
+            "from sill.parser import parse_type\n"
+            "ty = parse_type('rho a. down a')\n"
+            "assert D.parse_value('fold(fold(_))', ty, NEG) == D.BOT\n"
+            "for text in ('*', 'up(_)', 'fold(*)', '0·_', '(_, _)', '{j: _}'):\n"
+            "    try:\n"
+            "        D.parse_value(text, ty, NEG)\n"
+            "    except (D.ValueNotationError, RecursionError):\n"
+            "        continue\n"
+            "    raise AssertionError(text)\n")
+    src = str(Path(D.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_notation_reads_each_record_entry_at_its_label():
+    # an entry named twice is read at its label's type both times; the last wins
+    ty = parse_type("+{j: down up 1, k: 1}")
+    assert D.format_value(D.parse_value("{j: up(_), j: _}", ty, NEG), ty, NEG) == "{j: _, k: _}"
+    with pytest.raises(D.ValueNotationError, match="nothing flows"):
+        D.parse_value("{k: up(_), k: _}", ty, NEG)
 
 
 def test_notation_accepts_ascii_dot():
