@@ -487,7 +487,8 @@ def test_notation_at_a_fold_that_reaches_itself_does_not_hang():
 def test_notation_reads_each_record_entry_at_its_label():
     # an entry named twice is read at its label's type both times; the last wins
     ty = parse_type("+{j: down up 1, k: 1}")
-    assert D.format_value(D.parse_value("{j: up(_), j: _}", ty, NEG), ty, NEG) == "{j: _, k: _}"
+    v = D.parse_value("{j: up(_), j: _}", ty, NEG)
+    assert D.format_value(v, ty, NEG) == "{j: _, k: _}"
     with pytest.raises(D.ValueNotationError, match="nothing flows"):
         D.parse_value("{k: up(_), k: _}", ty, NEG)
 
