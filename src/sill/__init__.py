@@ -31,8 +31,8 @@ from .parser import (Program, SillSyntaxError, parse_ftype, parse_process,
                      parse_program, parse_term, parse_type)
 from .pretty import pp_ftype, pp_process, pp_program, pp_term, pp_type
 from .semantics import (Denotation, Env, EvalConfig, Row, denote_process,
-                        denote_term, knaster_tarski_trace, process_denotation,
-                        sfix_row, strictify, term_denotation, trace)
+                        denote_term, knaster_tarski_trace, sfix_row, strictify,
+                        trace)
 from .typecheck import (TypeCheckError, check_process, check_program,
                         check_session_type, check_term, infer_term,
                         polarity_of, subst_type_checked)
@@ -51,8 +51,7 @@ __all__ = [
     "parse_program", "parse_term", "parse_type",
     "pp_ftype", "pp_process", "pp_program", "pp_term", "pp_type",
     "Denotation", "Env", "EvalConfig", "Row", "denote_process", "denote_term",
-    "knaster_tarski_trace", "process_denotation", "sfix_row", "strictify",
-    "term_denotation", "trace",
+    "knaster_tarski_trace", "sfix_row", "strictify", "trace",
     "TypeCheckError", "check_process", "check_program", "check_session_type",
     "check_term", "infer_term", "polarity_of", "subst_type_checked",
 ]

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import os
 import sys
 from typing import Optional
 
@@ -105,7 +107,7 @@ def _parse_input_row(text: str, aspects) -> dict:
         if ch in "({":
             depth += 1
         elif ch in ")}":
-            depth -= 1
+            depth = max(depth - 1, 0)  # a stray bracket is the value reader's to report
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
@@ -148,8 +150,7 @@ def cmd_eval(args) -> int:
     decl = _find_proc(program, args.proc)
     delta = dict(decl.delta)
     cfg = S.EvalConfig(depth=args.depth, fuel=args.fuel)
-    den = S.denote_process(decl.proc, delta, decl.channel, decl.ty, {},
-                           S.EMPTY_ENV, cfg)
+    den = S.denote_process(decl.proc, delta, decl.channel, decl.ty, cfg=cfg)
     row = _parse_input_row(args.inputs or "", den.inputs)
     # Report only query-time solves, but keep a fuel-out from denoting.
     denote_nonconverged = cfg.diag.nonconverged
@@ -257,8 +258,8 @@ def cmd_demo_flip(args) -> int:
     delta = {"a": bits}
     depth = args.depth
     cfg = S.EvalConfig(depth=depth, fuel=args.fuel)
-    den = S.process_denotation(flip2, delta, "b", bits, cfg=cfg)
-    den_fwd = S.process_denotation(fwd, delta, "b", bits, cfg=cfg)
+    den = S.denote_process(flip2, delta, "b", bits, cfg=cfg)
+    den_fwd = S.denote_process(fwd, delta, "b", bits, cfg=cfg)
     inputs = D.enumerate_values(bits, A.POS, depth)
     stabilization = []
     mismatches = []
@@ -356,6 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    out, sys.stdout = sys.stdout, io.StringIO()  # printed once the exit code is known
     try:
         for name in ("depth", "fuel", "rounds"):
             value = getattr(args, name, None)
@@ -374,6 +376,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the interpreter's recursion limit
         print("error: input too deeply nested to evaluate", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        text, sys.stdout = sys.stdout.getvalue(), out
+        try:
+            out.write(text)
+            out.flush()
+        except BrokenPipeError:  # the reader is gone: drop the rest, also at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 if __name__ == "__main__":

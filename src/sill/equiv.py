@@ -8,7 +8,8 @@ comparing the truncated outputs.  A difference yields a replayable
 counterexample; agreement yields ``equivalent``, downgraded to
 ``approximate`` when a fixed point failed to converge within fuel or the
 compared phrases mention a functional variable, which was tried only at
-bottom.
+bottom.  A difference only in functional values (two outputs that print
+alike: quoted processes compare by identity) is ``approximate`` too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Mapping, Optional
 from . import ast as A
 from . import domain as D
 from . import semantics as S
-from . import typecheck as T
 
 
 @dataclass
@@ -41,12 +41,14 @@ class Verdict:
         if self.kind == "equivalent":
             return (f"equivalent at depth {self.depth} "
                     f"({self.inputs_checked} inputs)")
+        if self.witness is None:
+            return f"approximate: {self.reason}"
+        w, l, r = (", ".join(f"{k} = {v}" for k, v in sorted(row.items()))
+                   for row in (self.witness, self.left_out, self.right_out))
+        rows = f"on {w}: left gives {l}; right gives {r}"
         if self.kind == "distinguished":
-            w = ", ".join(f"{k} = {v}" for k, v in sorted(self.witness.items()))
-            l = ", ".join(f"{k} = {v}" for k, v in sorted(self.left_out.items()))
-            r = ", ".join(f"{k} = {v}" for k, v in sorted(self.right_out.items()))
-            return f"distinguished on {w}: left gives {l}; right gives {r}"
-        return f"approximate: {self.reason}"
+            return f"distinguished {rows}"
+        return f"approximate: {self.reason}, {rows}"
 
 
 def _format_row(row: S.Row, aspects: Mapping[str, S.Aspect]) -> dict:
@@ -76,16 +78,13 @@ def check_equiv(left: A.Process, right: A.Process,
                 psi: Optional[Mapping[str, A.FType]] = None,
                 depth: int = 4,
                 fuel: Optional[int] = None) -> Verdict:
-    """Compare two processes at a common interface."""
+    """Compare two processes at a common interface; raises
+    :class:`~sill.typecheck.TypeCheckError` if either is ill-typed there."""
     psi = dict(psi or {})
-    T.check_process(psi, dict(delta), left, c, cty)
-    T.check_process(psi, dict(delta), right, c, cty)
-
-    grid = input_grid(delta, c, cty, depth)
-
     cfg = S.EvalConfig(depth=depth, fuel=fuel)
     dl = S.denote_process(left, delta, c, cty, psi, S.EMPTY_ENV, cfg)
     dr = S.denote_process(right, delta, c, cty, psi, S.EMPTY_ENV, cfg)
+    grid = input_grid(delta, c, cty, depth)
     diff = S.first_difference(dl, dr, grid, depth)
     checked = len(grid) if diff is None else grid.index(diff[0]) + 1
     shown = {} if diff is None else {
@@ -95,6 +94,9 @@ def check_equiv(left: A.Process, right: A.Process,
     if cfg.diag.nonconverged:
         return Verdict("approximate", depth, checked, **shown,
                        reason="a fixed point did not converge within fuel")
+    if diff is not None and shown["left_out"] == shown["right_out"]:
+        return Verdict("approximate", depth, checked, **shown,
+                       reason="the outputs differ only in functional values")
     if diff is not None:
         return Verdict("distinguished", depth, checked, **shown, witness_row=diff[0])
     note = _free_note(psi, left, right)
@@ -106,10 +108,9 @@ def check_equiv(left: A.Process, right: A.Process,
 def term_equiv(left: A.Term, right: A.Term, ty: A.FType,
                psi: Optional[Mapping[str, A.FType]] = None,
                depth: int = 4) -> Verdict:
-    """Compare two functional terms; quoted processes compare extensionally."""
+    """Compare two functional terms; quoted processes compare extensionally.
+    Raises :class:`~sill.typecheck.TypeCheckError` if either is ill-typed."""
     psi = dict(psi or {})
-    T.check_term(psi, left, ty)
-    T.check_term(psi, right, ty)
     cfg = S.EvalConfig(depth=depth)
     vl = S.denote_term(left, ty, psi, S.EMPTY_ENV, cfg)
     vr = S.denote_term(right, ty, psi, S.EMPTY_ENV, cfg)

@@ -24,12 +24,15 @@ free-variable values is one site, so each fixed point is solved once.
 
 Denotation is staged in two passes, as in a closure-generating interpreter
 (Feeley and Lapalme, "Using closures for code generation", 1987).  The
-static pass runs once per AST node and typing context: it resolves
-interfaces, keys, unfolded recursive types and inferred term types, and
-returns an instantiator ``inst(env, cfg)``.  The dynamic pass, calling it,
-binds only the functional environment, so a ``fix`` sweep, a received
-value and a closure application re-bind ``env`` instead of re-walking the
-syntax.  Static results are cached per :class:`EvalConfig`, never across
+static pass runs once per AST node and typing context.  It follows the
+typing derivation, which :func:`~sill.typecheck.derive` builds when the
+phrase is first denoted (so an ill-typed phrase raises the typechecker's
+error): each process node's channel context and each inferred term type is
+read off the derivation, not decided again.  It resolves interfaces and
+keys, and returns an instantiator ``inst(env, cfg)``.  The dynamic pass,
+calling it, binds only the functional environment, so a ``fix`` sweep, a
+received value and a closure application re-bind ``env`` instead of
+re-walking the syntax.  Static results are cached per :class:`EvalConfig`, never across
 configurations.  Message clauses instantiate to plain functions from rows
 to rows; a memoized :class:`Denotation` is kept only where a function is
 shared or queried again: the process :func:`denote_process` returns, the
@@ -514,36 +517,37 @@ def _interface_keys(provided: str, used: Iterable[str]) -> tuple[dict, dict]:
 
 
 def denote_term(term: A.Term, ty: Optional[A.FType],
-                psi: Mapping[str, A.FType], env: Env, cfg: EvalConfig) -> D.FuncValue:
+                psi: Optional[Mapping[str, A.FType]] = None, env: Optional[Env] = None,
+                cfg: Optional[EvalConfig] = None) -> D.FuncValue:
+    """The value of ``term`` at ``ty`` (None: at its annotation) in ``env``.
+    Raises :class:`~sill.typecheck.TypeCheckError` if it does not have that
+    type: the first time ``cfg`` meets it, the term is typechecked."""
+    psi, cfg = dict(psi or {}), cfg or EvalConfig()
+    ty = term.ty if ty is None else ty
     inst = _staged(cfg, term, (ty, tuple(psi.items())),
-                   lambda: _compile_term(term, ty, dict(psi)))
-    return inst(env, cfg)
+                   lambda: _compile_term(term, ty, psi, T.derive(T.check_term, psi, term, ty)))
+    return inst(env or EMPTY_ENV, cfg)
 
 
-def _compile_term(term: A.Term, ty: Optional[A.FType], psi: dict[str, A.FType]) -> Inst:
-    """The static pass over a term: an instantiator of its value."""
+def _compile_term(term: A.Term, ty: A.FType, psi: dict[str, A.FType], table: dict) -> Inst:
+    """The static pass over a term of type ``ty``: an instantiator of its
+    value.  The type of a term the derivation ``table`` inferred is read
+    from it."""
     match term:
         case A.Var(name=x):
             return lambda env, cfg: env[x]
         case A.Anno(term=m, ty=t):
-            return _compile_term(m, t, psi)
-        case A.Lam(var=x, ty=t, body=m):
-            if isinstance(ty, A.Arrow):
-                arrow = ty
-            else:
-                arrow = A.Arrow(t, T.infer_term({**psi, x: t}, m))
+            return _compile_term(m, t, psi, table)
+        case A.Lam(var=x, body=m):
             scope = tuple(sorted(psi.items()))
-            return lambda env, cfg: D.Closure(x, m, arrow, env.as_tuple(), scope)
+            return lambda env, cfg: D.Closure(x, m, ty, env.as_tuple(), scope)
         case A.App(fn=f, arg=a):
-            fty = T.infer_term(dict(psi), f)
-            assert isinstance(fty, A.Arrow)
-            fn, arg = _compile_term(f, fty, psi), _compile_term(a, fty.arg, psi)
+            fty = table[id(f)][1]
+            fn, arg = _compile_term(f, fty, psi, table), _compile_term(a, fty.arg, psi, table)
             return lambda env, cfg: apply_func(fn(env, cfg), arg(env, cfg), cfg)
         case A.Quote(provided=a, proc=p, used=us):
-            if not isinstance(ty, A.ProcType):
-                raise ValueError("quote needs its process type to evaluate")
             delta = {u: t for u, (_, t) in zip(us, ty.used)}
-            body = _compile_process(p, delta, a, ty.provided, psi)
+            body = _compile_process(p, table)
             ins, outs = _interface_keys(a, us)
             inputs = {ins[k]: v for k, v in proc_inputs(delta, a, ty.provided).items()}
             outputs = {outs[k]: v for k, v in proc_outputs(delta, a, ty.provided).items()}
@@ -551,9 +555,7 @@ def _compile_term(term: A.Term, ty: Optional[A.FType], psi: dict[str, A.FType]) 
             return lambda env, cfg: D.QProc(Denotation(
                 inputs, outputs, _renamed(body(env, cfg), in_map, out_map), "quote"))
         case A.Fix(var=x, body=m):
-            if ty is None:
-                raise ValueError("fix needs a type annotation to evaluate")
-            body = _compile_term(m, ty, {**psi, x: ty})
+            body = _compile_term(m, ty, {**psi, x: ty}, table)
             free = sorted(A.free_term_vars(term))
             ctx = (term, ty, *(psi[y] for y in free))
             static = tuple(map(id, ctx))
@@ -579,8 +581,8 @@ def apply_func(fv: D.FuncValue, av: D.FuncValue, cfg: EvalConfig) -> D.FuncValue
         return D.FBOT
     psi = dict(fv.psi)
     psi[fv.var] = fv.ty.arg
-    body = _staged(cfg, fv.body, (fv.ty.res, tuple(psi.items())),
-                   lambda: _compile_term(fv.body, fv.ty.res, psi))
+    body = _staged(cfg, fv.body, (fv.ty.res, tuple(psi.items())), lambda: _compile_term(
+        fv.body, fv.ty.res, psi, T.derive(T.check_term, psi, fv.body, fv.ty.res)))
     return body(Env(dict(fv.env)).updated(fv.var, av), cfg)
 
 
@@ -754,20 +756,25 @@ def first_difference(d1: Denotation, d2: Denotation, rows: Iterable[Row],
 
 
 def denote_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
-                   cty: A.SType, psi: Mapping[str, A.FType], env: Env,
-                   cfg: EvalConfig) -> Denotation:
-    """The denotation of a typechecked process in ``env``."""
+                   cty: A.SType, psi: Optional[Mapping[str, A.FType]] = None,
+                   env: Optional[Env] = None, cfg: Optional[EvalConfig] = None) -> Denotation:
+    """The denotation of ``proc`` providing ``c : cty`` from ``delta`` in
+    ``env``.  Raises :class:`~sill.typecheck.TypeCheckError` if it is
+    ill-typed: the first time ``cfg`` meets the process in this context,
+    its typing is derived, and the static pass reads the derivation."""
+    psi, cfg = dict(psi or {}), cfg or EvalConfig()
     ctx = (tuple(delta.items()), c, cty, tuple(psi.items()))
-    inst = _staged(cfg, proc, ctx, lambda: _compile_den(proc, delta, c, cty, dict(psi)))
-    return inst(env, cfg)
+    inst = _staged(cfg, proc, ctx, lambda: _compile_den(
+        proc, T.derive(T.check_process, psi, delta, proc, c, cty)))
+    return inst(env or EMPTY_ENV, cfg)
 
 
-def _compile_den(proc: A.Process, delta: Mapping[str, A.SType], c: str,
-                 cty: A.SType, psi: dict[str, A.FType]) -> Inst:
+def _compile_den(proc: A.Process, table: dict) -> Inst:
     """The static pass over a process whose instances are memoized
     denotations: a cut's instance is its trace, any other is wrapped."""
+    _, _, delta, c, cty = table[id(proc)]
     inputs, outputs = proc_inputs(delta, c, cty), proc_outputs(delta, c, cty)
-    inst = _compile_process(proc, delta, c, cty, psi)
+    inst = _compile_process(proc, table)
     label = type(proc).__name__
 
     def den(env: Env, cfg: EvalConfig) -> Denotation:
@@ -777,34 +784,28 @@ def _compile_den(proc: A.Process, delta: Mapping[str, A.SType], c: str,
     return den
 
 
-def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
-                     cty: A.SType, psi: dict[str, A.FType]) -> Inst:
-    """The static pass over a typechecked process: an instantiator of the
-    function from its input rows to its output rows.
+def _compile_process(proc: A.Process, table: dict) -> Inst:
+    """The static pass over a process: an instantiator of the function from
+    its input rows to its output rows.
 
-    The derivation is syntax-directed, so the clause to apply is read off
-    the process and the evolving types; receiving clauses are wrapped with
-    the strictness operator on the awaited component.  Each message clause
-    is both the right rule (on the provided channel) and the left rule (on
-    a used one): the two differ only in which keys carry the channel's
-    incoming and outgoing aspects, and in which type the message advances.
+    The clause to apply is read off the process, and the context of each
+    node (its functional context, the channels it consumes with their
+    types, and the channel it provides with its type) off its judgment in
+    the typing derivation ``table`` (:func:`~sill.typecheck.derive`), so
+    the rules are decided once, by the typechecker.  Receiving clauses are
+    wrapped with the strictness operator on the awaited component.  Each
+    message clause is both the right rule (on the provided channel) and the
+    left rule (on a used one): the two differ only in which keys carry the
+    channel's incoming and outgoing aspects.
     """
-    delta = dict(delta)
+    _, psi, delta, c, cty = table[id(proc)]
 
     def bot_out() -> Row:
         return bot_row(proc_outputs(delta, c, cty))
 
-    def side(a: str):
-        """The input key, output key and current type of channel ``a``, and
-        a compiler for the continuation with ``a`` retyped."""
-        if a == c:
-            def cont(p, ty, delta=delta, psi=psi) -> Inst:
-                return _compile_process(p, delta, c, ty, psi)
-            return kminus(c), kplus(c), cty, cont
-
-        def cont(p, ty, delta=delta, psi=psi) -> Inst:
-            return _compile_process(p, {**delta, a: ty}, c, cty, psi)
-        return kplus(a), kminus(a), delta[a], cont
+    def side(a: str) -> tuple[str, str, A.SType]:
+        """The input key, output key and type of channel ``a``."""
+        return (kminus(c), kplus(c), cty) if a == c else (kplus(a), kminus(a), delta[a])
 
     def clause(fn, *parts: Inst, strict: Optional[str] = None) -> Inst:
         """Instantiate ``parts`` in order and pass them to ``fn`` ahead of
@@ -826,49 +827,42 @@ def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
             return clause(lambda row: Row({kplus(a): D.STAR}))
 
         case A.Wait(channel=a, cont=p):
-            rest = {d: t for d, t in delta.items() if d != a}
-
             def wait(inner, row: Row) -> Row:
                 return Row({**inner(row.without(kplus(a))), kminus(a): D.BOT})
 
-            return clause(wait, _compile_process(p, rest, c, cty, psi), strict=kplus(a))
+            return clause(wait, _compile_process(p, table), strict=kplus(a))
 
         case A.SendShift(channel=a, cont=p):
-            _, o, ty, cont = side(a)
-            assert isinstance(ty, (A.Down, A.Up))
+            _, o, _ = side(a)
 
             def send_shift(inner, row: Row) -> Row:
                 out = inner(row)
                 return Row({**out, o: D.up(out[o])})
 
-            return clause(send_shift, cont(p, ty.body))
+            return clause(send_shift, _compile_process(p, table))
 
         case A.RecvShift(channel=a, cont=p):
-            i, _, ty, cont = side(a)
-            assert isinstance(ty, (A.Up, A.Down))
+            i, _, _ = side(a)
 
             def recv_shift(inner, row: Row) -> Row:
                 return inner(row.updated({i: D.down(row[i])}))
 
-            return clause(recv_shift, cont(p, ty.body), strict=i)
+            return clause(recv_shift, _compile_process(p, table), strict=i)
 
         case A.SendLabel(channel=a, label=k, cont=p):
-            i, o, ty, cont = side(a)
-            assert isinstance(ty, (A.Plus, A.With))
+            i, o, ty = side(a)
             labels = [l for l, _ in ty.branches]
 
             def send_label(inner, row: Row) -> Row:
                 out = inner(row.updated({i: D.split_record(row[i], labels)[k]}))
                 return Row({**out, o: D.tag(k, out[o])})
 
-            return clause(send_label, cont(p, dict(ty.branches)[k]))
+            return clause(send_label, _compile_process(p, table))
 
         case A.Case(channel=a, branches=bs):
-            i, o, ty, cont = side(a)
-            assert isinstance(ty, (A.With, A.Plus))
-            tys = dict(ty.branches)
-            arms = [(k, cont(p, tys[k])) for k, p in bs]
-            labels = sorted(tys)
+            i, o, ty = side(a)
+            arms = [(k, _compile_process(p, table)) for k, p in bs]
+            labels = sorted(l for l, _ in ty.branches)
 
             def recv_label(inners, row: Row) -> Row:
                 v = row[i]
@@ -882,8 +876,7 @@ def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                           lambda env, cfg: {k: arm(env, cfg) for k, arm in arms}, strict=i)
 
         case A.SendChan(channel=a, sent=b, cont=p):
-            i, o, ty, cont = side(a)
-            assert isinstance(ty, (A.Tensor, A.Lolly))
+            i, o, _ = side(a)
 
             def send_chan(inner, row: Row) -> Row:
                 b_neg, a_in = D.split_pair(row[i])
@@ -894,12 +887,10 @@ def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                     o: D.up(D.pair(row[kplus(b)], out[o])),
                 })
 
-            return clause(send_chan,
-                          cont(p, ty.cont, {d: t for d, t in delta.items() if d != b}))
+            return clause(send_chan, _compile_process(p, table))
 
         case A.RecvChan(bound=b, channel=a, cont=p):
-            i, o, ty, cont = side(a)
-            assert isinstance(ty, (A.Lolly, A.Tensor))
+            i, o, _ = side(a)
 
             def recv_chan(inner, row: Row) -> Row:
                 b_pos, a_in = D.split_pair(D.down(row[i]))
@@ -909,12 +900,10 @@ def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                     o: D.pair(out[kminus(b)], out[o]),
                 })
 
-            return clause(recv_chan, cont(p, ty.cont, {**delta, b: ty.carried}), strict=i)
+            return clause(recv_chan, _compile_process(p, table), strict=i)
 
         case A.SendVal(channel=a, term=m, cont=p):
-            _, o, ty, cont = side(a)
-            assert isinstance(ty, (A.AndVal, A.ImpVal))
-
+            _, o, ty = side(a)
             bot = bot_out()
 
             def send_val(v, inner, row: Row) -> Row:
@@ -923,12 +912,12 @@ def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
                 out = inner(row)
                 return Row({**out, o: D.up(D.valpair(v, out[o]))})
 
-            return clause(send_val, _compile_term(m, ty.val, psi), cont(p, ty.cont))
+            return clause(send_val, _compile_term(m, ty.val, psi, table),
+                          _compile_process(p, table))
 
         case A.RecvVal(bound=x, channel=a, cont=p):
-            i, _, ty, cont = side(a)
-            assert isinstance(ty, (A.ImpVal, A.AndVal))
-            body, bot = cont(p, ty.cont, psi={**psi, x: ty.val}), bot_out()
+            i, _, _ = side(a)
+            body, bot = _compile_process(p, table), bot_out()
 
             def recv_val(env: Env, cfg: EvalConfig) -> Callable[[Row], Row]:
                 inners: dict[D.FuncValue, Callable[[Row], Row]] = {}
@@ -945,19 +934,17 @@ def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
             return recv_val
 
         case A.SendUnfold(channel=a, cont=p) | A.RecvUnfold(channel=a, cont=p):
-            i, o, ty, cont = side(a)
-            assert isinstance(ty, A.Rec)
+            i, o, _ = side(a)
 
             def unfold_msg(inner, row: Row) -> Row:
                 out = inner(row.updated({i: D.unfold(row[i])}))
                 return Row({**out, o: D.fold(out[o])})
 
-            return clause(unfold_msg, cont(p, A.unfold_rec(ty)))
+            return clause(unfold_msg, _compile_process(p, table))
 
         case A.Unquote(provided=a, term=m, used=us):
-            mty = T.infer_term(dict(psi), m)
-            assert isinstance(mty, A.ProcType)
-            value, keys, bot = _compile_term(m, mty, psi), _interface_keys(a, us), bot_out()
+            value = _compile_term(m, table[id(m)][1], psi, table)
+            keys, bot = _interface_keys(a, us), bot_out()
 
             def spawn(env: Env, cfg: EvalConfig) -> Callable[[Row], Row]:
                 v = value(env, cfg)
@@ -969,43 +956,9 @@ def _compile_process(proc: A.Process, delta: Mapping[str, A.SType], c: str,
 
             return spawn
 
-        case A.Cut(channel=x, left=l, right=r, anno=t):
-            cut_ty = t
-            if cut_ty is None and isinstance(l, A.Unquote):
-                mty = T.infer_term(dict(psi), l.term)
-                assert isinstance(mty, A.ProcType)
-                cut_ty = mty.provided
-            if cut_ty is None:
-                raise ValueError("cut without a type annotation")
-            left_chans = A.free_channels(l)
-            delta1 = {d: ty_ for d, ty_ in delta.items() if d in left_chans}
-            delta2 = {d: ty_ for d, ty_ in delta.items() if d not in left_chans}
-            dl = _compile_den(l, delta1, x, cut_ty, psi)
-            dr = _compile_den(r, {**delta2, x: cut_ty}, c, cty, psi)
+        case A.Cut(channel=x, left=l, right=r):
+            dl, dr = _compile_den(l, table), _compile_den(r, table)
             fb = [kminus(x), kplus(x)]
             return lambda env, cfg: trace(tensor(dl(env, cfg), dr(env, cfg)), fb, cfg)
 
     raise ValueError(f"not a process: {proc!r}")
-
-
-# ---------------------------------------------------------------------------
-# Public entry points (typecheck, then denote)
-
-
-def process_denotation(proc: A.Process, delta: Mapping[str, A.SType], c: str,
-                       cty: A.SType, psi: Optional[Mapping[str, A.FType]] = None,
-                       env: Optional[Env] = None,
-                       cfg: Optional[EvalConfig] = None) -> Denotation:
-    psi = dict(psi or {})
-    T.check_process(psi, dict(delta), proc, c, cty)
-    return denote_process(proc, delta, c, cty, psi, env or EMPTY_ENV,
-                          cfg or EvalConfig())
-
-
-def term_denotation(term: A.Term, ty: A.FType,
-                    psi: Optional[Mapping[str, A.FType]] = None,
-                    env: Optional[Env] = None,
-                    cfg: Optional[EvalConfig] = None) -> D.FuncValue:
-    psi = dict(psi or {})
-    T.check_term(psi, term, ty)
-    return denote_term(term, ty, psi, env or EMPTY_ENV, cfg or EvalConfig())

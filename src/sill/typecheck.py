@@ -7,6 +7,10 @@ context.  Linearity is enforced by threading the channel context through
 the process: each rule consumes what it uses and returns the rest, and the
 top-level entry point requires everything to be consumed.
 
+A check run through :func:`derive` also returns its derivation, which the
+static pass of :mod:`sill.semantics` reads instead of deciding the rules
+again.  Outside ``derive`` nothing is recorded.
+
 Process typing has one clause per message kind: its right rule types the
 message on the provided channel, its left rule on a used channel at the
 polarity-dual type.  ``_SIDES`` is the one table of both sides:
@@ -69,8 +73,8 @@ class TypeCheckError(Exception):
 # Session types
 
 
-# While ``check_program`` runs, the polarity of each closed session type it
-# has checked, by identity: its declarations name the same few type nodes
+# While ``check_program`` or ``derive`` runs, the polarity of each closed
+# session type it has checked, by identity: its declarations name the same few type nodes
 # again and again.  Each entry keeps its type alive, so that no other node
 # can take over its id.
 _closed_polarity: Optional[dict[int, tuple[A.SType, Polarity]]] = None
@@ -205,7 +209,7 @@ def infer_term(psi: Mapping[str, A.FType], term: A.Term) -> A.FType:
                 raise TypeCheckError(
                     "unbound", "F-Var", f"unbound variable {x!r}", term.span
                 )
-            return psi[x]
+            ty = psi[x]
         case A.App(fn=f, arg=a):
             fty = infer_term(psi, f)
             if not isinstance(fty, A.Arrow):
@@ -214,14 +218,14 @@ def infer_term(psi: Mapping[str, A.FType], term: A.Term) -> A.FType:
                     expected="an arrow type", found=_show_ftype(fty),
                 )
             check_term(psi, a, fty.arg)
-            return fty.res
+            ty = fty.res
         case A.Lam(var=x, ty=t, body=m):
             check_ftype(t)
-            return A.Arrow(t, infer_term({**psi, x: t}, m))
+            ty = A.Arrow(t, infer_term({**psi, x: t}, m))
         case A.Anno(term=m, ty=t):
             check_ftype(t)
             check_term(psi, m, t)
-            return t
+            ty = t
         case A.Fix():
             raise TypeCheckError(
                 "rule", "F-Fix",
@@ -233,7 +237,11 @@ def infer_term(psi: Mapping[str, A.FType], term: A.Term) -> A.FType:
                 "cannot infer the interface of a quoted process; annotate it",
                 term.span,
             )
-    raise TypeCheckError("rule", "F-Var", f"not a term: {term!r}", term.span)
+        case _:
+            raise TypeCheckError("rule", "F-Var", f"not a term: {term!r}", term.span)
+    if _derivation is not None:
+        _derivation[id(term)] = (term, ty)
+    return ty
 
 
 def check_term(psi: Mapping[str, A.FType], term: A.Term, ty: A.FType) -> None:
@@ -413,7 +421,6 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                 )
             rest = dict(delta)
             del rest[a]
-            return rest
 
         case A.Close(channel=a):
             if a != c:
@@ -426,7 +433,7 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                     "rule", "1R", "close at a non-unit type", proc.span,
                     expected="1", found=_show_type(ty),
                 )
-            return delta
+            rest = delta
 
         case A.Wait(channel=a, cont=p):
             ta = _use(delta, a, c, proc, "1L")
@@ -435,27 +442,25 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                     "rule", "1L", f"wait on {a!r} at a non-unit type", proc.span,
                     expected="1", found=_show_type(ta),
                 )
-            rest = dict(delta)
-            del rest[a]
-            return _check(psi, rest, p, c, ty)
+            rest = _check(psi, {d: t for d, t in delta.items() if d != a}, p, c, ty)
 
         case A.SendShift(channel=a, cont=p) | A.RecvShift(channel=a, cont=p):
             t, _, cont = side(a)
-            return cont(p, t.body)
+            rest = cont(p, t.body)
 
         case A.SendUnfold(channel=a, cont=p) | A.RecvUnfold(channel=a, cont=p):
             t, _, cont = side(a)
-            return cont(p, A.unfold_rec(t))
+            rest = cont(p, A.unfold_rec(t))
 
         case A.SendLabel(channel=a, label=k, cont=p):
             t, rule, cont = side(a)
-            return cont(p, _branch(t.branches, k, proc, rule))
+            rest = cont(p, _branch(t.branches, k, proc, rule))
 
         case A.Case(channel=a, branches=bs):
             t, rule, cont = side(a)
             _same_labels(bs, t.branches, proc, rule)
             ts = dict(t.branches)
-            return _join_branches([cont(p, ts[k]) for k, p in bs], proc, rule)
+            rest = _join_branches([cont(p, ts[k]) for k, p in bs], proc, rule)
 
         case A.SendChan(channel=a, sent=b, cont=p):
             if b not in delta:
@@ -464,7 +469,7 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                 )
             t, rule, cont = side(a)
             _expect_chan_type(delta[b], t.carried, b, proc, rule)
-            return cont(p, t.cont, {d: u for d, u in delta.items() if d != b})
+            rest = cont(p, t.cont, {d: u for d, u in delta.items() if d != b})
 
         case A.RecvChan(bound=b, channel=a, cont=p):
             if b in delta or b == c:
@@ -479,16 +484,15 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                     "linear", rule, f"received channel {b!r} is not consumed",
                     proc.span,
                 )
-            return rest
 
         case A.SendVal(channel=a, term=m, cont=p):
             t, _, cont = side(a)
             check_term(psi, m, t.val)
-            return cont(p, t.cont)
+            rest = cont(p, t.cont)
 
         case A.RecvVal(bound=x, channel=a, cont=p):
             t, _, cont = side(a)
-            return cont(p, t.cont, psi={**psi, x: t.val})
+            rest = cont(p, t.cont, psi={**psi, x: t.val})
 
         case A.Unquote(provided=a, term=m, used=us):
             if a != c:
@@ -522,7 +526,6 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                     )
                 _expect_chan_type(rest[u], ut, u, proc, "E-{}")
                 del rest[u]
-            return rest
 
         case A.Cut(channel=x, left=l, right=r, anno=t):
             if x in delta or x == c:
@@ -545,9 +548,13 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                 raise TypeCheckError(
                     "linear", "Cut", f"cut channel {x!r} is not consumed", proc.span
                 )
-            return rest
 
-    raise TypeCheckError("rule", "Cut", f"not a process: {proc!r}", proc.span)
+        case _:
+            raise TypeCheckError("rule", "Cut", f"not a process: {proc!r}", proc.span)
+    if _derivation is not None:
+        _derivation[id(proc)] = (
+            proc, psi, {d: t for d, t in delta.items() if d not in rest}, c, ty)
+    return rest
 
 
 def _use(delta: dict, a: str, c: str, proc: A.Process, rule: str) -> A.SType:
@@ -611,7 +618,34 @@ def _expect_chan_type(got: A.SType, want: A.SType, chan: str,
 
 
 # ---------------------------------------------------------------------------
-# Programs
+# Programs and derivations
+
+
+# While ``derive`` runs, what each rule application decided, by node
+# identity; each entry keeps its node alive, so that its id stays its own.
+_derivation: Optional[dict[int, tuple]] = None
+
+
+def derive(check, *args) -> dict[int, tuple]:
+    """Run ``check`` (``check_process``, ``check_term`` or ``infer_term``)
+    on ``args`` and return its derivation, keyed by ``id(node)``: each
+    process node maps to its judgment ``(node, psi, consumed, channel,
+    type)``, where ``consumed`` is its channel context minus the leftover
+    its rule returns, and each inferred term to ``(node, type)``.
+
+    A node that occurs more than once (a declared term is inserted by
+    reference) keeps its last judgment.  The occurrences differ at most in
+    the entries of ``psi`` for variables the node does not mention, on
+    which no judgment about it depends: a declared term is closed.
+    """
+    global _derivation, _closed_polarity
+    table = {}
+    _derivation, _closed_polarity = table, {}
+    try:
+        check(*args)
+    finally:
+        _derivation = _closed_polarity = None
+    return table
 
 
 def check_program(program) -> list[tuple[str, str]]:

@@ -32,7 +32,7 @@ def test_acceptance_1_reference_io_tables():
     t0 = time.monotonic()
 
     def den(src, delta, c, cty):
-        return S.process_denotation(
+        return S.denote_process(
             parse_process(src), {k: parse_type(v) for k, v in delta.items()},
             c, parse_type(cty), cfg=S.EvalConfig(depth=4),
         )
@@ -94,7 +94,7 @@ def test_acceptance_2_flip_case_study():
     flip2 = parse_process("t <- flip <- a; b <- flip <- t",
                           types=tables["types"], terms=tables["terms"])
     cfg = S.EvalConfig(depth=8)
-    den = S.process_denotation(flip2, {"a": BITS}, "b", BITS, cfg=cfg)
+    den = S.denote_process(flip2, {"a": BITS}, "b", BITS, cfg=cfg)
     inputs = D.enumerate_values(BITS, POS, 8)
     assert len(inputs) == 511
     stabilization = []
@@ -185,10 +185,10 @@ def test_acceptance_6_structural_semantics():
     # coherence: widening the functional context does not change denotations
     proc = parse_process("dd <- {x}; wait dd; close c")
     qv = S.denote_term(quit, quit_ty, {}, S.EMPTY_ENV, cfg)
-    den_narrow = S.process_denotation(proc, {}, "c", A.Unit(),
+    den_narrow = S.denote_process(proc, {}, "c", A.Unit(),
                                       psi={"x": quit_ty},
                                       env=S.Env({"x": qv}), cfg=cfg)
-    den_wide = S.process_denotation(
+    den_wide = S.denote_process(
         proc, {}, "c", A.Unit(),
         psi={"x": quit_ty, "y": quit_ty}, env=S.Env({"x": qv, "y": D.QPROC_BOT}),
         cfg=cfg)
@@ -196,7 +196,7 @@ def test_acceptance_6_structural_semantics():
         failures.append("coherence")
 
     # term substitution: [[ [M/x]P ]] == [[P]] o (x |-> [[M]])
-    den_sub = S.process_denotation(A.subst_term({"x": quit}, proc), {}, "c",
+    den_sub = S.denote_process(A.subst_term({"x": quit}, proc), {}, "c",
                                    A.Unit(), cfg=cfg)
     if den_sub(S.Row({"c-": D.BOT})) != den_narrow(S.Row({"c-": D.BOT})):
         failures.append("term substitution")

@@ -143,6 +143,27 @@ def test_eval_duplicate_input_key_is_a_usage_error(capsys):
     assert err == "error: input key 'b+' is given twice\n"
 
 
+def test_eval_stray_bracket_is_reported_as_itself(capsys):
+    err = usage_error(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
+                      "--in", "b+ = 0·_), c- = _")
+    assert err.startswith("error: input b+: ") and "')'" in err, err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", str(FIXTURES / "flip.sill"), "--proc", "flip1", "--in", "b+ = 0·_",
+      "--json"], 0),
+    (["check", str(FIXTURES / "ill" / "ill_close_nonunit.sill")], 1),
+])
+def test_closed_stdout_ends_the_run_quietly(argv, code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "sill.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()  # before the command writes anything
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (code, b"")
+
+
 def test_eval_ill_typed_file_reports_one_error_line(capsys):
     code = main(["eval", str(FIXTURES / "ill" / "ill_down_positive.sill"),
                  "--proc", "p"])

@@ -28,6 +28,21 @@ def test_reflexivity_on_corpus():
         assert verdict.equivalent, cp.name
 
 
+def test_outputs_differing_only_in_functional_values_are_approximate():
+    # quoted processes compare by identity, and each side quotes its own
+    prog = parse_program("""
+        term quit : {d : 1} = {d <- close d}
+        proc p : (|- c : {d : 1} /\\ 1) = send c (quit); close c
+    """)
+    p = prog.procs()["p"]
+    verdict = check_equiv(p.proc, p.proc, {}, "c", p.ty)
+    assert verdict.kind == "approximate"
+    assert verdict.reason == "the outputs differ only in functional values"
+    assert verdict.describe() == (
+        "approximate: the outputs differ only in functional values, on c- = _: "
+        "left gives c+ = up((<proc>, *)); right gives c+ = up((<proc>, *))")
+
+
 def test_flip_twice_is_forwarding():
     left = proc("t <- flip <- a; b <- flip <- t")
     right = proc("fwd b a")
@@ -52,8 +67,8 @@ def test_distinguished_witness_replays():
     verdict = check_equiv(left, right, {"b": BITS}, "f", BITS, depth=2)
     assert verdict.kind == "distinguished"
     cfg = S.EvalConfig(depth=2)
-    dl = S.process_denotation(left, {"b": BITS}, "f", BITS, cfg=cfg)
-    dr = S.process_denotation(right, {"b": BITS}, "f", BITS, cfg=cfg)
+    dl = S.denote_process(left, {"b": BITS}, "f", BITS, cfg=cfg)
+    dr = S.denote_process(right, {"b": BITS}, "f", BITS, cfg=cfg)
     row = verdict.witness_row
     assert S.row_truncate(dl(row), 2) != S.row_truncate(dr(row), 2)
 

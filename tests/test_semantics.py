@@ -1,10 +1,12 @@
 """Denotation clauses, strictness, monotonicity, and trace properties."""
 
+import collections
 import functools
 import gc
 import itertools
 import json
 import random
+import sys
 import weakref
 from pathlib import Path
 
@@ -13,11 +15,12 @@ import pytest
 from sill import ast as A
 from sill import domain as D
 from sill import semantics as S
+from sill import typecheck as T
 from sill.ast import NEG, POS
 from sill.cli import main
 from sill.equiv import check_equiv, input_grid
 from sill.laws import (conway_identity_suite, corpus_processes, corpus_tables,
-                       random_monotone_den, trace_axiom_suite)
+                       law_suite, random_monotone_den, trace_axiom_suite)
 from sill.parser import parse_process, parse_program, parse_term, parse_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
@@ -34,7 +37,7 @@ def den_of(src, delta, c, cty, depth=4, psi=None, env=None, cfg=None):
              for d, t in delta.items()}
     cty = parse_type(cty, types=tbl()["types"]) if isinstance(cty, str) else cty
     cfg = cfg or S.EvalConfig(depth=depth)
-    return S.process_denotation(proc, delta, c, cty, psi=psi, env=env, cfg=cfg), cfg
+    return S.denote_process(proc, delta, c, cty, psi=psi, env=env, cfg=cfg), cfg
 
 
 def val(text, ty, pol):
@@ -109,7 +112,7 @@ def test_value_send_with_diverging_term_is_bottom():
     diverge = A.Anno(A.Fix("x", A.Var("x")), quit_ty)
     proc = A.SendVal("a", diverge, A.Close("a"))
     cty = A.AndVal(quit_ty, A.Unit())
-    den = S.process_denotation(proc, {}, "a", cty)
+    den = S.denote_process(proc, {}, "a", cty)
     assert den(S.Row({"a-": D.BOT}))["a+"] == D.BOT
 
 
@@ -118,7 +121,7 @@ def test_value_send_pairs_value_with_continuation():
     quit = tbl()["terms"]["quit"]
     proc = A.SendVal("a", quit, A.Close("a"))
     cty = A.AndVal(quit_ty, A.Unit())
-    den = S.process_denotation(proc, {}, "a", cty)
+    den = S.denote_process(proc, {}, "a", cty)
     out = den(S.Row({"a-": D.BOT}))["a+"]
     assert isinstance(out, D.Lift) and isinstance(out.inner, D.ValPair)
     assert isinstance(out.inner.val, D.QProc)
@@ -177,7 +180,7 @@ def test_case_with_external_choice_is_case_on_amp():
 def test_corpus_denotations_are_monotone():
     for cp in corpus_processes():
         delta, c, cty = cp.as_args()
-        den = S.process_denotation(cp.proc, delta, c, cty,
+        den = S.denote_process(cp.proc, delta, c, cty,
                                    cfg=S.EvalConfig(depth=3))
         grid = sorted_rows(den.inputs, 3)
         if len(grid) > 40:
@@ -285,7 +288,7 @@ def test_fix_over_a_function_carrying_interface_converges():
     """)
     eat = prog.terms()["eat"]
     cfg = S.EvalConfig(depth=3)
-    value = S.term_denotation(eat.term, eat.ty, cfg=cfg)
+    value = S.denote_term(eat.term, eat.ty, cfg=cfg)
     assert value.den(S.Row({"$p": D.BOT}))["$p"] == D.BOT
     assert cfg.diag.fix_rounds == [2, 1]
     assert not cfg.diag.nonconverged
@@ -336,7 +339,7 @@ def test_fix_site_does_not_outlive_its_query():
                         types=tbl()["types"])
 
     def nested_fix(cfg):
-        value = S.term_denotation(nested, A.ProcType("a", BITS, ()), cfg=cfg)
+        value = S.denote_term(nested, A.ProcType("a", BITS, ()), cfg=cfg)
         assert value.den(S.Row({"$p": D.BOT}))["$p"] == val("0·0·0·0·0·0·0·_", BITS, POS)
         return value
 
@@ -386,7 +389,7 @@ def test_a_fix_is_not_shared_across_different_free_values():
 
     def applied(arg, cfg):
         term = A.App(lam, tbl()["terms"][arg])
-        return S.term_denotation(term, lam.ty, cfg=cfg)
+        return S.denote_term(term, lam.ty, cfg=cfg)
 
     cfg = S.EvalConfig(depth=4)
     zeros, ones = applied("zeros", cfg), applied("ones", cfg)
@@ -409,7 +412,7 @@ def test_a_shared_inner_fix_lets_the_outer_solve_converge():
     """)
     src = prog.terms()["src"]
     cfg = S.EvalConfig(depth=3)
-    value = S.term_denotation(src.term, src.ty, cfg=cfg)
+    value = S.denote_term(src.term, src.ty, cfg=cfg)
     out = value.den(S.Row({"$p": D.BOT}))["$p"]
     assert cfg.diag.fix_rounds == [2, 2, 2, 4]  # G, F, G again in the row solve, F's row
     assert not cfg.diag.nonconverged
@@ -500,6 +503,115 @@ def test_configs_do_not_share_compiled_code(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The static pass reads the typing derivation
+
+
+def flip_procs():
+    return parse_program(FLIP_SILL.read_text(encoding="utf-8")).procs()
+
+
+def test_denoting_an_ill_typed_process_raises_the_type_error():
+    with pytest.raises(T.TypeCheckError, match=r"\[1R\] close at a non-unit type"):
+        S.denote_process(parse_process("close c"), {}, "c", BITS)
+
+
+class _Without:
+    """A module with some of its functions replaced by ones that fail."""
+
+    def __init__(self, module, *names):
+        self._module, self._names = module, names
+
+    def __getattr__(self, name):
+        if name in self._names:
+            raise AssertionError(f"the static pass called {name}")
+        return getattr(self._module, name)
+
+
+def test_static_pass_neither_infers_nor_splits_contexts(monkeypatch):
+    monkeypatch.setattr(S, "T", _Without(T, "infer_term"))
+    monkeypatch.setattr(S, "A", _Without(A, "free_channels"))
+    procs = flip_procs()
+    flip2, fwdp = procs["flip2"], procs["fwdp"]
+    verdict = check_equiv(flip2.proc, fwdp.proc, dict(flip2.delta), flip2.channel,
+                          flip2.ty, depth=4)
+    assert verdict.kind == "equivalent"
+
+
+def test_a_shared_node_has_one_judgment(monkeypatch):
+    seen = []
+    check = T._check
+
+    def recorded(psi, delta, proc, c, ty):
+        rest = check(psi, delta, proc, c, ty)
+        seen.append((proc, dict(psi), {d: t for d, t in delta.items() if d not in rest},
+                     c, ty))
+        return rest
+
+    monkeypatch.setattr(T, "_check", recorded)
+    flip2 = flip_procs()["flip2"]
+    table = T.derive(T.check_process, {}, dict(flip2.delta), flip2.proc, flip2.channel,
+                     flip2.ty)
+    # flip2 spawns the one ``flip`` node twice, so each node of its body
+    # occurs more than once in the derivation, and the occurrences agree
+    occurrences = collections.Counter(id(proc) for proc, *_ in seen)
+    assert max(occurrences.values()) > 1
+    assert all(table[id(judgment[0])] == judgment for judgment in seen)
+    # unit-eta's right side holds its left side whole, under a cut and a wait
+    for cp in corpus_processes():
+        delta, c, cty = cp.as_args()
+        right = A.Cut("zz", A.Close("zz"), A.Wait("zz", cp.proc), A.Unit())
+        left_table = T.derive(T.check_process, {}, delta, cp.proc, c, cty)
+        right_table = T.derive(T.check_process, {}, delta, right, c, cty)
+        assert right_table[id(cp.proc)] == left_table[id(cp.proc)], cp.name
+
+
+def test_a_closed_term_keeps_its_meaning_under_two_contexts():
+    # ``quit`` is spawned outside and inside the scope of ``x``; its body is
+    # recorded with the later context, which only adds a variable the body
+    # does not read
+    prog = parse_program("""
+        term quit : {d : 1} = {d <- close d}
+        proc twice : (|- c : {d : 1} => 1) =
+          d1 <- quit; wait d1; (x) <- recv c; d2 <- quit; wait d2; close c
+        proc once : (|- c : {d : 1} => 1) = (x) <- recv c; d2 <- quit; wait d2; close c
+    """)
+    twice, once = prog.procs()["twice"], prog.procs()["once"]
+    body = prog.terms()["quit"].term.proc
+    table = T.derive(T.check_process, {}, {}, twice.proc, "c", twice.ty)
+    assert set(table[id(body)][1]) == {"x"} and not A.free_term_vars(body)
+    verdict = check_equiv(twice.proc, once.proc, {}, "c", twice.ty, depth=3)
+    assert verdict.kind == "equivalent"
+
+
+def count_typecheck_calls(monkeypatch) -> collections.Counter:
+    """Count every call of ``check_process`` and ``check_term``, also those
+    the typechecker makes of itself."""
+    calls = collections.Counter()
+    modules = [m for n, m in sys.modules.items() if n == "sill" or n.startswith("sill.")]
+    for name in ("check_process", "check_term"):
+        orig = getattr(T, name)
+
+        def counted(*args, orig=orig, name=name):
+            calls[name] += 1
+            return orig(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_law_suite_typechecks_no_more_than_the_re_deriving_pass(monkeypatch):
+    calls = count_typecheck_calls(monkeypatch)
+    report = law_suite(depth=4)
+    assert len(report.instances) == 95 and all(i.ok for i in report.instances)
+    # a static pass that re-derived each spawned or applied term's type
+    # made 507 and 609 calls here
+    assert calls["check_process"] <= 507 and calls["check_term"] <= 609
+
+
+# ---------------------------------------------------------------------------
 # Trace against the brute-force oracle on process denotations
 
 
@@ -508,8 +620,8 @@ def test_trace_matches_oracle_on_unit_cut():
     left = parse_process("close z")
     right = parse_process("wait z; close c")
     cfg = S.EvalConfig(depth=2)
-    dl = S.process_denotation(left, {}, "z", A.Unit(), cfg=cfg)
-    dr = S.process_denotation(right, {"z": A.Unit()}, "c", A.Unit(), cfg=cfg)
+    dl = S.denote_process(left, {}, "z", A.Unit(), cfg=cfg)
+    dr = S.denote_process(right, {"z": A.Unit()}, "c", A.Unit(), cfg=cfg)
     joint = S.tensor(dl, dr)
     kleene = S.trace(joint, ["z-", "z+"], cfg)
     oracle = S.knaster_tarski_trace(joint, ["z-", "z+"], 2)
@@ -520,9 +632,9 @@ def test_trace_matches_oracle_on_channel_cut():
     src_left = "send z d; close z"
     src_right = "a <- recv z; wait a; wait z; close c"
     cfg = S.EvalConfig(depth=2)
-    dl = S.process_denotation(parse_process(src_left), {"d": A.Unit()}, "z",
+    dl = S.denote_process(parse_process(src_left), {"d": A.Unit()}, "z",
                               parse_type("1 * 1"), cfg=cfg)
-    dr = S.process_denotation(parse_process(src_right),
+    dr = S.denote_process(parse_process(src_right),
                               {"z": parse_type("1 * 1")}, "c", A.Unit(), cfg=cfg)
     joint = S.tensor(dl, dr)
     kleene = S.trace(joint, ["z-", "z+"], cfg)
@@ -690,8 +802,8 @@ def test_coherence_unused_environment_is_projected_away():
                              S.EvalConfig())
     base_env = S.Env({"x": quit_val})
     wide_env = S.Env({"x": quit_val, "y": D.QPROC_BOT, "z": D.FBOT})
-    den1 = S.process_denotation(proc, {}, "c", A.Unit(), psi=psi, env=base_env)
-    den2 = S.process_denotation(
+    den1 = S.denote_process(proc, {}, "c", A.Unit(), psi=psi, env=base_env)
+    den2 = S.denote_process(
         proc, {}, "c", A.Unit(),
         psi={**psi, "y": quit_ty, "z": quit_ty}, env=wide_env,
     )
@@ -707,8 +819,8 @@ def test_coherence_over_the_corpus():
     for cp in corpus_processes():
         delta, c, cty = cp.as_args()
         cfg = S.EvalConfig(depth=3)
-        plain = S.process_denotation(cp.proc, delta, c, cty, cfg=cfg)
-        wide = S.process_denotation(cp.proc, delta, c, cty, psi=junk_psi,
+        plain = S.denote_process(cp.proc, delta, c, cty, cfg=cfg)
+        wide = S.denote_process(cp.proc, delta, c, cty, psi=junk_psi,
                                     env=junk_env, cfg=cfg)
         for row in sorted_rows(plain.inputs, 2)[:25]:
             assert plain(row) == wide(row), cp.name
@@ -721,9 +833,9 @@ def test_semantic_substitution_of_terms():
     proc = parse_process("dd <- {x}; wait dd; close c")
     cfg = S.EvalConfig(depth=3)
     quit_val = S.denote_term(quit, quit_ty, {}, S.EMPTY_ENV, cfg)
-    den_sub = S.process_denotation(A.subst_term({"x": quit}, proc), {}, "c",
+    den_sub = S.denote_process(A.subst_term({"x": quit}, proc), {}, "c",
                                    A.Unit(), cfg=cfg)
-    den_env = S.process_denotation(proc, {}, "c", A.Unit(),
+    den_env = S.denote_process(proc, {}, "c", A.Unit(),
                                    psi={"x": quit_ty},
                                    env=S.Env({"x": quit_val}), cfg=cfg)
     row = S.Row({"c-": D.BOT})
@@ -752,8 +864,8 @@ def test_truncated_fixed_points_are_consistent_across_depths():
                           types=tables["types"], terms=tables["terms"])
     shallow_cfg = S.EvalConfig(depth=3)
     deep_cfg = S.EvalConfig(depth=6)
-    shallow = S.process_denotation(flip2, {"a": BITS}, "b", BITS, cfg=shallow_cfg)
-    deep = S.process_denotation(flip2, {"a": BITS}, "b", BITS, cfg=deep_cfg)
+    shallow = S.denote_process(flip2, {"a": BITS}, "b", BITS, cfg=shallow_cfg)
+    deep = S.denote_process(flip2, {"a": BITS}, "b", BITS, cfg=deep_cfg)
     for v in D.enumerate_values(BITS, POS, 3):
         row = S.Row({"a+": v, "b-": D.BOT})
         assert S.row_truncate(shallow(row), 3) == S.row_truncate(deep(row), 3)
