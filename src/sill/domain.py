@@ -761,31 +761,41 @@ def format_value(v: CommValue, ty: A.SType, pol: Polarity) -> str:
 
 
 def _format(v: CommValue, s: Shape) -> str:
-    match s:
-        case UnitShape():
-            return "*" if v == STAR else "_"
-        case LiftShape(inner=i):
-            return "_" if v == BOT else f"up({_format(down(v), i)})"
-        case SumShape(branches=bs):
-            if v == BOT:
-                return "_"
-            return f"{v.label}·{_format(v.inner.inner, bs[v.label])}"
-        case RecordShape(fields=fs):
-            d = split_record(v, fs)
-            return "{" + ", ".join(f"{k}: {_format(d[k], f)}" for k, f in fs.items()) + "}"
-        case PairShape(left=l, right=r):
-            a, b = split_pair(v)
-            return f"({_format(a, l)}, {_format(b, r)})"
-        case ValPairShape(rest=r):
-            f, rest = split_valpair(v)
-            return f"({format_func_value(f)}, {_format(rest, r)})"
-        case FoldShape(labelled=labelled):
-            if v == BOT:
-                return "_"
-            inner = unfold(v)
-            if labelled and isinstance(inner, Tag):
-                return _format(inner, s.body)
-            return f"fold({_format(inner, s.body)})"
+    """Unary wrappers (``up(``, ``fold(`` and the labels ``k·``) are printed
+    in a loop, as :func:`parse_value` reads them, so a long stream or deep
+    up(up(…)) nests no call per level; pairs and records recurse."""
+    head, close = "", 0
+    while True:
+        match s:
+            case LiftShape(inner=i) if v != BOT:
+                head += "up("
+                close += 1
+                v, s = down(v), i
+                continue
+            case SumShape(branches=bs) if v != BOT:
+                head += f"{v.label}·"
+                v, s = v.inner.inner, bs[v.label]
+                continue
+            case FoldShape(labelled=labelled) if v != BOT:
+                v, s = unfold(v), s.body
+                if not (labelled and isinstance(v, Tag)):
+                    head += "fold("
+                    close += 1
+                continue
+            case UnitShape():
+                text = "*" if v == STAR else "_"
+            case RecordShape(fields=fs):
+                d = split_record(v, fs)
+                text = "{" + ", ".join(f"{k}: {_format(d[k], f)}" for k, f in fs.items()) + "}"
+            case PairShape(left=l, right=r):
+                a, b = split_pair(v)
+                text = f"({_format(a, l)}, {_format(b, r)})"
+            case ValPairShape(rest=r):
+                f, rest = split_valpair(v)
+                text = f"({format_func_value(f)}, {_format(rest, r)})"
+            case _:  # the bottom of a lift, sum or fold
+                text = "_"
+        return head + text + ")" * close
 
 
 def format_func_value(f: FuncValue) -> str:

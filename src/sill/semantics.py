@@ -18,7 +18,9 @@ Functional terms evaluate call-by-value into :class:`~sill.domain.FuncValue`.
 The fixed-point operator iterates from bottom.  At a quoted-process type
 it computes only the points a query observes: each input row of the
 interface is an unknown, solved together with the rows it depends on the
-first time a query asks for it, and kept for later queries.  Within one
+first time a query asks for it, and kept for later queries.  The rows are
+swept dependencies first, so a row off a cycle is exact and only the rows
+of a cycle iterate until they agree at the working depth.  Within one
 :class:`EvalConfig`, every instantiation of a ``fix`` node with the same
 free-variable values is one site, so each fixed point is solved once.
 
@@ -654,17 +656,25 @@ class _FixSite:
             self._value = weakref.ref(value)
         return value
 
-    def step(self, table: Mapping[Row, Row], open_rows: list[Row]) -> tuple[D.QProc, D.QProc]:
-        """The iterate held in ``table`` and :attr:`solved`, as a quoted
-        process, and the next iterate.  A row that neither holds reads as
-        bottom and is appended to ``open_rows``."""
+    def step(self, table: dict[Row, Row], swept: Mapping[Row, Row], stale: list[Row],
+             found: list[Row]) -> tuple[D.QProc, D.QProc]:
+        """A probe over :attr:`solved`, ``swept`` (the rows this sweep has
+        evaluated) and ``table`` (the last outputs of the others), as a
+        quoted process, and the body unrolled over it.  A read that neither
+        :attr:`solved` nor ``swept`` answers is stale, and is appended to
+        ``stale``; a row that ``table`` lacks too reads as bottom, is added
+        to it and is appended to ``found``.  The probe's memo pins the first
+        read of each row, so every read of a row in one sweep sees one value."""
         inputs, outputs = self.interface
 
         def read(row: Row) -> Row:
-            hit = self.solved.get(row, table.get(row))
+            hit = self.solved.get(row, swept.get(row))
             if hit is None:
-                open_rows.append(row)
-                hit = bot_row(outputs)
+                stale.append(row)
+                hit = table.get(row)
+                if hit is None:
+                    found.append(row)
+                    hit = table[row] = bot_row(outputs)
             return hit
 
         v = D.QProc(Denotation(inputs, outputs, read, label="probe"))
@@ -686,18 +696,27 @@ def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
     demand.  It agrees with the one before on the rows solved so far: none.
 
     With ``row``, solve that input row of ``site.value`` and return its
-    output.  The unknowns are the open rows: ``row``, and each row the body
-    reads that is not solved yet.  Each sweep unrolls the body once over the
-    last iterate and evaluates every open row, including those first read
-    in that sweep (they read as bottom).  The solve stops when the open rows
-    agree with the last iterate, truncated at the working depth; the newer
-    iterate is then kept for every open row.  This is the least solution of
-    the subsystem the query depends on (a local solver, after Le Charlier
-    and Van Hentenryck 1992).
+    output.  The unknowns are ``row`` and each row the body reads that is
+    not solved yet, in the order they are found; each is found by a read
+    from a row found before it.  Each sweep unrolls the body once over a
+    probe, evaluates the rows in reverse order of discovery, then the rows
+    first read during the sweep, and writes each output where later rows of
+    the sweep read it.  So a chain's dependencies come first.  A read of a
+    row the sweep has not evaluated yet is stale: it sees the last sweep's
+    output, or bottom.  A sweep with no stale read computed each row from
+    solved rows or rows computed before it in the sweep, so by induction
+    each output is the exact least solution, and the solve ends: a chain of
+    rows takes two sweeps, a row that reads only solved rows one.  Every
+    cycle has a row that reads stale in every sweep; then the solve ends
+    when the stale rows' new outputs agree with what was read, truncated at
+    the working depth, and keeps the new outputs.  This is a local solver
+    of the subsystem the query depends on (after Le Charlier and Van
+    Hentenryck 1992).
 
-    Each call appends its number of rounds to ``cfg.diag.fix_rounds``, so
-    the list has one entry per solve actually run: a row that any
-    instantiation of the site solved before adds none.
+    A round is one sweep, or one value-level iterate, and makes one
+    convergence check.  Each call appends its number of rounds to
+    ``cfg.diag.fix_rounds``, so the list has one entry per solve actually
+    run: a row that any instantiation of the site solved before adds none.
     """
     cfg = site.cfg
     fuel = cfg.fix_fuel()
@@ -714,13 +733,16 @@ def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
     else:
         table = {row: bot_row(site.interface[1])}
         while not done and rounds < fuel:
-            open_rows = list(table)
-            v, w = site.step(table, open_rows)
-            for r in open_rows:  # also visits the rows appended while it runs
-                w.den(r)
+            swept: dict[Row, Row] = {}
+            stale: list[Row] = []
+            found: list[Row] = []
+            v, w = site.step(table, swept, stale, found)
+            # dependencies first; ``found`` grows while it is visited
+            for r in itertools.chain(reversed(list(table)), found):
+                swept[r] = w.den(r)
             rounds += 1
-            done = _func_converged(v, w, cfg, open_rows)
-            table = {r: w.den(r) for r in open_rows}
+            done = _func_converged(v, w, cfg, stale)
+            table.update(swept)  # in place, so it keeps the order of discovery
         site.solved.update(table)
         result = table[row]
     if not done:

@@ -494,45 +494,15 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
             t, _, cont = side(a)
             rest = cont(p, t.cont, psi={**psi, x: t.val})
 
-        case A.Unquote(provided=a, term=m, used=us):
-            if a != c:
-                raise TypeCheckError(
-                    "rule", "E-{}", f"spawn provides {a!r}, not the ambient {c!r}",
-                    proc.span,
-                )
-            mty = infer_term(psi, m)
-            if not isinstance(mty, A.ProcType):
-                raise TypeCheckError(
-                    "rule", "E-{}", "spawned term is not a quoted process",
-                    proc.span, expected="{...}", found=_show_ftype(mty),
-                )
-            if len(us) != len(mty.used):
-                raise TypeCheckError(
-                    "rule", "E-{}",
-                    f"spawn passes {len(us)} channel(s), the type lists {len(mty.used)}",
-                    proc.span,
-                )
-            if not A.types_equal(mty.provided, ty):
-                raise TypeCheckError(
-                    "rule", "E-{}", "spawned process provides the wrong type",
-                    proc.span, expected=_show_type(ty), found=_show_type(mty.provided),
-                )
-            rest = dict(delta)
-            for u, (_, ut) in zip(us, mty.used):
-                if u not in rest:
-                    raise TypeCheckError(
-                        "unbound" if u not in delta else "linear", "E-{}",
-                        f"channel {u!r} is not available", proc.span,
-                    )
-                _expect_chan_type(rest[u], ut, u, proc, "E-{}")
-                del rest[u]
+        case A.Unquote():
+            rest = _spawn(psi, delta, proc, c, ty)
 
         case A.Cut(channel=x, left=l, right=r, anno=t):
             if x in delta or x == c:
                 raise TypeCheckError(
                     "linear", "Cut", f"cut channel shadows {x!r}", proc.span
                 )
-            cut_ty = t
+            cut_ty, mty = t, None
             if cut_ty is None and isinstance(l, A.Unquote):
                 mty = infer_term(psi, l.term)
                 if isinstance(mty, A.ProcType):
@@ -542,7 +512,20 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                     "rule", "Cut", "cut needs a type annotation", proc.span
                 )
             check_session_type({}, cut_ty)
-            rest = _check(psi, delta, l, x, cut_ty)
+            if mty is None:
+                rest = _check(psi, delta, l, x, cut_ty)
+            else:  # the spawn's rule, with its term inferred once
+                rest = _spawn(psi, delta, l, x, cut_ty, mty)
+                if _derivation is not None:
+                    _judge(l, psi, delta, rest, x, cut_ty)
+            # a channel the left operand uses and leaves is not the right's
+            shared = sorted(A.free_channels(l) & rest.keys())
+            if shared:
+                raise TypeCheckError(
+                    "linear", "Cut",
+                    f"channel {shared[0]!r} is used but not consumed by the cut's left side",
+                    proc.span,
+                )
             rest = _check(psi, {**rest, x: cut_ty}, r, c, ty)
             if x in rest:
                 raise TypeCheckError(
@@ -552,8 +535,53 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
         case _:
             raise TypeCheckError("rule", "Cut", f"not a process: {proc!r}", proc.span)
     if _derivation is not None:
-        _derivation[id(proc)] = (
-            proc, psi, {d: t for d, t in delta.items() if d not in rest}, c, ty)
+        _judge(proc, psi, delta, rest, c, ty)
+    return rest
+
+
+def _judge(proc: A.Process, psi: dict, delta: dict, rest: dict, c: str, ty: A.SType) -> None:
+    """Record the judgment of ``proc`` in the derivation."""
+    _derivation[id(proc)] = (
+        proc, psi, {d: t for d, t in delta.items() if d not in rest}, c, ty)
+
+
+def _spawn(psi: dict, delta: dict, proc: A.Unquote, c: str, ty: A.SType,
+           mty: Optional[A.FType] = None) -> dict:
+    """The rule E-{} for ``proc``; ``mty`` is its term's type if the Cut
+    rule has inferred it already."""
+    a, us = proc.provided, proc.used
+    if a != c:
+        raise TypeCheckError(
+            "rule", "E-{}", f"spawn provides {a!r}, not the ambient {c!r}",
+            proc.span,
+        )
+    if mty is None:
+        mty = infer_term(psi, proc.term)
+    if not isinstance(mty, A.ProcType):
+        raise TypeCheckError(
+            "rule", "E-{}", "spawned term is not a quoted process",
+            proc.span, expected="{...}", found=_show_ftype(mty),
+        )
+    if len(us) != len(mty.used):
+        raise TypeCheckError(
+            "rule", "E-{}",
+            f"spawn passes {len(us)} channel(s), the type lists {len(mty.used)}",
+            proc.span,
+        )
+    if not A.types_equal(mty.provided, ty):
+        raise TypeCheckError(
+            "rule", "E-{}", "spawned process provides the wrong type",
+            proc.span, expected=_show_type(ty), found=_show_type(mty.provided),
+        )
+    rest = dict(delta)
+    for u, (_, ut) in zip(us, mty.used):
+        if u not in rest:
+            raise TypeCheckError(
+                "unbound" if u not in delta else "linear", "E-{}",
+                f"channel {u!r} is not available", proc.span,
+            )
+        _expect_chan_type(rest[u], ut, u, proc, "E-{}")
+        del rest[u]
     return rest
 
 

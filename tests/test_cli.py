@@ -51,6 +51,20 @@ def test_check_json_diagnostics(capsys):
     assert payload["results"][0]["diagnostic"]["rule"] == "Cdown"
 
 
+def test_a_cut_whose_operands_share_a_channel_is_rejected(tmp_path, capsys):
+    # the left operand retypes a without consuming it, so the right may not
+    # wait on it too: a one-line type error, not a traceback
+    f = tmp_path / "shared.sill"
+    f.write_text("proc q : (a : up 1 |- c : 1) = "
+                 "x : 1 <- (send a shift; close x); wait x; wait a; close c\n")
+    for argv in (["check", str(f)], ["eval", str(f), "--proc", "q", "--in", "a+ = _"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert code == 1, argv
+        assert text.count("\n") == 1 and "[Cut] channel 'a' is used but not" in text, text
+
+
 def test_eval_fixture_cases(capsys):
     expected = json.loads((FIXTURES / "expected.json").read_text())
     for fname, entry in expected.items():
@@ -101,21 +115,26 @@ def long_stream(bits):
     return "·".join("01"[i % 2] for i in range(bits)) + "·_"
 
 
-def test_eval_long_input_is_truncated_at_the_working_depth(capsys):
-    # values are hash-consed, so nothing hashes or compares them recursively
+def flipped_stream(bits):
+    return "·".join("10"[i % 2] for i in range(bits)) + "·_"
+
+
+def test_eval_flips_a_long_input_whole_at_a_shallow_depth(capsys):
+    # values are hash-consed, so nothing hashes or compares them recursively;
+    # the rows of a chain are solved exactly, however deep the working depth
     code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
                     "--depth", "2", "--in", f"b+ = {long_stream(300)}")
     assert code == 0
-    assert out.splitlines()[0] == "b- = _, f+ = 1·0·1·_"
+    assert out.splitlines()[0] == f"b- = _, f+ = {flipped_stream(300)}"
 
 
 @pytest.mark.parametrize("bits", [600, 3000])
 def test_eval_reads_a_long_stream(capsys, bits):
-    # a stream is parsed and coerced in a loop, not a call per message
+    # a stream is read, solved and printed in loops, not a call per message
     code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip1",
                     "--depth", "8", "--in", f"b+ = {long_stream(bits)}")
     assert code == 0
-    assert out.splitlines()[0] == "b- = _, f+ = 1·0·1·0·1·0·1·0·1·_"
+    assert out.splitlines()[0] == f"b- = _, f+ = {flipped_stream(bits)}"
 
 
 @pytest.mark.parametrize("levels", [1200])
@@ -289,15 +308,16 @@ def test_eval_solves_only_the_rows_it_asks_for(capsys):
     assert json.loads(out)["output"] == {"b-": "_", "f+": flipped}
 
 
-def test_eval_truncates_a_deep_input_at_the_working_depth(capsys):
-    # every row the query demands is solved in the same sweep, so the solve
-    # takes depth + 1 sweeps however long the input is
+def test_eval_solves_a_deep_input_in_two_sweeps(capsys):
+    # the rows the query demands form a chain, one per suffix of the input;
+    # solved dependencies first, the chain takes two sweeps however long it
+    # is, and its output is exact below the working depth too
     code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc",
                     "flip1", "--depth", "8", "--in", BITS30, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["output"]["f+"] == "·".join("101100101") + "·_"
-    assert payload["diagnostics"]["fix_rounds"] == [9]
+    assert payload["output"]["f+"] == "·".join("101100101000111010010110001011") + "·_"
+    assert payload["diagnostics"]["fix_rounds"] == [2]
 
 
 def test_eval_out_of_fuel_is_approximate(capsys):
@@ -355,11 +375,15 @@ def test_demo_flip_rejects_negative_numbers(capsys):
         assert err.startswith(f"error: {opt} must be at least 0"), err
 
 
-def test_repeated_main_calls_match_lone_calls(capsys, monkeypatch):
+def test_repeated_main_calls_match_lone_calls(capsys, monkeypatch, tmp_path):
     # One process may call ``main`` many times: no option value, default or
     # help layout may leak from one call into the next.
     flip = str(FIXTURES / "flip.sill")
-    query = ["eval", flip, "--proc", "flip1", "--in", "b+ = 0·1·1·0·1·_"]
+    zeros = tmp_path / "zeros.sill"
+    zeros.write_text(FIXTURES.joinpath("flip.sill").read_text(encoding="utf-8")
+                     + "proc zs : (|- a : bits) = a <- zeros\n", encoding="utf-8")
+    # the stream of zeros is as long as the working depth
+    query = ["eval", str(zeros), "--proc", "zs"]
     calls = [
         ([*query, "--depth", "3", "--json"], "80"),
         ([*query, "--json"], "80"),  # the default depth 8, not 3

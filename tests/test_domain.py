@@ -459,10 +459,14 @@ def test_notation_matches_golden():
 
 
 def test_notation_reads_deep_unary_nesting():
-    # up(...) and implicit folds are read in a loop, not a call per level
+    # up(...) and implicit folds are read and printed in a loop, not a call
+    # per level
     ty = parse_type("rho t. down up t")
     deep = D.parse_value("up(" * 5000 + "_" + ")" * 5000, ty, POS)
     assert D.truncate(deep, 3) == D.parse_value("up(up(up(_)))", ty, POS)
+    text = D.format_value(deep, ty, POS)
+    assert text == "fold(up(" * 5000 + "_" + ")" * 10000
+    assert D.parse_value(text, ty, POS) is deep
 
 
 def test_notation_at_a_fold_that_reaches_itself_does_not_hang():

@@ -323,7 +323,7 @@ def test_fix_site_does_not_outlive_its_query():
         p = procs["flip1"]
         den = S.denote_process(p.proc, dict(p.delta), p.channel, p.ty, {}, S.EMPTY_ENV, cfg)
         out = den(S.Row({"b+": val("0·1·1·_", BITS, POS), "f-": D.BOT}))
-        assert cfg.diag.fix_rounds == [2, 4]
+        assert cfg.diag.fix_rounds == [2, 2]
         assert out["f+"] == val("1·0·0·_", BITS, POS)
         return den
 
@@ -355,8 +355,41 @@ def test_both_flips_of_flip2_share_their_row_solves(capsys):
                  "--in", "a+ = 0·1·1·_", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["output"] == {"a-": "_", "b+": "0·1·1·_"}
-    assert out["diagnostics"] == {"fix_rounds": [4, 4], "nonconverged": False,
+    assert out["diagnostics"] == {"fix_rounds": [2, 2], "nonconverged": False,
                                   "trace_iterations": [2]}
+
+
+def test_a_chain_of_rows_takes_two_sweeps(capsys):
+    # flip1 demands one row per suffix of its input, and each reads the next.
+    # Swept dependencies first, the chain is exact after one sweep, and a
+    # second, which reads no row before it is swept, confirms it
+    for bits in ("0110101", "010011010111000101101001110100"):
+        assert main(["eval", str(FLIP_SILL), "--proc", "flip1", "--depth", "8",
+                     "--in", f"b+ = {'·'.join(bits)}·_", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["output"]["f+"] == "·".join("10"[int(b)] for b in bits) + "·_"
+        assert out["diagnostics"]["fix_rounds"] == [2]
+
+
+def test_a_row_that_reads_only_solved_rows_takes_one_sweep():
+    p = flip_procs()["flip1"]
+    cfg = S.EvalConfig(depth=8)
+    den = S.denote_process(p.proc, dict(p.delta), p.channel, p.ty, {}, S.EMPTY_ENV, cfg)
+    rounds = []
+    for bits, flipped in (("1·_", "0·_"), ("0·1·_", "1·0·_")):
+        cfg.diag.reset()
+        out = den(S.Row({"b+": val(bits, BITS, POS), "f-": D.BOT}))
+        assert out["f+"] == val(flipped, BITS, POS)
+        rounds.append(cfg.diag.fix_rounds[-1])
+    # 1·_ reads no row; 0·1·_ reads only the row of 1·_, solved before
+    assert rounds == [1, 1]
+
+
+def test_a_row_on_a_cycle_sweeps_until_the_iterates_agree():
+    for depth, rounds in ((4, [2, 5]), (8, [2, 9])):
+        out, got = zeros_query(depth)
+        assert got == rounds
+        assert out == val("0·" * (depth + 1) + "_", BITS, POS)
 
 
 def test_no_fixed_point_row_is_solved_twice_in_one_query(monkeypatch):
@@ -473,17 +506,24 @@ def count_static_passes(monkeypatch) -> dict:
     return calls
 
 
-def test_static_pass_does_not_grow_with_the_fix_rounds(monkeypatch, capsys):
+def zeros_query(depth: int) -> tuple[D.CommValue, list[int]]:
+    """The stream ``zeros`` sends at ``depth``, and the sweeps its value and
+    its one row took: the row reads itself, so it sweeps until the iterates
+    agree at the working depth."""
+    cfg = S.EvalConfig(depth=depth)
+    value = S.denote_term(tbl()["terms"]["zeros"], None, {}, S.EMPTY_ENV, cfg)
+    return value.den(S.Row({"$p": D.BOT}))["$p"], cfg.diag.fix_rounds
+
+
+def test_static_pass_does_not_grow_with_the_fix_rounds(monkeypatch):
     calls = count_static_passes(monkeypatch)
     seen = []
-    for bits in ("0", "0·1·1·0·1·0·1"):
+    for depth in (4, 8):
         calls["n"] = 0
-        assert main(["eval", str(FLIP_SILL), "--proc", "flip1", "--depth", "8",
-                     "--in", f"b+ = {bits}·_", "--json"]) == 0
-        rounds = json.loads(capsys.readouterr().out)["diagnostics"]["fix_rounds"]
+        _, rounds = zeros_query(depth)
         seen.append((calls["n"], rounds))
     (short, short_rounds), (long, long_rounds) = seen
-    assert short_rounds == [2] and long_rounds == [8]
+    assert short_rounds == [2, 5] and long_rounds == [2, 9]
     assert short == long > 0
 
 

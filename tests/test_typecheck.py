@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sill import ast as A
+from sill import typecheck as T
 from sill.ast import NEG, POS
 from sill.parser import (SillSyntaxError, parse_ftype, parse_process,
                          parse_program, parse_term, parse_type)
@@ -122,6 +123,26 @@ def test_all_fixture_programs_typecheck():
     for name in ("flip.sill", "example51.sill", "upshift.sill", "choice.sill"):
         prog = parse_program((FIXTURES / name).read_text())
         check_program(prog)
+
+
+def test_a_spawned_term_is_checked_once_per_spawn(monkeypatch):
+    # an unannotated cut infers its spawn's term for the cut type; the
+    # spawn's own rule takes that type instead of inferring the term again
+    prog = parse_program((FIXTURES / "flip.sill").read_text())
+    flip2 = prog.procs()["flip2"]
+    body = prog.terms()["flip"].term.body.proc
+    judged = []
+    check = T._check
+
+    def counted(psi, delta, proc, c, ty):
+        judged.append(proc)
+        return check(psi, delta, proc, c, ty)
+
+    monkeypatch.setattr(T, "_check", counted)
+    table = T.derive(check_process, {}, dict(flip2.delta), flip2.proc, flip2.channel,
+                     flip2.ty)
+    assert sum(proc is body for proc in judged) == 2  # flip2 spawns flip twice
+    assert table[id(body)][0] is body
 
 
 def test_ill_typed_battery_rejected_with_named_rule():
@@ -310,6 +331,10 @@ TYPING_CASES = {
     "Cut/shadows-provided": ({}, "c : 1 <- (close c); wait c; close c", "c", "1", {}),
     "Cut/annotation": ({}, "a <- x; wait a; close c", "c", "1", {"x": ENDO}),
     "Cut/unconsumed": ({}, "a : 1 <- (close a); close c", "c", "1", {}),
+    # the left operand retypes a and leaves it: the right may not use it too
+    "Cut/shared": ({"a": "up 1"},
+                   "x : 1 <- (send a shift; close x); wait x; wait a; close c",
+                   "c", "1", {}),
     "Cut/not-a-process": ({}, None, "c", "1", {}),
     # a spawned declared proc is inlined; its error keeps the callee's span
     "1L/spawned-proc": ({"b": POS_REC}, "x <- p <- b; wait x; close c", "c", "1", {}),
