@@ -656,16 +656,19 @@ class _FixSite:
             self._value = weakref.ref(value)
         return value
 
-    def step(self, table: dict[Row, Row], swept: Mapping[Row, Row], stale: list[Row],
-             found: list[Row]) -> tuple[D.QProc, D.QProc]:
+    def step(self, table: dict[Row, Row], swept: Mapping[Row, Row]
+             ) -> tuple[D.QProc, D.QProc, list[Row], list[Row]]:
         """A probe over :attr:`solved`, ``swept`` (the rows this sweep has
         evaluated) and ``table`` (the last outputs of the others), as a
-        quoted process, and the body unrolled over it.  A read that neither
-        :attr:`solved` nor ``swept`` answers is stale, and is appended to
-        ``stale``; a row that ``table`` lacks too reads as bottom, is added
-        to it and is appended to ``found``.  The probe's memo pins the first
-        read of each row, so every read of a row in one sweep sees one value."""
+        quoted process; the body unrolled over it; and the lists of stale
+        and found rows, which grow as the probe is read.  A read that
+        neither :attr:`solved` nor ``swept`` answers is stale; a row that
+        ``table`` lacks too is found: it reads as bottom and is added to
+        ``table``.  The probe's memo pins the first read of each row, so
+        every read of a row in one sweep sees one value."""
         inputs, outputs = self.interface
+        stale: list[Row] = []
+        found: list[Row] = []
 
         def read(row: Row) -> Row:
             hit = self.solved.get(row, swept.get(row))
@@ -681,7 +684,7 @@ class _FixSite:
         w = self.unroll(v)
         if not isinstance(w, D.QProc):  # the stuck process
             w = D.QProc(constant_bot(inputs, outputs))
-        return v, w
+        return v, w, stale, found
 
 
 def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
@@ -734,9 +737,7 @@ def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
         table = {row: bot_row(site.interface[1])}
         while not done and rounds < fuel:
             swept: dict[Row, Row] = {}
-            stale: list[Row] = []
-            found: list[Row] = []
-            v, w = site.step(table, swept, stale, found)
+            v, w, stale, found = site.step(table, swept)
             # dependencies first; ``found`` grows while it is visited
             for r in itertools.chain(reversed(list(table)), found):
                 swept[r] = w.den(r)
