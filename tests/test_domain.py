@@ -17,7 +17,8 @@ from sill import ast as A
 from sill import domain as D
 from sill import semantics as S
 from sill.ast import NEG, POS
-from sill.parser import parse_type
+from sill.cli import UsageError, _parse_input_row
+from sill.parser import parse_program, parse_type
 from sill.pretty import pp_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
@@ -404,10 +405,10 @@ HANDWRITTEN = [
 ]
 
 
-def notation_texts(values):
+def notation_texts(values, mutants=MUTANTS):
     """Each text of ``values`` at its own aspect, its token prefixes and
     three seeded one-token mutations (a replacement, a deletion or an
-    insertion of a token from ``MUTANTS``)."""
+    insertion of a token from ``mutants``)."""
     texts = []
     for text in values:
         spans = [m.span() for m in NOTATION_TOKEN.finditer(text)]
@@ -415,7 +416,7 @@ def notation_texts(values):
         rng = random.Random(text)
         for _ in range(3):
             start, end = rng.choice(spans)
-            op, new = rng.choice(["replace", "delete", "insert"]), rng.choice(MUTANTS)
+            op, new = rng.choice(["replace", "delete", "insert"]), rng.choice(mutants)
             if op == "replace":
                 texts.append(text[:start] + new + text[end:])
             elif op == "delete":
@@ -456,6 +457,75 @@ def test_notation_matches_golden():
         assert list(golden[key]) == cases[key], key
         for text, want in golden[key].items():
             assert notation_reading(text, ty, pol) == want, (key, text)
+
+
+# The row golden: for the input interface of each fixture process, each
+# ``--in`` text mapped to the row read from it, printed per key, or to the
+# ``error:`` line that ``sill eval`` prints for it.  Regenerated with the
+# value golden.
+
+ROW_GOLDEN = Path(__file__).resolve().parent / "row_golden.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sill" / "fixtures"
+ROW_FIXTURES = {"ex51": "example51.sill", "ex52": "upshift.sill",
+                "choice": "choice.sill", "flip1": "flip.sill"}
+ROW_MUTANTS = MUTANTS + ["=", "b+", "zz-"]
+
+
+def fixture_interface(name):
+    source = (FIXTURES / ROW_FIXTURES[name]).read_text(encoding="utf-8")
+    decl = parse_program(source).procs()[name]
+    return S.proc_inputs(dict(decl.delta), decl.channel, decl.ty)
+
+
+def row_golden_cases(aspects) -> list[str]:
+    """Every depth-2 value of each key, each pair of keys in both orders,
+    the same without spaces, hand-written texts around the entry and bracket
+    rules, and the token prefixes and seeded mutations of the entries."""
+    texts = {k: [D.format_value(v, *a) for v in enum(*a, 2)] for k, a in aspects.items()}
+    entries = [f"{k} = {t}" for k in texts for t in texts[k]]
+    entries += [f"{k1} = {t1}, {k2} = {t2}" for k1, k2 in itertools.permutations(texts, 2)
+                for t1 in texts[k1] for t2 in texts[k2]]
+    k, t = next(iter(texts)), texts[next(iter(texts))][-1]
+    k2 = list(texts)[-1] if len(texts) > 1 else "zz-"
+    handwritten = [
+        "", " ", ",", ", ,", f"{k} = {t},", f", {k} = {t}", f"{k} = {t}, , ",
+        f" {k}  =  {t} ", f"{k} = {t}, {k} = {t}", f"{k} = _, {k} = _",
+        "zz+ = _", f"{k} = {t}, zz- = _", f"zz- = _, {k} = *", f"{k[:-1]} = _",
+        f"{k} {t}", "_", "= _", f"{k} = {t}, {k2}", f"{k} = {t} = _",
+        f"{k} = {t})", f"{k} = {t}}}, {k2} = _", f") {k} = {t}", f"}}, {k} = {t}",
+        f"{k} = up({t}}}, {k2} = _", f"{k} = ({t})), {k2} = _",
+        f"{k} = {{j: {t})}}, {k2} = _", f"{k} = ({t}, {t}), {k2} = _",
+        f"{k} = {{j: {t}, k: {t}}}, {k2} = _", f"{k} = <a, b>, {k2} = _",
+        f"{k} = (<stuck, x>, _)", f"{k} = <(>, {k2} = _", f"{k} = (_, <)>), {k2} = _",
+    ]
+    return list(dict.fromkeys(entries + [e.replace(" ", "") for e in entries]
+                              + handwritten + notation_texts(entries, ROW_MUTANTS)))
+
+
+def row_reading(text, aspects):
+    try:
+        row = _parse_input_row(text, aspects)
+    except UsageError as exc:
+        return {"error": f"error: {exc}"}
+    return {"row": {k: D.format_value(row[k], *aspects[k]) for k in sorted(row)}}
+
+
+def row_golden() -> dict[str, dict[str, dict]]:
+    out = {}
+    for name in ROW_FIXTURES:
+        aspects = fixture_interface(name)
+        out[name] = {text: row_reading(text, aspects) for text in row_golden_cases(aspects)}
+    return out
+
+
+def test_rows_match_golden():
+    golden = json.loads(ROW_GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == list(ROW_FIXTURES)
+    for name in ROW_FIXTURES:
+        aspects = fixture_interface(name)
+        assert list(golden[name]) == row_golden_cases(aspects), name
+        for text, want in golden[name].items():
+            assert row_reading(text, aspects) == want, (name, text)
 
 
 def test_notation_reads_deep_unary_nesting():
@@ -518,5 +588,6 @@ def test_conformance_checker():
 
 
 if __name__ == "__main__":
-    VALUE_GOLDEN.write_text(json.dumps(notation_golden(), indent=1, ensure_ascii=False)
-                            + "\n", encoding="utf-8")
+    for path, golden in ((VALUE_GOLDEN, notation_golden()), (ROW_GOLDEN, row_golden())):
+        path.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
