@@ -34,7 +34,6 @@ from . import laws as L
 from . import semantics as S
 from . import typecheck as T
 from .parser import ProcDecl, SillSyntaxError, parse_program
-from .pretty import pp_type
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -98,52 +97,6 @@ def _find_proc(program, name: str) -> ProcDecl:
     return procs[name]
 
 
-def _parse_input_row(text: str, aspects) -> dict:
-    entries: dict[str, str] = {}
-    depth = 0
-    current = []
-    parts = []
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth = max(depth - 1, 0)  # a stray bracket is the value reader's to report
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current))
-    for part in parts:
-        if not part.strip():
-            continue
-        if "=" not in part:
-            raise UsageError(f"bad input entry {part!r}; write key = value")
-        key, _, val = part.partition("=")
-        key = key.strip()
-        if key in entries:
-            raise UsageError(f"input key {key!r} is given twice")
-        entries[key] = val.strip()
-    row = {}
-    for key, aspect in aspects.items():
-        if key in entries:
-            try:
-                row[key] = D.parse_value(entries.pop(key), aspect[0], aspect[1])
-            except D.ValueNotationError as exc:
-                raise UsageError(
-                    f"input {key}: {exc} (expected a value of type "
-                    f"{pp_type(aspect[0])} at polarity {aspect[1]})"
-                )
-        else:
-            row[key] = D.BOT
-    if entries:
-        raise UsageError(
-            f"unknown input keys {sorted(entries)}; interface has {sorted(aspects)}"
-        )
-    return row
-
-
 def cmd_eval(args) -> int:
     program = _load_program(args.file)
     T.check_program(program)
@@ -151,16 +104,16 @@ def cmd_eval(args) -> int:
     delta = dict(decl.delta)
     cfg = S.EvalConfig(depth=args.depth, fuel=args.fuel)
     den = S.denote_process(decl.proc, delta, decl.channel, decl.ty, cfg=cfg)
-    row = _parse_input_row(args.inputs or "", den.inputs)
+    try:
+        row = D.parse_row(args.inputs, den.inputs)
+    except D.ValueNotationError as exc:
+        raise UsageError(str(exc)) from None
     # Report only query-time solves, but keep a fuel-out from denoting.
     denote_nonconverged = cfg.diag.nonconverged
     cfg.diag.reset()
     cfg.diag.nonconverged = denote_nonconverged
     out = den(S.Row(row))
-    formatted = {
-        k: D.format_value(out[k], den.outputs[k][0], den.outputs[k][1])
-        for k in sorted(out)
-    }
+    formatted = D.format_row(out, den.outputs)
     diagnostics = {
         "trace_iterations": list(cfg.diag.trace_iters),
         "fix_rounds": list(cfg.diag.fix_rounds),
@@ -169,7 +122,7 @@ def cmd_eval(args) -> int:
     if args.json:
         _emit_json({"output": formatted, "diagnostics": diagnostics})
     else:
-        print(", ".join(f"{k} = {v}" for k, v in formatted.items()))
+        print(D.join_row(formatted))
         if cfg.diag.trace_iters:
             print(f"trace iterations: {cfg.diag.trace_iters}")
         if cfg.diag.nonconverged:
@@ -292,8 +245,9 @@ def cmd_demo_flip(args) -> int:
             print(f"equivalent; chains stabilized by n = {max_n}")
         else:
             v, out, ref = mismatches[0]
+            out, ref = (D.join_row(D.format_row(r, den.outputs)) for r in (out, ref))
             print(f"NOT equivalent: input {D.format_value(v, bits, A.POS)} "
-                  f"gives {dict(out)} but forwarding gives {dict(ref)}")
+                  f"gives {out} but forwarding gives {ref}")
         print(f"checked {len(inputs)} stream approximants at depth {depth}")
     if approx:
         return EXIT_APPROX

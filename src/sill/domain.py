@@ -58,6 +58,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import ast as A
 from .ast import NEG, POS, Polarity
+from .pretty import pp_type
 
 
 class DomainError(ValueError):
@@ -754,6 +755,9 @@ def _chain_steps(s: Shape, d: float, seen: frozenset) -> int:
 #   (v, w)       pairs (channel or value transmission)
 #   {k: v, ...}  records (the passive side of a choice)
 #   fold(v)      recursive wrapper when the unfolding is not a choice
+#
+# A row is written k = v, ...: one entry per interface key, split at the
+# commas outside every bracket; an omitted key reads as _.
 
 
 def format_value(v: CommValue, ty: A.SType, pol: Polarity) -> str:
@@ -796,6 +800,17 @@ def _format(v: CommValue, s: Shape) -> str:
             case _:  # the bottom of a lift, sum or fold
                 text = "_"
         return head + text + ")" * close
+
+
+def format_row(row: Mapping[str, CommValue],
+               aspects: Mapping[str, tuple[A.SType, Polarity]]) -> dict[str, str]:
+    """Each value of ``row`` in the notation, by key in sorted order."""
+    return {k: format_value(row[k], *aspects[k]) for k in sorted(row)}
+
+
+def join_row(fields: Mapping[str, str]) -> str:
+    """The text ``k = v, ...`` of a printed row, which :func:`parse_row` reads back."""
+    return ", ".join(f"{k} = {v}" for k, v in fields.items())
 
 
 def format_func_value(f: FuncValue) -> str:
@@ -845,6 +860,56 @@ def parse_value(text: str, ty: A.SType, pol: Polarity) -> CommValue:
     return v
 
 
+def parse_row(text: str, aspects: Mapping[str, tuple[A.SType, Polarity]]
+              ) -> dict[str, CommValue]:
+    """Read a row ``k = v, ...`` over ``aspects``: each value is read by
+    :func:`parse_value` at its key's aspect, and an omitted key reads as _."""
+    matches = list(_VALUE_TOKEN.finditer(text))
+    cuts = [matches[at].start(1) for at in _bracket_commas([m[1] for m in matches])[-1]]
+    entries = {}
+    for start, end in zip([-1, *cuts], [*cuts, len(text)]):
+        part = text[start + 1:end]
+        if not part.strip():
+            continue
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueNotationError(f"bad input entry {part!r}; write key = value")
+        key = key.strip()
+        if key in entries:
+            raise ValueNotationError(f"input key {key!r} is given twice")
+        entries[key] = value
+    row = {}
+    for key, (ty, pol) in aspects.items():
+        try:
+            row[key] = parse_value(entries.pop(key), ty, pol) if key in entries else BOT
+        except ValueNotationError as exc:
+            raise ValueNotationError(f"input {key}: {exc} (expected a value of type "
+                                     f"{pp_type(ty)} at polarity {pol})") from None
+    if entries:
+        raise ValueNotationError(
+            f"unknown input keys {sorted(entries)}; interface has {sorted(aspects)}")
+    return row
+
+
+def _bracket_commas(tokens: Sequence[str]) -> dict[int, list[int]]:
+    """For each ( or { of ``tokens``, by index, the indexes of its top-level
+    commas; under -1 the commas outside every bracket.  A closing bracket
+    closes the innermost open one of either kind, and a stray one is left
+    for the value reader to report."""
+    commas: dict[int, list[int]] = {-1: []}
+    open_at = [-1]
+    for at, tok in enumerate(tokens):
+        if tok in ("(", "{"):
+            commas[at] = []
+            open_at.append(at)
+        elif tok in (")", "}"):
+            if len(open_at) > 1:
+                open_at.pop()
+        elif tok == ",":
+            commas[open_at[-1]].append(at)
+    return commas
+
+
 def _is_label(tok: Optional[str]) -> bool:
     return tok is not None and (tok.isalnum() or "_" in tok)
 
@@ -854,28 +919,17 @@ class _Reader:
     ``None`` after the last token stand for the end of the text."""
 
     def __init__(self, text: str):
-        # For each ( or { the positions of its top-level commas: they tell a
-        # tuple from grouping parentheses and give a record's labels before
-        # any field is read.
+        # The top-level commas of each ( or { tell a tuple from grouping
+        # parentheses and give a record's labels before any field is read.
         self.tokens: list[Optional[str]] = _VALUE_TOKEN.findall(text)
-        self.commas: dict[int, list[int]] = {}
+        self.commas = _bracket_commas(self.tokens)
         self.pos, self.end = 0, len(self.tokens)
-        open_at: list[int] = []
         for at, tok in enumerate(self.tokens):
-            if tok in ("(", "{"):
-                self.commas[at] = []
-                open_at.append(at)
-            elif tok in (")", "}"):
-                if open_at:
-                    open_at.pop()
-            elif tok == ",":
-                if open_at:
-                    self.commas[open_at[-1]].append(at)
-            elif tok in ("·", "."):
+            if tok in ("·", "."):
                 self.tokens[at] = "·"
             elif tok == "<":
                 raise ValueNotationError("unclosed <...> in value")
-            elif len(tok) == 1 and tok not in "*:_" and not tok.isalnum():
+            elif len(tok) == 1 and tok not in "*:_(){}," and not tok.isalnum():
                 raise ValueNotationError(f"unexpected character {tok!r} in value")
         self.tokens += (None, None)
 

@@ -31,7 +31,6 @@ class Verdict:
     left_out: Optional[dict] = None
     right_out: Optional[dict] = None
     reason: str = ""
-    witness_row: Optional["S.Row"] = None  # raw row, for replay
 
     @property
     def equivalent(self) -> bool:
@@ -43,19 +42,11 @@ class Verdict:
                     f"({self.inputs_checked} inputs)")
         if self.witness is None:
             return f"approximate: {self.reason}"
-        w, l, r = (", ".join(f"{k} = {v}" for k, v in sorted(row.items()))
-                   for row in (self.witness, self.left_out, self.right_out))
+        w, l, r = map(D.join_row, (self.witness, self.left_out, self.right_out))
         rows = f"on {w}: left gives {l}; right gives {r}"
         if self.kind == "distinguished":
             return f"distinguished {rows}"
         return f"approximate: {self.reason}, {rows}"
-
-
-def _format_row(row: S.Row, aspects: Mapping[str, S.Aspect]) -> dict:
-    return {
-        k: D.format_value(row[k], aspects[k][0], aspects[k][1])
-        for k in sorted(row)
-    }
 
 
 def input_grid(delta: Mapping[str, A.SType], c: str, cty: A.SType,
@@ -88,9 +79,9 @@ def check_equiv(left: A.Process, right: A.Process,
     diff = S.first_difference(dl, dr, grid, depth)
     checked = len(grid) if diff is None else grid.index(diff[0]) + 1
     shown = {} if diff is None else {
-        "witness": _format_row(diff[0], S.proc_inputs(delta, c, cty)),
-        "left_out": _format_row(diff[1], S.proc_outputs(delta, c, cty)),
-        "right_out": _format_row(diff[2], S.proc_outputs(delta, c, cty))}
+        "witness": D.format_row(diff[0], dl.inputs),
+        "left_out": D.format_row(diff[1], dl.outputs),
+        "right_out": D.format_row(diff[2], dl.outputs)}
     if cfg.diag.nonconverged:
         return Verdict("approximate", depth, checked, **shown,
                        reason="a fixed point did not converge within fuel")
@@ -98,7 +89,7 @@ def check_equiv(left: A.Process, right: A.Process,
         return Verdict("approximate", depth, checked, **shown,
                        reason="the outputs differ only in functional values")
     if diff is not None:
-        return Verdict("distinguished", depth, checked, **shown, witness_row=diff[0])
+        return Verdict("distinguished", depth, checked, **shown)
     note = _free_note(psi, left, right)
     if note:
         return Verdict("approximate", depth, checked, reason=note)

@@ -696,9 +696,9 @@ def _check(report: AxiomReport, depth: int, axiom: str, i: int,
     report.checked[axiom] = report.checked.get(axiom, 0) + 1
     diff = S.first_difference(lhs, rhs, grid_for(lhs.inputs, depth).rows, depth)
     if diff is not None:
-        row, o1, o2 = diff
-        report.failures.append(AxiomFailure(
-            axiom, i, f"differ at {dict(row)}: {dict(o1)} vs {dict(o2)}"))
+        at, l, r = (D.join_row(D.format_row(row, aspects)) for row, aspects in
+                    zip(diff, (lhs.inputs, lhs.outputs, lhs.outputs)))
+        report.failures.append(AxiomFailure(axiom, i, f"differ at {at}: {l} vs {r}"))
 
 
 def trace_axiom_suite(seed: int = 0, rounds: int = 200, depth: int = 2) -> AxiomReport:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from sill import domain as D
+from sill import laws as L
 from sill.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sill" / "fixtures"
@@ -260,6 +262,16 @@ def test_demo_flip(capsys):
     assert "63 stream approximants" in out
 
 
+def test_demo_flip_prints_a_mismatch_in_the_notation(capsys, monkeypatch):
+    parse = L._p
+    monkeypatch.setattr(L, "_p", lambda src: parse(
+        "b <- flip <- a" if src == "fwd b a" else src))
+    code, out = run(capsys, "demo-flip", "--depth", "2")
+    assert code == 1
+    assert out.splitlines()[0] == ("NOT equivalent: input 0·_ gives a- = _, b+ = 0·_ "
+                                   "but forwarding gives a- = _, b+ = 1·_")
+
+
 def test_fuel_exhaustion_reports_approximate(capsys):
     flip = str(FIXTURES / "flip.sill")
     code, out = run(capsys, "equiv", flip, "--left", "flip2",
@@ -445,6 +457,28 @@ def cli_golden_cases() -> dict[str, list[str]]:
 def run_golden_case(argv, capture) -> dict:
     code = main([a.replace("FIXTURES/", f"{FIXTURES}/") for a in argv])
     return {"exit": code, "stdout": capture()}
+
+
+def test_distinguished_witnesses_replay(capsys):
+    # the witness of each distinguished equiv, passed to eval --in, gives
+    # the outputs that equiv printed for each side
+    replayed = 0
+    for argv in cli_golden_cases().values():
+        if argv[0] != "equiv":
+            continue
+        argv = [a.replace("FIXTURES/", f"{FIXTURES}/") for a in argv]
+        _, out = run(capsys, *argv)
+        verdict = json.loads(out)
+        if verdict["kind"] != "distinguished":
+            continue
+        opts = dict(zip(argv[2::2], argv[3::2]))
+        for side in ("left", "right"):
+            code, out = run(capsys, "eval", argv[1], "--proc", opts[f"--{side}"],
+                            "--depth", opts["--depth"], "--json",
+                            "--in", D.join_row(verdict["witness"]))
+            assert code == 0 and json.loads(out)["output"] == verdict[side], side
+        replayed += 1
+    assert replayed
 
 
 def test_cli_json_matches_golden(capsys):

@@ -11,13 +11,14 @@ import sys
 import weakref
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from sill import ast as A
 from sill import domain as D
 from sill import semantics as S
 from sill.ast import NEG, POS
-from sill.cli import UsageError, _parse_input_row
 from sill.parser import parse_program, parse_type
 from sill.pretty import pp_type
 
@@ -471,10 +472,10 @@ ROW_FIXTURES = {"ex51": "example51.sill", "ex52": "upshift.sill",
 ROW_MUTANTS = MUTANTS + ["=", "b+", "zz-"]
 
 
-def fixture_interface(name):
+def fixture_interface(name, side=S.proc_inputs):
     source = (FIXTURES / ROW_FIXTURES[name]).read_text(encoding="utf-8")
     decl = parse_program(source).procs()[name]
-    return S.proc_inputs(dict(decl.delta), decl.channel, decl.ty)
+    return side(dict(decl.delta), decl.channel, decl.ty)
 
 
 def row_golden_cases(aspects) -> list[str]:
@@ -504,10 +505,9 @@ def row_golden_cases(aspects) -> list[str]:
 
 def row_reading(text, aspects):
     try:
-        row = _parse_input_row(text, aspects)
-    except UsageError as exc:
+        return {"row": D.format_row(D.parse_row(text, aspects), aspects)}
+    except D.ValueNotationError as exc:
         return {"error": f"error: {exc}"}
-    return {"row": {k: D.format_value(row[k], *aspects[k]) for k in sorted(row)}}
 
 
 def row_golden() -> dict[str, dict[str, dict]]:
@@ -526,6 +526,19 @@ def test_rows_match_golden():
         assert list(golden[name]) == row_golden_cases(aspects), name
         for text, want in golden[name].items():
             assert row_reading(text, aspects) == want, (name, text)
+
+
+FIXTURE_GRIDS = [(aspects, list(S.row_grid(aspects, 3)))
+                 for aspects in (fixture_interface(name, side) for name in ROW_FIXTURES
+                                 for side in (S.proc_inputs, S.proc_outputs))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_printed_rows_read_back(data):
+    aspects, grid = data.draw(st.sampled_from(FIXTURE_GRIDS))
+    row = data.draw(st.sampled_from(grid))
+    assert D.parse_row(D.join_row(D.format_row(row, aspects)), aspects) == row
 
 
 def test_notation_reads_deep_unary_nesting():

@@ -69,7 +69,7 @@ def test_distinguished_witness_replays():
     cfg = S.EvalConfig(depth=2)
     dl = S.denote_process(left, {"b": BITS}, "f", BITS, cfg=cfg)
     dr = S.denote_process(right, {"b": BITS}, "f", BITS, cfg=cfg)
-    row = verdict.witness_row
+    row = S.Row(D.parse_row(D.join_row(verdict.witness), dl.inputs))
     assert S.row_truncate(dl(row), 2) != S.row_truncate(dr(row), 2)
 
 

@@ -12,6 +12,7 @@ import pytest
 from sill import domain as D
 from sill import laws as L
 from sill import semantics as S
+from sill.ast import NEG, Unit, Up
 
 
 def pairwise_grid(aspects, depth: int) -> L.FinGrid:
@@ -208,3 +209,12 @@ if __name__ == "__main__":
             f" {json.dumps(name)}: [\n" + ",\n".join(f"  {json.dumps(p)}" for p in pairs)
             + "\n ]" for name, pairs in digests.items()) + "\n}\n",
         encoding="utf-8")
+
+
+def test_an_axiom_failure_prints_its_rows_in_the_notation():
+    aspects = {"a": (Up(Unit()), NEG)}, {"b": (Up(Unit()), NEG)}
+    lhs = S.constant_bot(*aspects)
+    rhs = S.Denotation(*aspects, lambda row: S.Row({"b": D.up(D.BOT)}))
+    report = L.AxiomReport(1, ["yanking"])
+    L._check(report, 2, "yanking", 0, lhs, rhs)
+    assert [f.detail for f in report.failures] == ["differ at a = _: b = _ vs b = up(_)"]
