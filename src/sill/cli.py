@@ -138,10 +138,13 @@ def cmd_equiv(args) -> int:
     if (dict(left.delta) != dict(right.delta) or left.channel != right.channel
             or not A.types_equal(left.ty, right.ty)):
         raise UsageError("the two processes have different interfaces")
-    verdict = E.check_equiv(
-        left.proc, right.proc, dict(left.delta), left.channel, left.ty,
-        depth=args.depth, fuel=args.fuel,
-    )
+    try:
+        verdict = E.check_equiv(
+            left.proc, right.proc, dict(left.delta), left.channel, left.ty,
+            depth=args.depth, fuel=args.fuel,
+        )
+    except D.NotEnumerable as exc:
+        raise UsageError(f"cannot enumerate the interface: {exc}") from None
     if args.json:
         _emit_json({
             "kind": verdict.kind,

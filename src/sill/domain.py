@@ -58,7 +58,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import ast as A
 from .ast import NEG, POS, Polarity
-from .pretty import pp_type
+from .pretty import pp_ftype, pp_type
 
 
 class DomainError(ValueError):
@@ -68,7 +68,7 @@ class DomainError(ValueError):
 class NotEnumerable(ValueError):
     def __init__(self, ty: A.FType):
         self.ty = ty
-        super().__init__(f"functional type is not enumerable: {ty}")
+        super().__init__(f"functional type is not enumerable: {pp_ftype(ty)}")
 
 
 class ValueNotationError(ValueError):
@@ -605,7 +605,7 @@ def _check(v: CommValue, s: Shape) -> None:
 def enumerate_values(ty: A.SType, pol: Polarity, depth: int) -> list[CommValue]:
     """All conforming values whose height is at most ``depth``.
 
-    Deterministically ordered.  Recursive occurrences reachable without
+    In ``_enumerate``'s order.  Recursive occurrences reachable without
     crossing a message boundary contribute only BOT (the least solution of
     the enumeration equation), matching the degenerate domains such types
     denote.  A transmitted quoted process takes its two canonical points,
@@ -616,9 +616,16 @@ def enumerate_values(ty: A.SType, pol: Polarity, depth: int) -> list[CommValue]:
 
 @lru_cache(maxsize=None)
 def _enumerate(shape: Shape, depth: int) -> tuple[CommValue, ...]:
-    """The sorted values of ``shape`` up to ``depth``, memoized at each
-    message boundary, where the cycle cut starts afresh."""
-    return tuple(sorted(set(_enumerate_in(shape, depth, frozenset())), key=value_key))
+    """The values of ``shape`` up to ``depth``, memoized at each message
+    boundary, where the cycle cut starts afresh.
+
+    Generated in order, a linear extension of ``leq``: BOT first, once; a
+    unit gives ``_`` then ``*``; a lift or sum gives ``_``, then each branch
+    in label order over the values below the boundary; a record, pair or
+    value pair gives the product of its components' orders, last component
+    fastest; a fold takes its body's order.  Only the all-bottom
+    combination collapses (to BOT), so no value occurs twice."""
+    return tuple(_enumerate_in(shape, depth, frozenset()))
 
 
 def _below(s: Shape, depth: int) -> Sequence[CommValue]:
@@ -652,41 +659,6 @@ def _enumerate_in(s: Shape, depth: int, seen: frozenset) -> list[CommValue]:
                     for y in _enumerate_in(r, depth, seen)]
         case FoldShape():
             return [fold(x) for x in _enumerate_in(s.body, depth, seen)]
-
-
-def value_key(v: CommValue):
-    """A stable total ordering key for deterministic enumeration output."""
-    match v:
-        case BotValue():
-            return (0,)
-        case StarValue():
-            return (1,)
-        case Lift(inner=a):
-            return (2, value_key(a))
-        case Tag(label=k, inner=a):
-            return (3, k, value_key(a))
-        case Pair(left=l, right=r):
-            return (4, value_key(l), value_key(r))
-        case ValPair(val=f, rest=r):
-            return (5, _func_key(f), value_key(r))
-        case Record(entries=es):
-            return (6, tuple((k, value_key(x)) for k, x in es))
-        case Fold(inner=a):
-            return (7, value_key(a))
-    raise DomainError(f"not a value: {v!r}")
-
-
-def _func_key(f: FuncValue):
-    match f:
-        case FuncBot():
-            return (0,)
-        case QProcBot():
-            return (1,)
-        case QProc():
-            return (2, id(f.den))
-        case Closure():
-            return (3, f.var, id(f.body))
-    raise DomainError(f"not a functional value: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,18 @@ def test_equiv_of_different_interfaces_is_a_usage_error(capsys):
     assert err == "error: the two processes have different interfaces\n"
 
 
+def test_equiv_of_a_non_enumerable_interface_is_a_usage_error(tmp_path, capsys):
+    # the used channel carries an arrow, which has no finite value grid
+    ty = "(a : ({d : 1} -> {d : 1}) /\\ 1 |- c : 1)"
+    body = "(f) <- recv a; wait a; close c"
+    src = tmp_path / "arrow.sill"
+    src.write_text("term quit : {d : 1} = {d <- close d}\n"
+                   f"proc p : {ty} = {body}\nproc q : {ty} = {body}\n", encoding="utf-8")
+    err = usage_error(capsys, "equiv", str(src), "--left", "p", "--right", "q")
+    assert err == ("error: cannot enumerate the interface: functional type is not "
+                   "enumerable: {d : 1} -> {d : 1}\n")
+
+
 @pytest.mark.parametrize("command", [["check"], ["eval", "--proc", "p"],
                                      ["equiv", "--left", "p", "--right", "q"]])
 def test_unreadable_source_is_a_usage_error(tmp_path, capsys, command):

@@ -204,6 +204,54 @@ def test_enumeration_and_chain_steps_match_golden():
             assert D.chain_steps(ty, pol, d) == want["chain_steps"][d]
 
 
+# Aspects with three or more labels, written out of order, and recursive
+# ones under records, sums and pairs.
+ORDER_EXTRA = [(parse_type(text), pol) for text in (
+    "+{z: 1, a: down up 1, m: 1 * 1}",
+    "&{z: up 1, a: up 1, m: up 1}",
+    "rho t. &{q: up t, b: up 1}",
+    "rho s. +{c: s, a: s, b: s}",
+    "&{y: up (rho b. +{0: b, 1: b}), x: up 1}",
+    "(rho b. +{0: b, 1: b}) * up 1",
+) for pol in (POS, NEG)]
+
+
+def order_key(v):
+    """A total order key defined on value structure alone, the order
+    enumeration is checked to produce."""
+    match v:
+        case D.BotValue():
+            return (0,)
+        case D.StarValue():
+            return (1,)
+        case D.Lift(inner=a):
+            return (2, order_key(a))
+        case D.Tag(label=k, inner=a):
+            return (3, k, order_key(a))
+        case D.Pair(left=l, right=r):
+            return (4, order_key(l), order_key(r))
+        case D.ValPair(val=f, rest=r):
+            return (5, [D.FBOT, D.QPROC_BOT].index(f), order_key(r))
+        case D.Record(entries=es):
+            return (6, tuple((k, order_key(x)) for k, x in es))
+        case D.Fold(inner=a):
+            return (7, order_key(a))
+    raise AssertionError(f"not a value: {v!r}")
+
+
+def test_enumeration_is_in_order():
+    for ty, pol in BATTERY + ORDER_EXTRA:
+        for d in range(6):
+            values = enum(ty, pol, d)
+            where = (battery_key(ty, pol), d)
+            assert len(set(values)) == len(values), where
+            assert values[0] == D.BOT, where
+            assert values == sorted(values, key=order_key), where
+            head = values[:80]
+            for i, j in itertools.combinations(range(len(head)), 2):
+                assert not D.leq(head[j], head[i]), (where, head[i], head[j])
+
+
 def longest_strict_chain(values):
     """Strict steps on the longest ascending chain among ``values``."""
     below = {v: [w for w in values if w != v and D.leq(w, v)] for v in values}
