@@ -350,6 +350,25 @@ def test_eval_out_of_fuel_is_approximate(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("proc, given, fuel, want", [
+    ("flip2", "a+ = 0·1·_", 0, ([0], [], True, "b+", "_")),
+    ("flip2", "a+ = 0·1·_", 1, ([1], [1], True, "b+", "0·_")),
+    ("flip2", "a+ = 0·1·_", 2, ([2], [2, 2], False, "b+", "0·1·_")),
+    ("flip1", "b+ = 0·1·_", 0, ([], [], True, "f+", "_")),
+    ("flip1", "b+ = 0·1·_", 1, ([], [1], True, "f+", "1·_")),
+    ("flip1", "b+ = 0·1·_", 2, ([], [2], False, "f+", "1·0·_")),
+])
+def test_eval_fuel_counts(capsys, proc, given, fuel, want):
+    code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", proc,
+                    "--in", given, "--depth", "4", "--fuel", str(fuel), "--json")
+    payload = json.loads(out)
+    iters, rounds, nonconverged, key, value = want
+    assert payload["diagnostics"] == {"trace_iterations": iters, "fix_rounds": rounds,
+                                      "nonconverged": nonconverged}
+    assert payload["output"][key] == value
+    assert code == (2 if nonconverged else 0)
+
+
 def test_eval_keeps_a_denote_time_fuel_out(tmp_path, capsys):
     f = tmp_path / "loop.sill"
     f.write_text("term quit : {d : 1} = {d <- close d}\n"

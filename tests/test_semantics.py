@@ -695,6 +695,59 @@ def test_yanking_on_truncated_bits():
 
 
 # ---------------------------------------------------------------------------
+# Fuel accounting: a unit of fuel is one evaluation after the first for a
+# feedback loop, one round for a fix
+
+
+def zero_then(v):
+    return D.fold(D.tag("0", v))
+
+
+FUELS = (0, 1, 2, 3, 4, 5, None)
+
+
+@pytest.mark.parametrize("fuel, iters", zip(FUELS, (0, 1, 2, 3, 4, 4, 4)))
+def test_trace_fuel_counts(fuel, iters):
+    # u |-> 0·u, b = u: the chain 0·_, 0·0·_, 0·0·0·_ stops at depth 3
+    cfg = S.EvalConfig(depth=3, fuel=fuel)
+    asp = (BITS, POS)
+    den = S.Denotation({"u": asp}, {"b": asp, "u": asp},
+                       lambda row: S.Row({"b": row["u"], "u": zero_then(row["u"])}))
+    out = S.trace(den, ["u"], cfg)(S.Row({}))
+    assert cfg.diag.trace_iters == [iters]
+    assert cfg.diag.nonconverged == (fuel is not None and fuel < 4)
+    assert out["b"] == val("0·" * min(iters, 3) + "_", BITS, POS)
+
+
+@pytest.mark.parametrize("fuel, calls", zip(FUELS, (1, 2, 3, 4, 4, 4, 4)))
+def test_sfix_fuel_counts(fuel, calls):
+    cfg = S.EvalConfig(depth=3, fuel=fuel)
+    asp = (BITS, POS)
+    seen = []
+
+    def fn(row):
+        seen.append(row)
+        return S.Row({"ao": zero_then(row["a"])})
+
+    den = S.Denotation({"a": asp}, {"ao": asp}, fn)
+    S.sfix_row(den, {"a": "ao"}, cfg)(S.Row({}))
+    assert len(seen) == calls
+    assert cfg.diag.nonconverged == (fuel is not None and fuel < 3)
+    assert cfg.diag.trace_iters == [] and cfg.diag.fix_rounds == []
+
+
+@pytest.mark.parametrize("fuel, rounds", [(0, 0), (1, 1), (None, 1)])
+def test_fix_fuel_rounds(fuel, rounds):
+    quit_ty = A.ProcType("d", A.Unit(), ())
+    cfg = S.EvalConfig(depth=2, fuel=fuel)
+    v = S.denote_term(A.Anno(A.Fix("x", A.Var("x")), quit_ty), quit_ty, {},
+                      S.EMPTY_ENV, cfg)
+    assert v == D.FBOT
+    assert cfg.diag.fix_rounds == [rounds]
+    assert cfg.diag.nonconverged == (fuel == 0)
+
+
+# ---------------------------------------------------------------------------
 # Trace calculus properties beyond the axiom suite
 
 
