@@ -249,7 +249,7 @@ def whole_grid_fix(anno: A.Anno, depth: int) -> D.FuncValue:
     if not isinstance(fix, A.Fix):
         return S.denote_term(anno, None, {}, S.EMPTY_ENV, cfg)
     v = D.FBOT
-    for _ in range(cfg.fix_fuel()):
+    for _ in range(max(2 * depth + 8, 32)):
         w = S.denote_term(fix.body, ty, {fix.var: ty},
                           S.EMPTY_ENV.updated(fix.var, v), cfg)
         if v == w or (isinstance(v, D.QProc) and all(
