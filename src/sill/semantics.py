@@ -149,9 +149,6 @@ class EvalConfig:
     fixes: weakref.WeakValueDictionary = field(
         default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False)
 
-    def fix_fuel(self) -> int:
-        return self.fuel if self.fuel is not None else max(2 * self.depth + 8, 32)
-
 
 # ---------------------------------------------------------------------------
 # Denotations
@@ -316,6 +313,20 @@ def _strict(fn: Callable[[Row], Row], key: str, bot: Row) -> Callable[[Row], Row
 # Trace and parametrized fixed points
 
 
+def kleene(step: Callable, state, bound: int, cfg: EvalConfig, done: bool = False):
+    """Iterate ``state, done = step(state)`` until done, within the fuel:
+    ``cfg.fuel``, else ``bound`` steps.  Running out sets
+    ``cfg.diag.nonconverged``.  Returns the last state and the step count."""
+    fuel = bound if cfg.fuel is None else cfg.fuel
+    n = 0
+    while not done and n < fuel:
+        state, done = step(state)
+        n += 1
+    if not done:
+        cfg.diag.nonconverged = True
+    return state, n
+
+
 def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
     """Close a feedback loop over ``fb_keys`` by Kleene iteration from bottom.
 
@@ -337,24 +348,15 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
     cut = {k for k in fb if D.recursive(*den.inputs[k])}
     bound = sum(D.chain_steps(*den.inputs[k], cfg.depth if k in cut else math.inf)
                 for k in fb) + 2
-    fuel = cfg.fuel if cfg.fuel is not None else bound
 
     def fn(row: Row) -> Row:
-        x = bot_row(fb)
-        prev = None
-        n = 0
-        while True:
-            n += 1
-            y = den(Row({**row, **x}))
-            if prev is not None and y == prev:
-                break
-            if n > fuel:
-                cfg.diag.nonconverged = True
-                break
-            x = Row({k: D.truncate(y[k], cfg.depth) if k in cut else y[k]
-                     for k in fb})
-            prev = y
-        cfg.diag.trace_iters.append(n - 1)
+        def step(y: Row) -> tuple[Row, bool]:
+            x = {k: D.truncate(y[k], cfg.depth) if k in cut else y[k] for k in fb}
+            y2 = den(Row({**row, **x}))
+            return y2, y2 == y
+
+        y, n = kleene(step, den(Row({**row, **bot_row(fb)})), bound, cfg)
+        cfg.diag.trace_iters.append(n)
         return y.without(*fb)
 
     return Denotation(inputs, outputs, fn, label=f"trace({den.label})")
@@ -415,21 +417,16 @@ def sfix_row(den: Denotation, bind: Mapping[str, str], cfg: EvalConfig) -> Denot
     inputs = {k: v for k, v in den.inputs.items() if k not in bind}
     bound = sum(D.chain_steps(t, p, cfg.depth) for t, p in
                 (den.inputs[k] for k in bind)) + 2
-    fuel = cfg.fuel if cfg.fuel is not None else bound
 
     def fn(row: Row) -> Row:
-        x = bot_row(bind)
-        n = 0
-        while True:
-            n += 1
+        def step(state: tuple[dict, Row]) -> tuple[tuple[dict, Row], bool]:
+            x = state[0]
             y = den(Row({**row, **x}))
-            x2 = Row({ik: D.truncate(y[ok], cfg.depth) for ik, ok in bind.items()})
-            if x2 == x:
-                break
-            if n > fuel:
-                cfg.diag.nonconverged = True
-                break
-            x = x2
+            x2 = {ik: D.truncate(y[ok], cfg.depth) for ik, ok in bind.items()}
+            return (x2, y), x2 == x
+
+        state, done = step((bot_row(bind), None))
+        (_, y), _ = kleene(step, state, bound, cfg, done)
         return y
 
     return Denotation(inputs, den.outputs, fn, label=f"sfix({den.label})")
@@ -722,32 +719,29 @@ def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
     run: a row that any instantiation of the site solved before adds none.
     """
     cfg = site.cfg
-    fuel = cfg.fix_fuel()
+    bound = max(2 * cfg.depth + 8, 32)
     quoted = isinstance(site.ty, A.ProcType)
-    rounds, done = 0, False
     if row is None:
-        v: D.FuncValue = D.FBOT
-        while not done and rounds < fuel:
+        def iterate(v: D.FuncValue) -> tuple[D.FuncValue, bool]:
             w = site.unroll(v) if v == D.FBOT or not quoted else site.value
-            rounds += 1
-            done = _func_converged(v, w, cfg)
-            v = w
+            return w, _func_converged(v, w, cfg)
+
+        v, rounds = kleene(iterate, D.FBOT, bound, cfg)
         result = site.value if quoted and v != D.FBOT else v
     else:
-        table = {row: bot_row(site.interface[1])}
-        while not done and rounds < fuel:
+        def sweep(table: dict[Row, Row]) -> tuple[dict[Row, Row], bool]:
             swept: dict[Row, Row] = {}
             v, w, stale, found = site.step(table, swept)
             # dependencies first; ``found`` grows while it is visited
             for r in itertools.chain(reversed(list(table)), found):
                 swept[r] = w.den(r)
-            rounds += 1
             done = _func_converged(v, w, cfg, stale)
             table.update(swept)  # in place, so it keeps the order of discovery
+            return table, done
+
+        table, rounds = kleene(sweep, {row: bot_row(site.interface[1])}, bound, cfg)
         site.solved.update(table)
         result = table[row]
-    if not done:
-        cfg.diag.nonconverged = True
     cfg.diag.fix_rounds.append(rounds)
     return result
 
