@@ -689,7 +689,14 @@ def chain_steps(ty: A.SType, pol: Polarity, depth: float) -> int:
     """An upper bound on the number of strict steps any ascending chain can
     take in the depth-truncated aspect; ``math.inf`` gives the full height
     of an aspect that is not recursive."""
-    return _chain_steps(aspect(ty, pol), depth, frozenset())
+    return _chain_below(aspect(ty, pol), depth)
+
+
+@lru_cache(maxsize=None)
+def _chain_below(s: Shape, d: float) -> int:
+    """:func:`_chain_steps` memoized at each message boundary, where the
+    cycle cut starts afresh (as :func:`_enumerate` is)."""
+    return _chain_steps(s, d, frozenset())
 
 
 def _chain_steps(s: Shape, d: float, seen: frozenset) -> int:
@@ -700,11 +707,11 @@ def _chain_steps(s: Shape, d: float, seen: frozenset) -> int:
         case UnitShape(star=star):
             return int(star)
         case LiftShape(inner=i):
-            return 1 + _chain_steps(i, d - 1, frozenset()) if d > 0 else 0
+            return 1 + _chain_below(i, d - 1) if d > 0 else 0
         case SumShape(branches=bs):
             if d <= 0:
                 return 0
-            return 1 + max(_chain_steps(b, d - 1, frozenset()) for b in bs.values())
+            return 1 + max(_chain_below(b, d - 1) for b in bs.values())
         case RecordShape(fields=fs):
             return sum(_chain_steps(f, d, seen) for f in fs.values())
         case PairShape(left=l, right=r):

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -652,3 +653,41 @@ if __name__ == "__main__":
     for path, golden in ((VALUE_GOLDEN, notation_golden()), (ROW_GOLDEN, row_golden())):
         path.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n",
                         encoding="utf-8")
+
+
+def chain_steps_reference(s, d, seen=frozenset()):
+    """The ascending-chain bound by plain recursion, without memoization."""
+    if s in seen:
+        return 0
+    seen = seen | {s}
+    match s:
+        case D.UnitShape(star=star):
+            return int(star)
+        case D.LiftShape(inner=i):
+            return 1 + chain_steps_reference(i, d - 1) if d > 0 else 0
+        case D.SumShape(branches=bs):
+            return 1 + max(chain_steps_reference(b, d - 1) for b in bs.values()) if d > 0 else 0
+        case D.RecordShape(fields=fs):
+            return sum(chain_steps_reference(f, d, seen) for f in fs.values())
+        case D.PairShape(left=l, right=r):
+            return chain_steps_reference(l, d, seen) + chain_steps_reference(r, d, seen)
+        case D.ValPairShape(rest=r):
+            return 2 + chain_steps_reference(r, d, seen)
+        case D.FoldShape():
+            return chain_steps_reference(s.body, d, seen)
+
+
+def test_chain_steps_matches_the_plain_recursion():
+    from sill.laws import aspect_battery
+    stream3 = (parse_type("rho s. +{c: s, a: s, b: s}"), POS)
+    for ty, pol in [asp for asp, _ in aspect_battery()] + BATTERY + ORDER_EXTRA + [stream3]:
+        for d in range(11):
+            assert D.chain_steps(ty, pol, d) == chain_steps_reference(D.aspect(ty, pol), d), (
+                battery_key(ty, pol), d)
+
+
+def test_chain_steps_is_linear_in_the_depth():
+    # each message boundary is solved once per depth, not once per path
+    start = time.perf_counter()
+    assert D.chain_steps(BITS, POS, 100) == 100
+    assert time.perf_counter() - start < 0.5
