@@ -257,6 +257,12 @@ def cmd_demo_flip(args) -> int:
     return EXIT_OK if not mismatches else EXIT_FAIL
 
 
+FUEL_HELP = ("steps allowed to each fixed point: iterations after the first evaluation "
+             "for a feedback loop, rounds for a fix (default: the chain height of its "
+             "feedback keys + 2 for a loop, max(2*depth + 8, 32) for a fix); running out "
+             "makes the verdict approximate (exit 2)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` makes a
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--in", dest="inputs", default="",
                         help='e.g. "b+ = 0·1·_, c- = _"; omitted keys are _')
     p_eval.add_argument("--depth", type=int, default=8)
-    p_eval.add_argument("--fuel", type=int, default=None)
+    p_eval.add_argument("--fuel", type=int, default=None, help=FUEL_HELP)
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--left", required=True)
     p_equiv.add_argument("--right", required=True)
     p_equiv.add_argument("--depth", type=int, default=4)
-    p_equiv.add_argument("--fuel", type=int, default=None)
+    p_equiv.add_argument("--fuel", type=int, default=None, help=FUEL_HELP)
     p_equiv.add_argument("--json", action="store_true")
     p_equiv.set_defaults(func=cmd_equiv)
 
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo-flip", help="the bit-flipping case study")
     p_demo.add_argument("--depth", type=int, default=8)
-    p_demo.add_argument("--fuel", type=int, default=None)
+    p_demo.add_argument("--fuel", type=int, default=None, help=FUEL_HELP)
     p_demo.add_argument("--json", action="store_true")
     p_demo.set_defaults(func=cmd_demo_flip)
 
