@@ -720,8 +720,9 @@ def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
     """
     cfg = site.cfg
     bound = max(2 * cfg.depth + 8, 32)
-    quoted = isinstance(site.ty, A.ProcType)
     if row is None:
+        quoted = isinstance(site.ty, A.ProcType)
+
         def iterate(v: D.FuncValue) -> tuple[D.FuncValue, bool]:
             w = site.unroll(v) if v == D.FBOT or not quoted else site.value
             return w, _func_converged(v, w, cfg)

@@ -20,6 +20,7 @@ from sill import ast as A
 from sill import domain as D
 from sill import semantics as S
 from sill.ast import NEG, POS
+from sill.laws import aspect_battery
 from sill.parser import parse_program, parse_type
 from sill.pretty import pp_type
 
@@ -678,7 +679,6 @@ def chain_steps_reference(s, d, seen=frozenset()):
 
 
 def test_chain_steps_matches_the_plain_recursion():
-    from sill.laws import aspect_battery
     stream3 = (parse_type("rho s. +{c: s, a: s, b: s}"), POS)
     for ty, pol in [asp for asp, _ in aspect_battery()] + BATTERY + ORDER_EXTRA + [stream3]:
         for d in range(11):
