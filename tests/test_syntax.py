@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import itertools
 import json
+import random
+import re
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from sill import ast as A
 from sill import equiv as E
 from sill import laws as L
+from sill import typecheck as T
 from sill.parser import (SillSyntaxError, parse_process, parse_program,
                          parse_term, parse_type, tokenize)
 from sill.pretty import pp_process, pp_term, pp_type
@@ -415,6 +418,150 @@ def test_traversals_match_golden():
 
 
 # ---------------------------------------------------------------------------
+# Golden type battery: free type variables, type substitution, alpha-equality
+# and polarity of every session type of the fixtures, the law corpus and the
+# aspect battery, of hand-written ill-formed types and of seeded random ones.
+# Regenerate with ``PYTHONPATH=src python tests/test_syntax.py``.
+
+TYPE_GOLDEN = Path(__file__).resolve().parent / "type_golden.json"
+
+
+ODD_TYPES = {
+    "ill-polarized": [parse_type(s) for s in [
+        "down 1", "up up 1", "+{a: 1, b: up 1}", "&{a: up 1, b: 1}", "up 1 * 1", "1 * up 1",
+        "up 1 -o up 1", "1 -o 1", "{c : 1} /\\ up 1", "{c : 1} => 1", "{c : down 1} /\\ 1",
+        "({c : 1} -> {d : up up 1}) => up 1", "rho t. down t", "rho t. up t",
+        "rho t. +{a: up t}", "rho t. &{a: t, b: 1}", "rho t. rho u. +{j: u, k: up t}",
+    ]],
+    "unbound": [parse_type(s) for s in [
+        "s", "+{a: s, b: t}", "rho t. s * t", "{c : s} /\\ 1", "rho s. {c : s} /\\ s",
+        "rho s. {c : 1 <- d : s} => up s", "up (t -o s)",
+    ]],
+    "non-contractive": [
+        A.Rec("t", A.TVar("t")), A.Rec("t", A.Rec("u", A.TVar("t"))),
+        A.Rec("t", A.Rec("t", A.TVar("t"))), A.Rec("t", A.Rec("u", A.TVar("u"))),
+        A.Down(A.Rec("t", A.TVar("t"))), A.Tensor(A.Unit(), A.Rec("s", A.Rec("t", A.TVar("s")))),
+        A.Rec("t", A.plus({"a": A.Rec("u", A.TVar("t"))})),
+    ],
+}
+
+
+def random_stype(rng, size: int):
+    """A seeded random session type of about ``size`` nodes: open or closed,
+    any polarity, binders shadowing one another, not always contractive."""
+    if size <= 1:
+        return rng.choice([A.Unit(), *map(A.TVar, TVARS)])
+    kind, sub = rng.randrange(10), size - 1
+    if kind in (0, 1):
+        return (A.Down, A.Up)[kind](random_stype(rng, sub))
+    if kind in (2, 3):
+        labels = rng.sample(LABELS, rng.randint(1, 3))
+        return (A.plus, A.with_)[kind - 2](
+            {k: random_stype(rng, sub // len(labels)) for k in labels})
+    if kind in (4, 5):
+        left = rng.randrange(1, size)
+        return (A.Tensor, A.Lolly)[kind - 4](random_stype(rng, left),
+                                             random_stype(rng, size - left))
+    if kind in (6, 7):
+        proc = A.ProcType(rng.choice(CHANS), random_stype(rng, 2),
+                          tuple((c, random_stype(rng, 2)) for c in rng.sample(CHANS, 2)))
+        val = A.Arrow(proc, A.ProcType("d", A.Unit())) if rng.random() < 0.3 else proc
+        return (A.AndVal, A.ImpVal)[kind - 6](val, random_stype(rng, sub))
+    return A.Rec(rng.choice(TVARS), random_stype(rng, sub))
+
+
+def type_cases() -> dict:
+    """Every distinct session type below the declarations of the fixtures and
+    the law corpus, the aspect battery's types, the hand-written ones and 30
+    seeded random ones, keyed by where each first occurs and its notation."""
+    sources = [(path.relative_to(FIXTURES).as_posix(),
+                parse_program(path.read_text(encoding="utf-8")).decls)
+               for path in sorted(FIXTURES.glob("**/*.sill"))]
+    sources.append(("laws.CORPUS_SRC", parse_program(L.CORPUS_SRC).decls))
+    sources.append(("laws.aspect_battery", [ty for (ty, _), _ in L.aspect_battery()]))
+    sources.extend(ODD_TYPES.items())
+    rng = random.Random(25)
+    sources.append(("generated", [random_stype(rng, rng.randint(2, 8)) for _ in range(30)]))
+    cases, seen = {}, set()
+    for source, roots in sources:
+        for node in (n for root in roots for n in _nodes(root)):
+            if isinstance(node, A.SType) and repr(node) not in seen:
+                seen.add(repr(node))
+                key = f"{source}: {pp_type(node)}"
+                assert key not in cases, key
+                cases[key] = node
+    return cases
+
+
+def _rename_binders(node, new, env=None):
+    """``node`` with each ``rho`` binder ``a`` (and what it binds) renamed to
+    ``new(a)``; a carried functional type is a scope of its own."""
+    env = env or {}
+    if isinstance(node, A.TVar):
+        return A.TVar(env.get(node.name, node.name))
+    if isinstance(node, A.Rec):
+        return A.Rec(new(node.var), _rename_binders(node.body, new, {**env, node.var: new(node.var)}))
+    if isinstance(node, A.FType):
+        env = {}
+    changes = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _rename_binders(value, new, env)
+        elif f.name in ("branches", "used"):
+            changes[f.name] = tuple((k, _rename_binders(t, new, env)) for k, t in value)
+    return dataclasses.replace(node, **changes)
+
+
+def _polarity_record(xi, ty):
+    try:
+        return str(T.check_session_type(xi, ty))
+    except T.TypeCheckError as exc:
+        return exc.to_json()
+
+
+def type_record(ty, cases: dict) -> dict:
+    # The image mentions every binder of ``ty`` and the unused "zz" entry
+    # keeps a closed type's mapping non-empty, so every binder is freshened.
+    ftv = sorted(A.free_type_vars(ty))
+    binders = sorted({n.var for n in _nodes(ty) if isinstance(n, A.Rec)})
+    image = functools.reduce(A.Tensor, map(A.TVar, binders), A.TVar("w"))
+    subst = _counted_from_zero(A.subst_type, {a: image for a in [*ftv, "zz"]}, ty)
+    return {
+        "free_type_vars": ftv,
+        "subst_type": repr(subst),
+        "unfold_rec": (repr(_counted_from_zero(A.unfold_rec, ty))
+                       if isinstance(ty, A.Rec) else None),
+        "equal_to": [key for key, other in cases.items()
+                     if other is not ty and A.types_equal(ty, other)],
+        "alpha_renamed": A.types_equal(ty, _rename_binders(ty, lambda a: a + "'")),
+        "binders_renamed_to_s": A.types_equal(ty, _rename_binders(ty, lambda a: "s")),
+        "polarity": _polarity_record({}, ty),
+        "polarity_with_free_vars": [_polarity_record(dict.fromkeys(ftv, pol), ty)
+                                    for pol in (A.POS, A.NEG)] if ftv else None,
+    }
+
+
+def test_type_walks_match_golden():
+    golden = json.loads(TYPE_GOLDEN.read_text(encoding="utf-8"))
+    cases = type_cases()
+    assert list(golden) == list(cases)
+    for key, ty in cases.items():
+        assert type_record(ty, cases) == golden[key], key
+
+
+def test_type_walks_reject_a_non_type():
+    for bad in (5, A.Var("x"), A.Close("c")):
+        text = re.escape(f"not a session type: {bad!r}")
+        with pytest.raises(TypeError, match=text):
+            A.free_type_vars(bad)
+        with pytest.raises(TypeError, match=text):
+            A.subst_type({"a": A.Unit()}, bad)
+    with pytest.raises(TypeError, match="not a session type: 5"):
+        A.free_type_vars(A.Down(5))
+
+
+# ---------------------------------------------------------------------------
 # Golden token battery: the kind, text, line and column of every token of
 # every fixture, the law corpus and a few hand-written sources that stress
 # line and column bookkeeping, or the message and position of the lexical
@@ -465,6 +612,10 @@ if __name__ == "__main__":
     AST_GOLDEN.write_text(json.dumps(
         {key: traversal_record(node) for key, node in traversal_cases().items()},
         indent=1) + "\n", encoding="utf-8")
+    types = type_cases()
+    TYPE_GOLDEN.write_text(json.dumps(
+        {key: type_record(ty, types) for key, ty in types.items()},
+        indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     TOKEN_GOLDEN.write_text(json.dumps(
         {name: token_record(src) for name, src in token_cases().items()},
         indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
