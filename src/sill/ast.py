@@ -12,7 +12,7 @@ comparison-exempt field so that structural equality ignores positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union, get_type_hints
 
@@ -122,7 +122,7 @@ class TVar(SType):
 class Rec(SType):
     """Recursive protocol; unfolding is mediated by explicit unfold messages."""
 
-    var: str
+    var: str = field(metadata={"binds": "type"})
     body: SType
 
 
@@ -350,53 +350,69 @@ def case(channel: str, mapping: Mapping[str, Process]) -> Case:
 
 
 # ---------------------------------------------------------------------------
-# The node table: the fields of each term and process class, by role, as the
-# generic traversals below need them.  A field whose metadata has "binds"
-# names the term variable or the channel that the node binds in its children.
+# The node table: the fields of each session type, term and process class,
+# by role, as the generic traversals below need them.  A field whose metadata
+# has "binds" names the variable or the channel that the node binds in its
+# parts.
 
 
 class _Shape(NamedTuple):
-    kids: tuple[str, ...]  # subterms, subprocesses and (label, process) branches
-    var: Optional[str]  # the bound term variable
+    fields: tuple[str, ...]  # every field but the span, in constructor order
+    kids: tuple[str, ...]  # its parts: nodes and (label, node) branch lists
+    var: Optional[str]  # the bound type or term variable
     chan: Optional[str]  # the bound channel
     names: tuple[str, ...]  # free channel names: a name or a tuple of names
 
 
 def _describe(cls: type) -> _Shape:
-    hints, fs = get_type_hints(cls), fields(cls)
+    hints, fs = get_type_hints(cls), [f for f in fields(cls) if f.name != "span"]
     binds = {f.metadata["binds"]: f.name for f in fs if "binds" in f.metadata}
-    kid_types = (Term, Process, tuple[tuple[str, Process], ...])
+    kid_types = (SType, Term, Process, tuple[tuple[str, SType], ...],
+                 tuple[tuple[str, Process], ...])
     return _Shape(
+        fields=tuple(f.name for f in fs),
         kids=tuple(f.name for f in fs if hints[f.name] in kid_types),
-        var=binds.get("term"), chan=binds.get("channel"),
+        var=binds.get("type", binds.get("term")), chan=binds.get("channel"),
         names=tuple(f.name for f in fs if issubclass(cls, Process) and "binds" not in f.metadata
                     and f.name in ("channel", "provided", "used", "sent")))
 
 
-_SHAPES = {cls: _describe(cls) for base in (Term, Process) for cls in base.__subclasses__()}
+_SHAPES = {cls: _describe(cls) for base in (SType, Term, Process) for cls in base.__subclasses__()}
+_KINDS = {SType: "session type", (Term, Process): "term or process", Process: "process"}
 
 
-def _shape(node, what: str = "term or process") -> _Shape:
+def _shape(node, kind: type | tuple = (Term, Process)) -> _Shape:
+    """The shape of ``node``, which must be of ``kind``."""
     shape = _SHAPES.get(type(node))
-    if shape is None or (what == "process" and not isinstance(node, Process)):
-        raise TypeError(f"not a {what}: {node!r}")
+    if shape is None or not isinstance(node, kind):
+        raise TypeError(f"not a {_KINDS[kind]}: {node!r}")
     return shape
 
 
-def _children(node) -> Iterator:
+def children(node) -> Iterator:
+    """The parts of a node in field order, a branch list giving the node of
+    each branch in turn."""
     for name in _SHAPES[type(node)].kids:
         value = getattr(node, name)
         yield from (q for _, q in value) if isinstance(value, tuple) else (value,)
 
 
-def _map(node, f, **changes):
-    """``node`` with ``f`` applied to every child and ``changes`` made to
-    its other fields; the span is kept."""
-    for name in _SHAPES[type(node)].kids:
-        value = getattr(node, name)
-        changes[name] = (tuple((k, f(q)) for k, q in value)
-                         if isinstance(value, tuple) else f(value))
-    return replace(node, **changes)
+def _map(node, f, arg, **changes):
+    """``node`` rebuilt through its constructor, with every part ``q``
+    replaced by ``f(arg, q)`` and ``changes`` made to its other fields, or
+    ``node`` itself when it has neither.  A term or process keeps its span;
+    a rebuilt session type has none."""
+    shape = _SHAPES[type(node)]
+    if not shape.kids and not changes:
+        return node
+    args = []
+    for name in shape.fields:
+        value = changes[name] if name in changes else getattr(node, name)
+        if name in shape.kids:
+            value = (tuple([(k, f(arg, q)) for k, q in value])
+                     if type(value) is tuple else f(arg, value))
+        args.append(value)
+    return type(node)(*args) if isinstance(node, SType) else type(node)(*args, span=node.span)
 
 
 def _rename(value, m: Mapping[str, str]):
@@ -410,36 +426,22 @@ def _rename(value, m: Mapping[str, str]):
 # Free names
 
 
+def _free(node, leaf: type, kind) -> frozenset[str]:
+    """The free variables of ``node``, of ``kind``, whose variables are
+    ``leaf`` nodes."""
+    if type(node) is leaf:
+        return frozenset({node.name})
+    shape = _shape(node, kind)
+    out = frozenset().union(*[_free(kid, leaf, kind) for kid in children(node)])
+    return out - {getattr(node, shape.var)} if shape.var else out
+
+
 def free_type_vars(ty: SType) -> frozenset[str]:
-    match ty:
-        case TVar(name=a):
-            return frozenset({a})
-        case Unit():
-            return frozenset()
-        case Down(body=b) | Up(body=b):
-            return free_type_vars(b)
-        case Plus(branches=bs) | With(branches=bs):
-            out: frozenset[str] = frozenset()
-            for _, t in bs:
-                out |= free_type_vars(t)
-            return out
-        case Tensor(carried=l, cont=r) | Lolly(carried=l, cont=r):
-            return free_type_vars(l) | free_type_vars(r)
-        case AndVal(cont=r) | ImpVal(cont=r):
-            return free_type_vars(r)
-        case Rec(var=a, body=b):
-            return free_type_vars(b) - {a}
-    raise TypeError(f"not a session type: {ty!r}")
+    return _free(ty, TVar, SType)
 
 
 def free_term_vars(node: Union[Term, Process]) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset({node.name})
-    shape = _shape(node)
-    out: frozenset[str] = frozenset()
-    for kid in _children(node):
-        out |= free_term_vars(kid)
-    return out - {getattr(node, shape.var)} if shape.var else out
+    return _free(node, Var, (Term, Process))
 
 
 def free_channels(proc: Process) -> frozenset[str]:
@@ -448,9 +450,9 @@ def free_channels(proc: Process) -> frozenset[str]:
     The provided channel of the ambient judgment is included when used.
     Terms are not entered: a quote closes over functional variables only.
     """
-    shape = _shape(proc, "process")
+    shape = _shape(proc, Process)
     out: frozenset[str] = frozenset()
-    for kid in _children(proc):
+    for kid in children(proc):
         if isinstance(kid, Process):
             out |= free_channels(kid)
     if shape.chan:
@@ -462,7 +464,7 @@ def free_channels(proc: Process) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Substitution of session types
+# Substitution
 
 _fresh_counter = itertools.count()
 
@@ -476,50 +478,43 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
             return cand
 
 
+def _substitution(leaf: type, kind):
+    """Simultaneous capture-avoiding substitution for the free variables of
+    nodes of ``kind``, whose variables are ``leaf`` nodes."""
+
+    def subst(mapping: Mapping, node):
+        if not mapping:
+            return node
+        if type(node) is leaf:
+            return mapping.get(node.name, node)
+        binder = _shape(node, kind).var
+        if binder is None:
+            return _map(node, subst, mapping)
+        x = getattr(node, binder)
+        inner = {k: v for k, v in mapping.items() if k != x}
+        if not inner:
+            return node
+        cap = frozenset().union(*(_free(v, leaf, kind) for v in inner.values()))
+        if x in cap:  # freshen x; as cap holds x, this avoids the body's free vars too
+            x2 = fresh_name(x, cap | _free(node, leaf, kind) | frozenset(inner))
+            node = _map(node, subst, {x: leaf(x2)}, **{binder: x2})
+        return _map(node, subst, inner)
+
+    return subst
+
+
+_subst_type = _substitution(TVar, SType)
+_subst_term = _substitution(Var, (Term, Process))
+
+
 def subst_type(mapping: Mapping[str, SType], ty: SType) -> SType:
     """Simultaneous capture-avoiding substitution of type variables."""
-    if not mapping:
-        return ty
-    match ty:
-        case TVar(name=a):
-            return mapping.get(a, ty)
-        case Unit():
-            return ty
-        case Down(body=b):
-            return Down(subst_type(mapping, b))
-        case Up(body=b):
-            return Up(subst_type(mapping, b))
-        case Plus(branches=bs):
-            return Plus(tuple((k, subst_type(mapping, t)) for k, t in bs))
-        case With(branches=bs):
-            return With(tuple((k, subst_type(mapping, t)) for k, t in bs))
-        case Tensor(carried=l, cont=r):
-            return Tensor(subst_type(mapping, l), subst_type(mapping, r))
-        case Lolly(carried=l, cont=r):
-            return Lolly(subst_type(mapping, l), subst_type(mapping, r))
-        case AndVal(val=v, cont=r):
-            return AndVal(v, subst_type(mapping, r))
-        case ImpVal(val=v, cont=r):
-            return ImpVal(v, subst_type(mapping, r))
-        case Rec(var=a, body=b):
-            inner = {k: v for k, v in mapping.items() if k != a}
-            if not inner:
-                return ty
-            captured = frozenset().union(
-                *(free_type_vars(v) for v in inner.values())
-            )
-            if a in captured:
-                avoid = captured | free_type_vars(b) | frozenset(inner)
-                a2 = fresh_name(a, avoid)
-                b = subst_type({a: TVar(a2)}, b)
-                a = a2
-            return Rec(a, subst_type(inner, b))
-    raise TypeError(f"not a session type: {ty!r}")
+    return _subst_type(mapping, ty)
 
 
 def unfold_rec(ty: Rec) -> SType:
     """One unfolding of a recursive type."""
-    return subst_type({ty.var: ty}, ty.body)
+    return _subst_type({ty.var: ty}, ty.body)
 
 
 def is_contractive(ty: Rec) -> bool:
@@ -532,36 +527,13 @@ def is_contractive(ty: Rec) -> bool:
     return not isinstance(body, TVar) or body.name != ty.var
 
 
-# ---------------------------------------------------------------------------
-# Substitution of terms into terms and processes
-
-
 def subst_term(mapping: Mapping[str, Term], node):
     """Simultaneous capture-avoiding substitution of term variables.
 
     Works uniformly over terms and processes, keeping every node's span;
     channel names are untouched.
     """
-
-    def go(n, ms: Mapping[str, Term]):
-        if not ms:
-            return n
-        if isinstance(n, Var):
-            return ms.get(n.name, n)
-        binder = _shape(n).var
-        if binder is None:
-            return _map(n, lambda c: go(c, ms))
-        x = getattr(n, binder)
-        inner = {k: v for k, v in ms.items() if k != x}
-        if not inner:
-            return n
-        cap = frozenset().union(*map(free_term_vars, inner.values()))
-        if x in cap:  # freshen x; as cap holds x, this avoids the body's free vars too
-            x2 = fresh_name(x, cap | free_term_vars(n) | frozenset(inner))
-            n = _map(n, lambda c: go(c, {x: Var(x2)}), **{binder: x2})
-        return _map(n, lambda c: go(c, inner))
-
-    return go(node, dict(mapping))
+    return _subst_term(mapping, node)
 
 
 def rename_channels(proc: Process, mapping: Mapping[str, str]) -> Process:
@@ -575,17 +547,17 @@ def rename_channels(proc: Process, mapping: Mapping[str, str]) -> Process:
     def go(p: Process, m: Mapping[str, str]) -> Process:
         if not m:
             return p
-        shape = _shape(p, "process")
+        shape = _shape(p, Process)
         changes = {name: _rename(getattr(p, name), m) for name in shape.names}
         if shape.chan:
             x = getattr(p, shape.chan)
             m = {k: v for k, v in m.items() if k != x}
             if x in m.values():
                 changes[shape.chan] = x2 = fresh_name(x, frozenset(m.values()) | frozenset(m))
-                p = _map(p, lambda q: kid(q, {x: x2}))
-        return _map(p, lambda q: kid(q, m), **changes)
+                p = _map(p, kid, {x: x2})
+        return _map(p, kid, m, **changes)
 
-    def kid(q, m: Mapping[str, str]):
+    def kid(m: Mapping[str, str], q):
         return go(q, m) if isinstance(q, Process) else q
 
     return go(proc, dict(mapping))
@@ -606,41 +578,21 @@ def _types_equal(x: SType, y: SType, ex: dict[str, int], ey: dict[str, int],
                  depth: int) -> bool:
     """:func:`types_equal` below ``depth`` enclosing ``Rec`` binders, where
     ``ex`` and ``ey`` map each bound name to the depth of its binder."""
-    match x, y:
-        case Unit(), Unit():
-            return True
-        case TVar(name=m), TVar(name=n):
-            if m in ex or n in ey:
-                return ex.get(m) == ey.get(n) and ex.get(m) is not None
-            return m == n
-        case Down(body=p), Down(body=q):
-            return _types_equal(p, q, ex, ey, depth)
-        case Up(body=p), Up(body=q):
-            return _types_equal(p, q, ex, ey, depth)
-        case Plus(branches=ps), Plus(branches=qs):
-            return _branches_eq(ps, qs, ex, ey, depth)
-        case With(branches=ps), With(branches=qs):
-            return _branches_eq(ps, qs, ex, ey, depth)
-        case Tensor(carried=l1, cont=r1), Tensor(carried=l2, cont=r2):
-            return _types_equal(l1, l2, ex, ey, depth) and _types_equal(r1, r2, ex, ey, depth)
-        case Lolly(carried=l1, cont=r1), Lolly(carried=l2, cont=r2):
-            return _types_equal(l1, l2, ex, ey, depth) and _types_equal(r1, r2, ex, ey, depth)
-        case AndVal(val=v1, cont=r1), AndVal(val=v2, cont=r2):
-            return ftypes_equal(v1, v2) and _types_equal(r1, r2, ex, ey, depth)
-        case ImpVal(val=v1, cont=r1), ImpVal(val=v2, cont=r2):
-            return ftypes_equal(v1, v2) and _types_equal(r1, r2, ex, ey, depth)
-        case Rec(var=m, body=p), Rec(var=n, body=q):
-            return _types_equal(p, q, {**ex, m: depth}, {**ey, n: depth}, depth + 1)
-    return False
-
-
-def _branches_eq(ps, qs, ex, ey, depth) -> bool:
-    if len(ps) != len(qs):
+    if type(x) is not type(y):
         return False
-    return all(
-        k1 == k2 and _types_equal(t1, t2, ex, ey, depth)
-        for (k1, t1), (k2, t2) in zip(ps, qs)
-    )
+    if type(x) is TVar:
+        m, n = x.name, y.name
+        if m in ex or n in ey:
+            return ex.get(m) == ey.get(n) and ex.get(m) is not None
+        return m == n
+    if type(x) is Rec:
+        return _types_equal(x.body, y.body, {**ex, x.var: depth}, {**ey, y.var: depth}, depth + 1)
+    _shape(x, SType)
+    if isinstance(x, (AndVal, ImpVal)) and not ftypes_equal(x.val, y.val):
+        return False
+    if isinstance(x, (Plus, With)) and [k for k, _ in x.branches] != [k for k, _ in y.branches]:
+        return False
+    return all(_types_equal(p, q, ex, ey, depth) for p, q in zip(children(x), children(y)))
 
 
 def ftypes_equal(a: FType, b: FType) -> bool:

@@ -30,6 +30,7 @@ polarity-dual type.  ``_SIDES`` is the one table of both sides:
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Optional
 
 from . import ast as A
@@ -90,46 +91,30 @@ def check_session_type(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
     return hit[1]
 
 
+# Every connective but a variable and rho: the rule that forms it, its
+# polarity, and the polarity each of its parts must have (a choice's one
+# entry covers every branch).
+_CONNECTIVES: dict[type, tuple[str, Polarity, tuple[Polarity, ...]]] = {
+    A.Unit: ("C1", POS, ()),
+    A.Down: ("Cdown", POS, (NEG,)),
+    A.Up: ("Cup", NEG, (POS,)),
+    A.Plus: ("Cplus", POS, (POS,)),
+    A.With: ("Cwith", NEG, (NEG,)),
+    A.Tensor: ("Ctensor", POS, (POS, POS)),
+    A.Lolly: ("Clolly", NEG, (POS, NEG)),
+    A.AndVal: ("Cand", POS, (POS,)),
+    A.ImpVal: ("Cimp", NEG, (NEG,)),
+}
+
+
 def _polarity(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
     match ty:
-        case A.Unit():
-            return POS
         case A.TVar(name=a):
             if a not in xi:
                 raise TypeCheckError(
                     "unbound", "Cvar", f"unbound type variable {a!r}", ty.span
                 )
             return xi[a]
-        case A.Down(body=b):
-            _require_polarity(xi, b, NEG, "Cdown", ty)
-            return POS
-        case A.Up(body=b):
-            _require_polarity(xi, b, POS, "Cup", ty)
-            return NEG
-        case A.Plus(branches=bs):
-            for _, t in bs:
-                _require_polarity(xi, t, POS, "Cplus", ty)
-            return POS
-        case A.With(branches=bs):
-            for _, t in bs:
-                _require_polarity(xi, t, NEG, "Cwith", ty)
-            return NEG
-        case A.Tensor(carried=l, cont=r):
-            _require_polarity(xi, l, POS, "Ctensor", ty)
-            _require_polarity(xi, r, POS, "Ctensor", ty)
-            return POS
-        case A.Lolly(carried=l, cont=r):
-            _require_polarity(xi, l, POS, "Clolly", ty)
-            _require_polarity(xi, r, NEG, "Clolly", ty)
-            return NEG
-        case A.AndVal(val=v, cont=r):
-            check_ftype(v)
-            _require_polarity(xi, r, POS, "Cand", ty)
-            return POS
-        case A.ImpVal(val=v, cont=r):
-            check_ftype(v)
-            _require_polarity(xi, r, NEG, "Cimp", ty)
-            return NEG
         case A.Rec(var=a, body=b):
             if not A.is_contractive(ty):
                 raise TypeCheckError(
@@ -147,7 +132,14 @@ def _polarity(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
                 "polarity", "Crho",
                 "body polarity does not match the bound variable", ty.span,
             )
-    raise TypeCheckError("rule", "Crho", f"not a session type: {ty!r}", ty.span)
+        case A.AndVal(val=v) | A.ImpVal(val=v):
+            check_ftype(v)
+    if type(ty) not in _CONNECTIVES:
+        raise TypeCheckError("rule", "Crho", f"not a session type: {ty!r}", ty.span)
+    rule, pol, wants = _CONNECTIVES[type(ty)]
+    for part, want in zip(A.children(ty), itertools.cycle(wants)):
+        _require_polarity(xi, part, want, rule, ty)
+    return pol
 
 
 def _require_polarity(xi, ty: A.SType, want: Polarity, rule: str, at: A.SType):
