@@ -50,6 +50,7 @@ object and a traversal finds such an occurrence by the node it revisits.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import weakref
 from dataclasses import dataclass
@@ -689,7 +690,13 @@ def chain_steps(ty: A.SType, pol: Polarity, depth: float) -> int:
     """An upper bound on the number of strict steps any ascending chain can
     take in the depth-truncated aspect; ``math.inf`` gives the full height
     of an aspect that is not recursive."""
-    return _chain_below(aspect(ty, pol), depth)
+    s = aspect(ty, pol)
+    # Solved bottom-up, so that a call recurses through at most as many
+    # depth levels as the aspect has message boundaries, not through every
+    # level down to 0.
+    for d in range(int(depth) if depth != math.inf else 0):
+        _chain_below(s, d)
+    return _chain_below(s, depth)
 
 
 @lru_cache(maxsize=None)

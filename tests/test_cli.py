@@ -139,6 +139,14 @@ def test_eval_reads_a_long_stream(capsys, bits):
     assert out.splitlines()[0] == f"b- = _, f+ = {flipped_stream(bits)}"
 
 
+def test_eval_a_short_input_at_a_large_depth(capsys):
+    # the fuel bound of each trace is computed without a call per depth level
+    code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip2",
+                    "--depth", "400", "--in", "a+ = 0·1·_")
+    assert code == 0
+    assert out.splitlines()[0] == "a- = _, b+ = 0·1·_"
+
+
 @pytest.mark.parametrize("levels", [1200])
 def test_eval_deeply_nested_input_is_a_usage_error(capsys, levels):
     # up(...) is read in a loop; it is not a bits value, whatever its depth

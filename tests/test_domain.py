@@ -691,3 +691,8 @@ def test_chain_steps_is_linear_in_the_depth():
     start = time.perf_counter()
     assert D.chain_steps(BITS, POS, 100) == 100
     assert time.perf_counter() - start < 0.5
+
+
+def test_chain_steps_recursion_is_bounded_by_the_type():
+    # one level at a time from depth 0: no call recurses through every level
+    assert D.chain_steps(BITS, POS, 5000) == 5000
