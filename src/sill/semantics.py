@@ -511,6 +511,17 @@ def _interface_keys(provided: str, used: Iterable[str]) -> tuple[dict, dict]:
     return ins, outs
 
 
+def _quoted_interface(ty: A.ProcType) -> tuple[dict[str, Aspect], dict[str, Aspect]]:
+    """The input and output aspects of a quoted process of type ``ty``, on
+    its canonical keys."""
+    used = ty.used_types()
+    inputs = {_canon_used(i): (t, POS) for i, t in enumerate(used)}
+    outputs = {_canon_used(i): (t, NEG) for i, t in enumerate(used)}
+    inputs[_PROV_KEY] = (ty.provided, NEG)
+    outputs[_PROV_KEY] = (ty.provided, POS)
+    return inputs, outputs
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -545,12 +556,10 @@ def _compile_term(term: A.Term, ty: A.FType, psi: dict[str, A.FType], table: dic
             fn, arg = _compile_term(f, fty, psi, table), _compile_term(a, fty.arg, psi, table)
             return lambda env, cfg: apply_func(fn(env, cfg), arg(env, cfg), cfg)
         case A.Quote(provided=a, proc=p, used=us):
-            delta = {u: t for u, (_, t) in zip(us, ty.used)}
             body = _compile_process(p, table)
-            ins, outs = _interface_keys(a, us)
-            inputs = {ins[k]: v for k, v in proc_inputs(delta, a, ty.provided).items()}
-            outputs = {outs[k]: v for k, v in proc_outputs(delta, a, ty.provided).items()}
-            in_map, out_map = ({new: old for old, new in m.items()} for m in (ins, outs))
+            inputs, outputs = _quoted_interface(ty)
+            in_map, out_map = ({new: old for old, new in m.items()}
+                               for m in _interface_keys(a, us))
             return lambda env, cfg: D.QProc(Denotation(
                 inputs, outputs, _renamed(body(env, cfg), in_map, out_map), "quote"))
         case A.Fix(var=x, body=m):
@@ -630,12 +639,7 @@ class _FixSite:
     def interface(self) -> tuple[dict[str, Aspect], dict[str, Aspect]]:
         """The input and output aspects of :attr:`value`."""
         assert isinstance(self.ty, A.ProcType)
-        used = self.ty.used_types()
-        inputs = {_canon_used(i): (t, POS) for i, t in enumerate(used)}
-        outputs = {_canon_used(i): (t, NEG) for i, t in enumerate(used)}
-        inputs[_PROV_KEY] = (self.ty.provided, NEG)
-        outputs[_PROV_KEY] = (self.ty.provided, POS)
-        return inputs, outputs
+        return _quoted_interface(self.ty)
 
     @property
     def value(self) -> D.QProc:
