@@ -381,7 +381,7 @@ _SHAPES = {cls: _describe(cls) for base in (SType, Term, Process) for cls in bas
 _KINDS = {SType: "session type", (Term, Process): "term or process", Process: "process"}
 
 
-def _shape(node, kind: type | tuple = (Term, Process)) -> _Shape:
+def _shape(node, kind: type | tuple) -> _Shape:
     """The shape of ``node``, which must be of ``kind``."""
     shape = _SHAPES.get(type(node))
     if shape is None or not isinstance(node, kind):
@@ -426,7 +426,7 @@ def _rename(value, m: Mapping[str, str]):
 # Free names
 
 
-def _free(node, leaf: type, kind) -> frozenset[str]:
+def _free(node, leaf: type, kind: type | tuple) -> frozenset[str]:
     """The free variables of ``node``, of ``kind``, whose variables are
     ``leaf`` nodes."""
     if type(node) is leaf:
@@ -478,7 +478,7 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
             return cand
 
 
-def _substitution(leaf: type, kind):
+def _substitution(leaf: type, kind: type | tuple):
     """Simultaneous capture-avoiding substitution for the free variables of
     nodes of ``kind``, whose variables are ``leaf`` nodes."""
 

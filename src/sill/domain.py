@@ -691,9 +691,7 @@ def chain_steps(ty: A.SType, pol: Polarity, depth: float) -> int:
     take in the depth-truncated aspect; ``math.inf`` gives the full height
     of an aspect that is not recursive."""
     s = aspect(ty, pol)
-    # Solved bottom-up, so that a call recurses through at most as many
-    # depth levels as the aspect has message boundaries, not through every
-    # level down to 0.
+    # bottom-up, so that no call recurses through every depth level down to 0
     for d in range(int(depth) if depth != math.inf else 0):
         _chain_below(s, d)
     return _chain_below(s, depth)

@@ -558,8 +558,7 @@ def _compile_term(term: A.Term, ty: A.FType, psi: dict[str, A.FType], table: dic
         case A.Quote(provided=a, proc=p, used=us):
             body = _compile_process(p, table)
             inputs, outputs = _quoted_interface(ty)
-            in_map, out_map = ({new: old for old, new in m.items()}
-                               for m in _interface_keys(a, us))
+            in_map, out_map = ({new: old for old, new in m.items()} for m in _interface_keys(a, us))
             return lambda env, cfg: D.QProc(Denotation(
                 inputs, outputs, _renamed(body(env, cfg), in_map, out_map), "quote"))
         case A.Fix(var=x, body=m):

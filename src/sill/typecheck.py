@@ -30,7 +30,6 @@ polarity-dual type.  ``_SIDES`` is the one table of both sides:
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Optional
 
 from . import ast as A
@@ -92,8 +91,8 @@ def check_session_type(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
 
 
 # Every connective but a variable and rho: the rule that forms it, its
-# polarity, and the polarity each of its parts must have (a choice's one
-# entry covers every branch).
+# polarity, and the polarity each of its parts must have, the last entry
+# covering every further part (each branch of a choice).
 _CONNECTIVES: dict[type, tuple[str, Polarity, tuple[Polarity, ...]]] = {
     A.Unit: ("C1", POS, ()),
     A.Down: ("Cdown", POS, (NEG,)),
@@ -108,6 +107,14 @@ _CONNECTIVES: dict[type, tuple[str, Polarity, tuple[Polarity, ...]]] = {
 
 
 def _polarity(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
+    connective = _CONNECTIVES.get(type(ty))
+    if connective is not None:
+        rule, pol, wants = connective
+        if isinstance(ty, (A.AndVal, A.ImpVal)):
+            check_ftype(ty.val)
+        for i, part in enumerate(A.children(ty)):
+            _require_polarity(xi, part, wants[min(i, len(wants) - 1)], rule, ty)
+        return pol
     match ty:
         case A.TVar(name=a):
             if a not in xi:
@@ -132,14 +139,7 @@ def _polarity(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
                 "polarity", "Crho",
                 "body polarity does not match the bound variable", ty.span,
             )
-        case A.AndVal(val=v) | A.ImpVal(val=v):
-            check_ftype(v)
-    if type(ty) not in _CONNECTIVES:
-        raise TypeCheckError("rule", "Crho", f"not a session type: {ty!r}", ty.span)
-    rule, pol, wants = _CONNECTIVES[type(ty)]
-    for part, want in zip(A.children(ty), itertools.cycle(wants)):
-        _require_polarity(xi, part, want, rule, ty)
-    return pol
+    raise TypeCheckError("rule", "Crho", f"not a session type: {ty!r}", ty.span)
 
 
 def _require_polarity(xi, ty: A.SType, want: Polarity, rule: str, at: A.SType):
