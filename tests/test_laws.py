@@ -1,5 +1,5 @@
-"""The law-suite generators (finite grids of rows and their orders) and the
-axiom suites' composites."""
+"""The law-suite generators (finite grids of rows and their orders), the
+axiom suites' composites and the principal cut reduction."""
 
 import hashlib
 import itertools
@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from sill import ast as A
 from sill import domain as D
+from sill import equiv as E
 from sill import laws as L
 from sill import semantics as S
 from sill.ast import NEG, Unit, Up
@@ -218,3 +220,32 @@ def test_an_axiom_failure_prints_its_rows_in_the_notation():
     report = L.AxiomReport(1, ["yanking"])
     L._check(report, 2, "yanking", 0, lhs, rhs)
     assert [f.detail for f in report.failures] == ["differ at a = _: b = _ vs b = up(_)"]
+
+
+# ---------------------------------------------------------------------------
+# Principal cut reduction
+
+
+def test_corpus_redexes_reduce_to_their_process():
+    for cp in L.corpus_processes():
+        for law, redex in L.corpus_redexes(cp).items():
+            assert L.principal_reduct(redex) == cp.proc, (law, cp.name)
+
+
+def test_a_non_redex_is_rejected():
+    assoc = L._p("c2 : 1 <- (c1 : 1 <- (close c1); wait c1; close c2); wait c2; close c3")
+    left = A.Cut("c1", assoc.left.left, A.Cut("c2", assoc.left.right, assoc.right, A.Unit()),
+                 A.Unit())
+    for proc in (left, L._p("fwd c b")):
+        with pytest.raises(ValueError, match="not a principal redex"):
+            L.principal_reduct(proc)
+
+
+def test_identity_cut_is_the_process():
+    # x : T <- (P[x/c]); fwd c x  ==  P, for each corpus process P of c : T
+    for cp in L.corpus_processes():
+        delta, c, cty = cp.as_args()
+        x = A.fresh_name("x", A.free_channels(cp.proc) | {c})
+        cut = A.Cut(x, A.rename_channels(cp.proc, {c: x}), A.Fwd(c, x), cty)
+        verdict = E.check_equiv(cut, cp.proc, delta, c, cty, depth=3)
+        assert verdict.kind == "equivalent", (cp.name, verdict.describe())
