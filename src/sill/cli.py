@@ -207,54 +207,43 @@ def cmd_laws(args) -> int:
 
 
 def cmd_demo_flip(args) -> int:
-    tables = L.corpus_tables()
-    bits = tables["types"]["bits"]
+    bits = L.corpus_tables()["types"]["bits"]
     flip2 = L._p("t <- flip <- a; b <- flip <- t")
     fwd = L._p("fwd b a")
-    delta = {"a": bits}
-    depth = args.depth
+    delta, depth = {"a": bits}, args.depth
     cfg = S.EvalConfig(depth=depth, fuel=args.fuel)
-    den = S.denote_process(flip2, delta, "b", bits, cfg=cfg)
-    den_fwd = S.denote_process(fwd, delta, "b", bits, cfg=cfg)
-    inputs = D.enumerate_values(bits, A.POS, depth)
-    stabilization = []
-    mismatches = []
-    for v in inputs:
-        cfg.diag.trace_iters.clear()
-        row = S.Row({"a+": v, "b-": D.BOT})
-        out = S.row_truncate(den(row), depth)
-        ref = S.row_truncate(den_fwd(row), depth)
-        stabilization.append(max(cfg.diag.trace_iters, default=0))
-        if out != ref:
-            mismatches.append((v, out, ref))
-    max_n = max(stabilization)
+    den, den_fwd = (S.denote_process(p, delta, "b", bits, cfg=cfg) for p in (flip2, fwd))
+    grid = E.input_grid(delta, "b", bits, depth)
+    diff = S.first_difference(den, den_fwd, grid, depth)
+    checked = len(grid) if diff is None else grid.index(diff[0]) + 1
+    max_n = max(cfg.diag.trace_iters, default=0)
     approx = cfg.diag.nonconverged
     payload = {
-        "inputs": len(inputs),
+        "inputs": checked,
         "depth": depth,
-        "equivalent": not mismatches,
+        "equivalent": diff is None,
         "max_stabilization": max_n,
         "nonconverged": approx,
-        "stabilized_by_2": all(n <= 2 for n in stabilization),
+        "stabilized_by_2": max_n <= 2,
     }
     if args.json:
         _emit_json(payload)
     else:
         if approx:
             print("approximate: a fixed point did not converge within fuel")
-        elif not mismatches and all(n <= 2 for n in stabilization) and max_n == 2:
+        elif diff is None and max_n == 2:
             print("equivalent; chain stabilized at n = 2 on every input")
-        elif not mismatches:
+        elif diff is None:
             print(f"equivalent; chains stabilized by n = {max_n}")
         else:
-            v, out, ref = mismatches[0]
+            row, out, ref = diff
             out, ref = (D.join_row(D.format_row(r, den.outputs)) for r in (out, ref))
-            print(f"NOT equivalent: input {D.format_value(v, bits, A.POS)} "
+            print(f"NOT equivalent: input {D.format_value(row['a+'], bits, A.POS)} "
                   f"gives {out} but forwarding gives {ref}")
-        print(f"checked {len(inputs)} stream approximants at depth {depth}")
+        print(f"checked {checked} stream approximants at depth {depth}")
     if approx:
         return EXIT_APPROX
-    return EXIT_OK if not mismatches else EXIT_FAIL
+    return EXIT_OK if diff is None else EXIT_FAIL
 
 
 FUEL_HELP = ("steps allowed to each fixed point: iterations after the first evaluation "

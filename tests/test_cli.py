@@ -310,6 +310,18 @@ def test_demo_flip_fuel_out_is_approximate(capsys):
     assert json.loads(out)["nonconverged"] is True
 
 
+def test_demo_flip_counts_the_inputs_it_checked(capsys):
+    # out of fuel, the composition differs from forwarding on the 2nd input
+    # (fuel 0) or the 6th (fuel 1); the inputs after it are not checked
+    for fuel, checked in (("0", 2), ("1", 6)):
+        code, out = run(capsys, "demo-flip", "--depth", "4", "--fuel", fuel, "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert (payload["inputs"], payload["equivalent"]) == (checked, False)
+        _, out = run(capsys, "demo-flip", "--depth", "4", "--fuel", fuel)
+        assert out.splitlines()[-1] == f"checked {checked} stream approximants at depth 4"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["eval"]) == 3
     assert main(["no-such-command"]) == 3
