@@ -219,53 +219,59 @@ def seq(*stages: Denotation | Mapping[str, str]) -> Denotation:
     """
     shape = tuple((tuple(s.inputs), tuple(s.outputs)) if type(s) is Denotation
                   else (isinstance(s, wire), tuple(s.items())) for s in stages)
-    return _seq_maker(shape)(*stages)
+    aspects, reads, outs = _seq_plan(shape)
+    inputs = {k: stages[n].inputs[old] for k, n, old in aspects}
+    outputs = {k: stages[n].outputs[s] if j else inputs[s] for k, j, n, s in outs}
+    calls = [(None if n is None else stages[n], read) for n, read in reads]
+
+    def fn(row: Row) -> Row:
+        rows = [row]
+        for den, read in calls:
+            row = rows[read] if type(read) is int else Row({k: rows[j][s] for k, j, s in read})
+            rows.append(den(row) if den else row)
+        return row
+
+    return Denotation(inputs, outputs, fn, "seq")
 
 
 @lru_cache(maxsize=256)
-def _seq_maker(shape: tuple) -> Callable[..., Denotation]:
-    """:func:`seq` for stages of this ``shape``: each denotation's input and
-    output keys, or whether a map of keys is a :class:`wire` (whose inputs
-    give aspects) and its items.  It is compiled once from source, as
-    :mod:`dataclasses` compiles ``__init__``.  Row 0 is the outer input and
-    row ``n`` the output of stage ``n``; a row read whole is passed as it
-    is, any other is built as a dict display."""
+def _seq_plan(shape: tuple) -> tuple:
+    """:func:`seq`'s plan for stages of this ``shape`` (each denotation's
+    input and output keys, or whether a map of keys is a :class:`wire`, whose
+    inputs give aspects, and its items): the stage and key giving each outer
+    key's aspect, the row each called stage reads and then the result (stage
+    None), and where each output comes from.  Row 0 is the outer input and
+    row ``i`` the ``i``-th call's output; a row is read whole by its number,
+    else as ``(key, row, key there)`` entries."""
     at: dict[str, tuple[int, str]] = {}  # each key, as (row, key there)
     unread: dict[str, tuple[int, str]] = {}  # the produced keys not read since
-    aspects: dict[str, str] = {}  # each outer key's aspect, as source
+    aspects: dict[str, tuple[int, str]] = {}  # each outer key's (stage, key there)
     reads, rows = [], {}
-    for n, (keys, made) in enumerate(shape, 1):
+    for n, (keys, made) in enumerate(shape):
         den = type(keys) is tuple
         pairs = [(k, k) for k in keys] if den else made
         got = {new: at.get(old, (0, old)) for new, old in pairs}
         for new, old in pairs:
             unread.pop(old, None)
             if got[new][0] == 0 and keys is not False:
-                aspects.setdefault(got[new][1], f"d{n}.inputs[{old!r}]")
+                aspects.setdefault(got[new][1], (n, old))
         if den:
             reads.append((n, got))
-            rows[n] = made
-            got = {k: (n, k) for k in made}
+            rows[len(reads)] = made
+            got = {k: (len(reads), k) for k in made}
         at.update(got)
         unread.update(got)
     if any(j == 0 and s not in aspects for j, s in unread.values()):
         raise ValueError("an output copies an outer key that no stage reads")
     rows[0] = list(aspects)
 
-    def row(got: dict[str, tuple[int, str]]) -> str:
+    def read(got: dict[str, tuple[int, str]]):
         whole = [j for j, keys in rows.items() if got == {k: (j, k) for k in keys}]
-        return f"r{whole[0]}" if whole else (
-            "Row({" + ", ".join(f"{k!r}: r{j}[{s!r}]" for k, (j, s) in got.items()) + "})")
+        return whole[0] if whole else tuple((k, j, s) for k, (j, s) in got.items())
 
-    args = ", ".join(f"d{n}" for n in range(1, len(shape) + 1))
-    body = "".join(f"        r{n} = d{n}({row(got)})\n" for n, got in reads)
-    ins = ", ".join(f"{k!r}: {a}" for k, a in aspects.items())
-    outs = ", ".join(f"{k!r}: " + (f"d{j}.outputs[{s!r}]" if j else aspects[s])
-                     for k, (j, s) in unread.items())
-    scope = {"Row": Row, "Denotation": Denotation}
-    exec(f"def make({args}):\n    def fn(r0):\n{body}        return {row(unread)}\n"
-         f"    return Denotation({{{ins}}}, {{{outs}}}, fn, 'seq')\n", scope)
-    return scope["make"]
+    return (tuple((k, n, old) for k, (n, old) in aspects.items()),
+            tuple((n, read(got)) for n, got in [*reads, (None, unread)]),
+            tuple((k, j, reads[j - 1][0] if j else None, s) for k, (j, s) in unread.items()))
 
 
 class wire(Denotation):
