@@ -37,7 +37,8 @@ from .ast import NEG, POS, Polarity
 
 
 class TypeCheckError(Exception):
-    """A rejected judgment, tagged with the rule that failed.
+    """A rejected judgment, tagged with the rule that failed, or with no rule
+    when the input is not a node of the kind judged.
 
     kind is one of: unbound, polarity, linear, label, rule.
     """
@@ -55,7 +56,8 @@ class TypeCheckError(Exception):
         detail = ""
         if expected is not None or found is not None:
             detail = f" (expected {expected}, found {found})"
-        super().__init__(f"{loc}[{rule}] {message}{detail}")
+        tag = f"[{rule}] " if rule else ""
+        super().__init__(f"{loc}{tag}{message}{detail}")
 
     def to_json(self) -> dict:
         return {
@@ -139,7 +141,7 @@ def _polarity(xi: Mapping[str, Polarity], ty: A.SType) -> Polarity:
                 "polarity", "Crho",
                 "body polarity does not match the bound variable", ty.span,
             )
-    raise TypeCheckError("rule", "Crho", f"not a session type: {ty!r}", ty.span)
+    raise TypeCheckError("rule", "", f"not a session type: {ty!r}")
 
 
 def _require_polarity(xi, ty: A.SType, want: Polarity, rule: str, at: A.SType):
@@ -187,7 +189,7 @@ def check_ftype(ty: A.FType) -> None:
             for _, t in us:
                 check_session_type({}, t)
         case _:
-            raise TypeCheckError("rule", "T{}", f"not a functional type: {ty!r}", ty.span)
+            raise TypeCheckError("rule", "", f"not a functional type: {ty!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def infer_term(psi: Mapping[str, A.FType], term: A.Term) -> A.FType:
                 term.span,
             )
         case _:
-            raise TypeCheckError("rule", "F-Var", f"not a term: {term!r}", term.span)
+            raise TypeCheckError("rule", "", f"not a term: {term!r}")
     if _derivation is not None:
         _derivation[id(term)] = (term, ty)
     return ty
@@ -525,7 +527,7 @@ def _check(psi: dict, delta: dict, proc: A.Process, c: str, ty: A.SType) -> dict
                 )
 
         case _:
-            raise TypeCheckError("rule", "Cut", f"not a process: {proc!r}", proc.span)
+            raise TypeCheckError("rule", "", f"not a process: {proc!r}")
     if _derivation is not None:
         _judge(proc, psi, delta, rest, c, ty)
     return rest

@@ -335,7 +335,7 @@ TYPING_CASES = {
     "Cut/shared": ({"a": "up 1"},
                    "x : 1 <- (send a shift; close x); wait x; wait a; close c",
                    "c", "1", {}),
-    "Cut/not-a-process": ({}, None, "c", "1", {}),
+    "check_process/not-a-process": ({}, None, "c", "1", {}),
     # a spawned declared proc is inlined; its error keeps the callee's span
     "1L/spawned-proc": ({"b": POS_REC}, "x <- p <- b; wait x; close c", "c", "1", {}),
 }
@@ -360,3 +360,16 @@ def test_typing_diagnostics_match_golden():
     assert sorted(golden) == sorted(TYPING_CASES)
     for name, case in TYPING_CASES.items():
         assert typing_diagnostic(case) == golden[name], name
+
+
+@pytest.mark.parametrize("check", [
+    lambda: T.polarity_of(5),
+    lambda: T.check_ftype(5),
+    lambda: T.infer_term({}, 5),
+    lambda: T.check_term({}, 5, A.ProcType("d", A.Unit(), ())),
+    lambda: T.check_process({}, {}, 5, "c", A.Unit()),
+], ids=["polarity_of", "check_ftype", "infer_term", "check_term", "check_process"])
+def test_a_non_node_is_a_type_error_without_rule_or_span(check):
+    with pytest.raises(TypeCheckError, match="^not a .*: 5$") as err:
+        check()
+    assert err.value.rule == "" and err.value.span is None
