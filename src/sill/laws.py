@@ -295,7 +295,7 @@ def principal_reduct(redex: A.Process) -> A.Process:
     unfolded).  Anything else raises :class:`ValueError`."""
     match redex:
         case A.Unquote(c, A.Quote(b, body, params) | A.Anno(A.Quote(b, body, params)), args):
-            return _renamed(body, zip((b, *params), (c, *args)))
+            return A.rename_channels(body, dict(zip((b, *params), (c, *args))))
         case A.Cut(x, A.Close(a), A.Wait(b, cont)) if x == a == b:
             return cont
         case A.Cut(x, p, q, ty) if getattr(p, "channel", None) == x == getattr(q, "channel", None):
@@ -306,10 +306,11 @@ def principal_reduct(redex: A.Process) -> A.Process:
             match s, r, ty:
                 case A.SendShift(), A.RecvShift(), A.Down() | A.Up():
                     r2, ty = r.cont, ty.body
-                case A.SendLabel(), A.Case(), A.Plus() | A.With():
+                case A.SendLabel(), A.Case(), A.Plus() | A.With() if (
+                        s.label in dict(r.branches).keys() & dict(ty.branches).keys()):
                     r2, ty = dict(r.branches)[s.label], dict(ty.branches)[s.label]
                 case A.SendChan(), A.RecvChan(), A.Tensor() | A.Lolly():
-                    r2, ty = _renamed(r.cont, [(r.bound, s.sent)]), ty.cont
+                    r2, ty = A.rename_channels(r.cont, {r.bound: s.sent}), ty.cont
                 case A.SendVal(), A.RecvVal(), A.AndVal() | A.ImpVal():
                     r2, ty = A.subst_term({r.bound: s.term}, r.cont), ty.cont
                 case A.SendUnfold(), A.RecvUnfold(), A.Rec():
@@ -318,12 +319,6 @@ def principal_reduct(redex: A.Process) -> A.Process:
                     raise ValueError(f"not a principal redex: {redex!r}")
             return A.Cut(x, r2, s.cont, ty) if flipped else A.Cut(x, s.cont, r2, ty)
     raise ValueError(f"not a principal redex: {redex!r}")
-
-
-def _renamed(proc: A.Process, pairs) -> A.Process:
-    """``proc`` with each channel ``old`` of the ``(old, new)`` pairs renamed;
-    ``proc`` itself if no pair renames."""
-    return A.rename_channels(proc, {old: new for old, new in pairs if old != new})
 
 
 def _under_unit(proc: A.Process) -> A.Process:
@@ -399,8 +394,9 @@ def law_suite(depth: int = 4,
 
     ``corpus`` extends or replaces the shipped processes for the laws that
     quantify over arbitrary typed processes (the unit and quote laws); the
-    other laws run on the rows of the law table.  Only the laws named in
-    ``laws`` are instantiated (by default, all of them).
+    eta laws and cut-assoc run on the rows of ``_LAW_TABLE``, fix-subst on
+    fixed points.  Only the laws named in ``laws`` are instantiated (by
+    default, all of them).
     """
     report = LawReport()
     corpus = corpus if corpus is not None else corpus_processes()
