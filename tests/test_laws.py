@@ -233,10 +233,8 @@ def test_corpus_redexes_reduce_to_their_process():
 
 
 def test_a_non_redex_is_rejected():
-    assoc = L._p("c2 : 1 <- (c1 : 1 <- (close c1); wait c1; close c2); wait c2; close c3")
-    left = A.Cut("c1", assoc.left.left, A.Cut("c2", assoc.left.right, assoc.right, A.Unit()),
-                 A.Unit())
-    for proc in (left, L._p("fwd c b")):
+    assoc_left = L._p("c1 : 1 <- (close c1); c2 : 1 <- (wait c1; close c2); wait c2; close c3")
+    for proc in (assoc_left, L._p("fwd c b")):
         with pytest.raises(ValueError, match="not a principal redex"):
             L.principal_reduct(proc)
 
@@ -249,3 +247,23 @@ def test_identity_cut_is_the_process():
         cut = A.Cut(x, A.rename_channels(cp.proc, {c: x}), A.Fwd(c, x), cty)
         verdict = E.check_equiv(cut, cp.proc, delta, c, cty, depth=3)
         assert verdict.kind == "equivalent", (cp.name, verdict.describe())
+
+
+@pytest.mark.parametrize("used, redex, reduct", [
+    ((), "a : up 1 <- (recv a shift; close a); send a shift; wait a; close c",
+     "a : 1 <- (close a); wait a; close c"),
+    ((), "a : &{j: up 1, k: 1 -o up 1} <- (case a { j => recv a shift; close a "
+     "| k => b <- recv a; wait b; recv a shift; close a }); a.j; send a shift; wait a; close c",
+     "a : up 1 <- (recv a shift; close a); send a shift; wait a; close c"),
+    (("d",), "a : 1 -o up 1 <- (b <- recv a; wait b; recv a shift; close a); send a d; "
+     "send a shift; wait a; close c",
+     "a : up 1 <- (wait d; recv a shift; close a); send a shift; wait a; close c"),
+    ((), "a : {d : 1} => up 1 <- ((x) <- recv a; dd <- {x}; wait dd; recv a shift; close a); "
+     "send a (quit); send a shift; wait a; close c",
+     "a : up 1 <- (dd <- quit; wait dd; recv a shift; close a); send a shift; wait a; close c"),
+], ids=["up", "with", "lolly", "imp"])
+def test_a_client_message_at_a_negative_type_reduces(used, redex, reduct):
+    redex, reduct = L._p(redex), L._p(reduct)
+    assert L.principal_reduct(redex) == reduct
+    verdict = E.check_equiv(reduct, redex, {d: A.Unit() for d in used}, "c", A.Unit(), depth=3)
+    assert verdict.kind == "equivalent"
