@@ -16,8 +16,8 @@ from sill import ast as A
 from sill import equiv as E
 from sill import laws as L
 from sill import typecheck as T
-from sill.parser import (SillSyntaxError, parse_process, parse_program,
-                         parse_term, parse_type, tokenize)
+from sill.parser import (KEYWORDS, SillSyntaxError, parse_ftype, parse_process,
+                         parse_program, parse_term, parse_type, tokenize)
 from sill.pretty import pp_process, pp_term, pp_type
 
 CHANS = ["a", "b", "c", "d", "e"]
@@ -608,6 +608,119 @@ def test_tokens_match_golden():
         assert token_record(source) == golden[name], name
 
 
+# ---------------------------------------------------------------------------
+# Golden parse battery: what the parser builds from, or how it rejects, every
+# token prefix of every fixture and of the law corpus, seeded token
+# deletions, insertions and substitutions of every law-table and corpus
+# process, and a few type, functional-type and term strings.  An accepted
+# text records each node's class, span and fields; a rejected one its
+# message, line, column and expectation.
+# Regenerate with ``PYTHONPATH=src python tests/test_syntax.py``.
+
+PARSE_GOLDEN = Path(__file__).resolve().parent / "parse_golden.json"
+
+# What a mutation inserts or substitutes: every keyword, operator and
+# punctuation mark, and a few names and labels.
+_MUTANTS = sorted(KEYWORDS) + [
+    "|-", "->", "-o", "<-", "=>", "/\\", *"{}(),:;.|*=\\&+",
+    "a", "x", "F", "bits", "quit", "0", "7",
+]
+
+PARSE_STRINGS = {
+    "type": [
+        "{c : 1} /\\ 1", "{c : 1 <- d : 1, e : up 1} => up 1",
+        "({c : 1} -> {d : 1}) /\\ 1", "({c : 1}) => up 1", "(1 * 1) -o 1",
+        "{c : 1} /\\", "{c : 1} /\\ +{", "({c : 1} -> ) => 1", "{c : 1}",
+        "{c : 1} * 1", "(1", "+{a: 1, a: 1}", "&{0: 1, 1: down 1}", "+{}",
+        "rho a. a", "rho a. rho b. a", "rho a. {c : a} /\\ a", "rho 1. 1",
+        "down up down 1", "2", "bits * bits", "rho bits. bits",
+    ],
+    "ftype": ["{c : 1}", "{c : 1} -> {d : 1} -> {e : 1}", "({c : 1} -> {d : 1}) -> {e : 1}",
+              "{c : 1 <- }", "{c 1}", "1"],
+    "term": [
+        "fix F. {f <- f <- F <- b}", "\\x : {d : 1}. x", "(x : {d : 1})", "x y (z w)",
+        "{a <- close a <- b, c}", "{a <- (a <- F <- b) <- c}", "quit", "fix quit. quit",
+        "\\quit : {d : 1}. quit", "\\x {d : 1}. x", "{a <- close a", "(x", "fix . x",
+    ],
+}
+
+
+def _tree(x) -> str:
+    """``x`` with the class, span and fields of each node, in one line."""
+    if isinstance(x, (tuple, list)):
+        return "[" + ", ".join(map(_tree, x)) + "]"
+    if not dataclasses.is_dataclass(x):
+        return repr(x)
+    span = getattr(x, "span", None)
+    at = f"@{span.line}:{span.col}" if span is not None else ""
+    fields = ", ".join(_tree(getattr(x, f.name))
+                       for f in dataclasses.fields(x) if f.name != "span")
+    return f"{type(x).__name__}{at}({fields})"
+
+
+def parse_record(parse, source: str, **tables):
+    try:
+        return _tree(parse(source, **tables))
+    except SillSyntaxError as exc:
+        return {"error": str(exc), "line": exc.line, "col": exc.col,
+                "expected": list(exc.expected)}
+
+
+def _token_offsets(source: str):
+    """The start and end offset in ``source`` of each token but ``eof``."""
+    starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    for tok in tokenize(source)[:-1]:
+        start = starts[tok.line - 1] + tok.col - 1
+        yield start, start + len(tok.text)
+
+
+def _mutations(source: str, rng):
+    """Five seeded deletions, insertions and substitutions of one token of
+    ``source`` each, spliced into the text."""
+    offsets = list(_token_offsets(source))
+    for kind in ("delete", "insert", "substitute"):
+        for n in range(5):
+            i = rng.randrange(len(offsets))
+            start, end = offsets[i]
+            new = "" if kind == "delete" else f" {rng.choice(_MUTANTS)} "
+            if kind == "insert":
+                end = start
+            yield f"{kind} {n} at token {i}", source[:start] + new + source[end:]
+
+
+def parse_cases() -> dict:
+    """Each case's key, its parser, source and tables."""
+    cases = {}
+    sources = [(path.relative_to(FIXTURES).as_posix(), path.read_text(encoding="utf-8"))
+               for path in sorted(FIXTURES.glob("**/*.sill"))]
+    sources.append(("laws.CORPUS_SRC", L.CORPUS_SRC))
+    for name, source in sources:
+        for i, (_, end) in enumerate(_token_offsets(source)):
+            cases[f"{name}/prefix {i}"] = (parse_program, source[:end], {})
+    tables = L.corpus_tables()
+    rows = [(f"corpus {name}", src) for name, _, src in L._CORPUS]
+    rows += [(f"law {law}/{name}", src) for law, name, _, src, _ in L._LAW_TABLE
+             if src is not None]
+    rng = random.Random(29)
+    for name, source in rows:
+        for how, text in _mutations(source, rng):
+            cases[f"{name}/{how}"] = (parse_process, text, tables)
+    parsers = {"type": parse_type, "ftype": parse_ftype, "term": parse_term}
+    for what, texts in PARSE_STRINGS.items():
+        for text in texts:
+            cases[f"{what}: {text}"] = (parsers[what], text, {})
+            cases[f"{what} with corpus tables: {text}"] = (parsers[what], text, tables)
+    return cases
+
+
+def test_parses_match_golden():
+    golden = json.loads(PARSE_GOLDEN.read_text(encoding="utf-8"))
+    cases = parse_cases()
+    assert list(golden) == list(cases)
+    for key, (parse, source, tables) in cases.items():
+        assert parse_record(parse, source, **tables) == golden[key], key
+
+
 if __name__ == "__main__":
     AST_GOLDEN.write_text(json.dumps(
         {key: traversal_record(node) for key, node in traversal_cases().items()},
@@ -618,4 +731,8 @@ if __name__ == "__main__":
         indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     TOKEN_GOLDEN.write_text(json.dumps(
         {name: token_record(src) for name, src in token_cases().items()},
+        indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    PARSE_GOLDEN.write_text(json.dumps(
+        {key: parse_record(parse, src, **tables)
+         for key, (parse, src, tables) in parse_cases().items()},
         indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
