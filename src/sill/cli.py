@@ -224,7 +224,7 @@ def cmd_demo_flip(args) -> int:
         "equivalent": diff is None,
         "max_stabilization": max_n,
         "nonconverged": approx,
-        "stabilized_by_2": max_n <= 2,
+        "stabilized_by_2": not approx and max_n <= 2,
     }
     if args.json:
         _emit_json(payload)

@@ -98,6 +98,12 @@ class SillSyntaxError(SyntaxError):
         self.expected = expected
 
 
+def found(tok: Token, *expected: str, got: Optional[str] = None) -> SillSyntaxError:
+    """The error for ``tok`` where one of ``expected`` should be; ``got``
+    names what was found in place of ``tok``'s text."""
+    return SillSyntaxError(f"found {got or repr(tok.text)}", tok.line, tok.col, expected)
+
+
 def tokenize(source: str) -> list[Token]:
     """The tokens of ``source`` and a final ``eof``, in one scan.  Whitespace
     and comments only move the line count and the offset where the current
@@ -172,6 +178,13 @@ class _Backtrack(Exception):
     pass
 
 
+# The message of each ``send a m`` and ``recv a m`` that carries no value.
+_MESSAGES = {
+    ("send", "shift"): A.SendShift, ("recv", "shift"): A.RecvShift,
+    ("send", "unfold"): A.SendUnfold, ("recv", "unfold"): A.RecvUnfold,
+}
+
+
 class Parser:
     def __init__(self, tokens: list[Token], *, types=None, terms=None, procs=None):
         self.tokens = tokens
@@ -196,57 +209,94 @@ class Parser:
             self.pos += 1
         return tok
 
+    # ``text`` is never empty, so the eof token never matches it below.
+
     def at(self, text: str) -> bool:
-        # ``text`` is never empty, so the eof token never matches
         return self.tokens[self.pos].text == text
 
+    def accept(self, text: str) -> Optional[Token]:
+        """The next token, consumed, if its text is ``text``; else None."""
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            return None
+        self.pos += 1
+        return tok
+
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise SillSyntaxError(f"found {got}", tok.line, tok.col, expected=(repr(text),))
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise found(tok, repr(text), got="end of input" if tok.kind == "eof" else None)
+        self.pos += 1
+        return tok
 
-    def expect_ident(self, what: str = "a name") -> Token:
-        tok = self.peek()
+    def ident(self, what: str = "a channel name") -> str:
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
-            got = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise SillSyntaxError(f"found {got}", tok.line, tok.col, expected=(what,))
-        return self.next()
+            raise found(tok, what, got="end of input" if tok.kind == "eof" else None)
+        self.pos += 1
+        return tok.text
 
-    def expect_label(self) -> Token:
-        tok = self.peek()
+    def label(self) -> str:
+        tok = self.tokens[self.pos]
         if tok.kind not in ("ident", "int"):
-            raise SillSyntaxError(
-                f"found {tok.text!r}", tok.line, tok.col, expected=("a label",)
-            )
-        return self.next()
+            raise found(tok, "a label")
+        self.pos += 1
+        return tok.text
+
+    def _list(self, item, sep: str = ",") -> tuple:
+        """One or more ``item()`` separated by ``sep``."""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return tuple(items)
+
+    def _entry(self, key, sep: str, value) -> tuple:
+        """``key() sep value()`` as a pair."""
+        name = key()
+        self.expect(sep)
+        return name, value()
+
+    def _typed_channel(self) -> tuple[str, A.SType]:
+        return self._entry(self.ident, ":", self.type_)
+
+    def _used(self, item) -> tuple:
+        """The items of an optional ``<- item, ...``."""
+        return self._list(item) if self.accept("<-") else ()
+
+    def _cont(self) -> A.Process:
+        """The continuation after a ``;``."""
+        self.expect(";")
+        return self.process()
 
     def _span(self, tok: Token) -> Span:
         return Span(tok.line, tok.col)
+
+    @contextmanager
+    def _bind(self, bound: set[str], var: str):
+        """Add ``var`` to ``bound`` for the block; then drop it unless it
+        was already there (an outer binder it shadows)."""
+        shadow = var in bound
+        bound.add(var)
+        try:
+            yield
+        finally:
+            if not shadow:
+                bound.discard(var)
 
     # -- session types
 
     def type_(self) -> A.SType:
         tok = self.peek()
-        if self.at("rho"):
-            self.next()
-            var = self.expect_ident("a type variable").text
-            self.expect(".")
-            shadow = var in self.bound_tvars
-            self.bound_tvars.add(var)
-            try:
-                body = self.type_()
-            finally:
-                if not shadow:
-                    self.bound_tvars.discard(var)
-            rec = A.Rec(var, body, span=self._span(tok))
-            if not A.is_contractive(rec):
-                raise SillSyntaxError(
-                    f"recursive type is not contractive in {var!r}", tok.line, tok.col
-                )
-            return rec
-        return self.type_bin()
+        if not self.accept("rho"):
+            return self.type_bin()
+        var = self.ident("a type variable")
+        self.expect(".")
+        with self._bind(self.bound_tvars, var):
+            rec = A.Rec(var, self.type_(), span=self._span(tok))
+        if not A.is_contractive(rec):
+            raise SillSyntaxError(f"recursive type is not contractive in {var!r}",
+                                  tok.line, tok.col)
+        return rec
 
     def type_bin(self) -> A.SType:
         tok = self.peek()
@@ -254,135 +304,88 @@ class Parser:
             saved = self.pos
             try:
                 fty = self.ftype()
-                if self.at("/\\"):
-                    self.next()
+                if self.accept("/\\"):
                     return A.AndVal(fty, self.type_bin(), span=self._span(tok))
-                if self.at("=>"):
-                    self.next()
+                if self.accept("=>"):
                     return A.ImpVal(fty, self.type_bin(), span=self._span(tok))
                 raise _Backtrack
             except (SillSyntaxError, _Backtrack):
                 self.pos = saved
         left = self.type_prefix()
-        if self.at("*"):
-            self.next()
+        if self.accept("*"):
             return A.Tensor(left, self.type_bin(), span=self._span(tok))
-        if self.at("-o"):
-            self.next()
+        if self.accept("-o"):
             return A.Lolly(left, self.type_bin(), span=self._span(tok))
         return left
 
     def type_prefix(self) -> A.SType:
         tok = self.peek()
-        if self.at("down"):
-            self.next()
+        if self.accept("down"):
             return A.Down(self.type_prefix(), span=self._span(tok))
-        if self.at("up"):
-            self.next()
+        if self.accept("up"):
             return A.Up(self.type_prefix(), span=self._span(tok))
         return self.type_atom()
 
     def type_atom(self) -> A.SType:
         tok = self.peek()
-        if tok.kind == "int":
-            if tok.text == "1":
-                self.next()
-                return A.Unit(span=self._span(tok))
-            raise SillSyntaxError(
-                f"found {tok.text!r}", tok.line, tok.col, expected=("a session type",)
-            )
+        if self.accept("1"):
+            return A.Unit(span=self._span(tok))
         if tok.text in ("+", "&"):
             self.next()
             self.expect("{")
-            items: list[tuple[str, A.SType]] = []
-            while True:
-                label = self.expect_label().text
-                self.expect(":")
-                items.append((label, self.type_()))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+            items = self._list(lambda: self._entry(self.label, ":", self.type_))
             self.expect("}")
             try:
                 bs = A.branches(items)
             except ValueError as exc:
                 raise SillSyntaxError(str(exc), tok.line, tok.col) from None
-            cls = A.Plus if tok.text == "+" else A.With
-            return cls(bs, span=self._span(tok))
-        if tok.text == "(":
-            self.next()
+            return (A.Plus if tok.text == "+" else A.With)(bs, span=self._span(tok))
+        if self.accept("("):
             inner = self.type_()
             self.expect(")")
             return inner
         if tok.kind == "ident":
             self.next()
-            name = tok.text
-            if name not in self.bound_tvars and name in self.type_table:
-                return self.type_table[name]
-            return A.TVar(name, span=self._span(tok))
-        raise SillSyntaxError(
-            f"found {tok.text!r}", tok.line, tok.col, expected=("a session type",)
-        )
+            if tok.text not in self.bound_tvars and tok.text in self.type_table:
+                return self.type_table[tok.text]
+            return A.TVar(tok.text, span=self._span(tok))
+        raise found(tok, "a session type")
 
     # -- functional types
 
     def ftype(self) -> A.FType:
         atom = self.ftype_atom()
-        if self.at("->"):
-            tok = self.next()
+        if tok := self.accept("->"):
             return A.Arrow(atom, self.ftype(), span=self._span(tok))
         return atom
 
     def ftype_atom(self) -> A.FType:
         tok = self.peek()
-        if tok.text == "{":
-            self.next()
-            provided = self.expect_ident("a channel name").text
-            self.expect(":")
-            provided_ty = self.type_()
-            used: list[tuple[str, A.SType]] = []
-            if self.at("<-"):
-                self.next()
-                while True:
-                    chan = self.expect_ident("a channel name").text
-                    self.expect(":")
-                    used.append((chan, self.type_()))
-                    if self.at(","):
-                        self.next()
-                        continue
-                    break
+        if self.accept("{"):
+            provided, provided_ty = self._typed_channel()
+            used = self._used(self._typed_channel)
             self.expect("}")
-            return A.ProcType(provided, provided_ty, tuple(used), span=self._span(tok))
-        if tok.text == "(":
-            self.next()
+            return A.ProcType(provided, provided_ty, used, span=self._span(tok))
+        if self.accept("("):
             inner = self.ftype()
             self.expect(")")
             return inner
-        raise SillSyntaxError(
-            f"found {tok.text!r}", tok.line, tok.col, expected=("a functional type",)
-        )
+        raise found(tok, "a functional type")
 
     # -- terms
 
     def term(self) -> A.Term:
         tok = self.peek()
-        if self.at("fix"):
-            self.next()
-            var = self.expect_ident("a variable").text
+        if self.accept("fix"):
+            var = self.ident("a variable")
             self.expect(".")
-            with self._bind_term(var):
-                body = self.term()
-            return A.Fix(var, body, span=self._span(tok))
-        if tok.text == "\\":
-            self.next()
-            var = self.expect_ident("a variable").text
-            self.expect(":")
-            ty = self.ftype()
+            with self._bind(self.bound_terms, var):
+                return A.Fix(var, self.term(), span=self._span(tok))
+        if self.accept("\\"):
+            var, ty = self._entry(lambda: self.ident("a variable"), ":", self.ftype)
             self.expect(".")
-            with self._bind_term(var):
-                body = self.term()
-            return A.Lam(var, ty, body, span=self._span(tok))
+            with self._bind(self.bound_terms, var):
+                return A.Lam(var, ty, self.term(), span=self._span(tok))
         return self.term_app()
 
     def term_app(self) -> A.Term:
@@ -397,248 +400,136 @@ class Parser:
         tok = self.peek()
         if tok.kind == "ident":
             self.next()
-            name = tok.text
-            if name not in self.bound_terms and name in self.term_table:
-                return self.term_table[name]
-            return A.Var(name, span=self._span(tok))
-        if tok.text == "(":
-            self.next()
+            return self._named_term(tok)
+        if self.accept("("):
             inner = self.term()
-            if self.at(":"):
-                self.next()
+            if self.accept(":"):
                 inner = A.Anno(inner, self.ftype(), span=self._span(tok))
             self.expect(")")
             return inner
-        if tok.text == "{":
-            self.next()
-            provided = self.expect_ident("a channel name").text
+        if self.accept("{"):
+            provided = self.ident()
             self.expect("<-")
             proc = self.process()
-            used: tuple[str, ...] = ()
-            if self.at("<-"):
-                self.next()
-                used = self._chan_list()
+            used = self._used(self.ident)
             self.expect("}")
             return A.Quote(provided, proc, used, span=self._span(tok))
-        raise SillSyntaxError(
-            f"found {tok.text!r}", tok.line, tok.col, expected=("a term",)
-        )
+        raise found(tok, "a term")
 
-    @contextmanager
-    def _bind_term(self, var: str):
-        shadow = var in self.bound_terms
-        self.bound_terms.add(var)
-        try:
-            yield
-        finally:
-            if not shadow:
-                self.bound_terms.discard(var)
-
-    def _chan_list(self) -> tuple[str, ...]:
-        chans = [self.expect_ident("a channel name").text]
-        while self.at(","):
-            self.next()
-            chans.append(self.expect_ident("a channel name").text)
-        return tuple(chans)
+    def _named_term(self, tok: Token) -> A.Term:
+        """The ``term`` declaration named by ``tok``, unless a variable is."""
+        if tok.text not in self.bound_terms and tok.text in self.term_table:
+            return self.term_table[tok.text]
+        return A.Var(tok.text, span=self._span(tok))
 
     # -- processes
 
     def process(self) -> A.Process:
         tok = self.peek()
-        if self.at("close"):
+        if self.accept("close"):
+            return A.Close(self.ident(), span=self._span(tok))
+        if self.accept("wait"):
+            return A.Wait(self.ident(), self._cont(), span=self._span(tok))
+        if self.accept("fwd"):
+            return A.Fwd(self.ident(), self.ident(), span=self._span(tok))
+        if tok.text in ("send", "recv"):
             self.next()
-            chan = self.expect_ident("a channel name").text
-            return A.Close(chan, span=self._span(tok))
-        if self.at("wait"):
-            self.next()
-            chan = self.expect_ident("a channel name").text
-            self.expect(";")
-            return A.Wait(chan, self.process(), span=self._span(tok))
-        if self.at("fwd"):
-            self.next()
-            provided = self.expect_ident("a channel name").text
-            used = self.expect_ident("a channel name").text
-            return A.Fwd(provided, used, span=self._span(tok))
-        if self.at("send"):
-            return self._send()
-        if self.at("recv"):
-            self.next()
-            chan = self.expect_ident("a channel name").text
-            which = self.peek()
-            if self.at("shift"):
+            chan = self.ident()
+            message = self.peek()
+            cls = _MESSAGES.get((tok.text, message.text))
+            if cls is not None:
                 self.next()
-                self.expect(";")
-                return A.RecvShift(chan, self.process(), span=self._span(tok))
-            if self.at("unfold"):
-                self.next()
-                self.expect(";")
-                return A.RecvUnfold(chan, self.process(), span=self._span(tok))
-            raise SillSyntaxError(
-                f"found {which.text!r}", which.line, which.col,
-                expected=("'shift'", "'unfold'"),
-            )
-        if self.at("case"):
-            self.next()
-            chan = self.expect_ident("a channel name").text
+                return cls(chan, self._cont(), span=self._span(tok))
+            if tok.text == "send":
+                return self._send(tok, chan)
+            raise found(message, "'shift'", "'unfold'")
+        if self.accept("case"):
+            chan = self.ident()
             self.expect("{")
-            items: list[tuple[str, A.Process]] = []
-            while True:
-                label = self.expect_label().text
-                self.expect("=>")
-                items.append((label, self.process()))
-                if self.at("|"):
-                    self.next()
-                    continue
-                break
+            items = self._list(lambda: self._entry(self.label, "=>", self.process), "|")
             self.expect("}")
             labels = [k for k, _ in items]
             if len(set(labels)) != len(labels):
-                raise SillSyntaxError(
-                    f"duplicate case labels: {labels}", tok.line, tok.col
-                )
-            return A.Case(
-                chan, tuple(sorted(items, key=lambda kv: kv[0])), span=self._span(tok)
-            )
+                raise SillSyntaxError(f"duplicate case labels: {labels}", tok.line, tok.col)
+            return A.Case(chan, tuple(sorted(items)), span=self._span(tok))
         if tok.text == "(":
             if (self.peek(1).kind == "ident" and self.peek(2).text == ")"
                     and self.peek(3).text == "<-" and self.peek(4).text == "recv"):
                 # (x) <- recv a; P  -- receive a functional value
-                self.next()
-                var = self.expect_ident("a variable").text
-                self.expect(")")
-                self.expect("<-")
-                self.expect("recv")
-                chan = self.expect_ident("a channel name").text
-                self.expect(";")
-                with self._bind_term(var):
-                    cont = self.process()
-                return A.RecvVal(var, chan, cont, span=self._span(tok))
+                var = self.peek(1).text
+                self.pos += 5
+                chan = self.ident()
+                with self._bind(self.bound_terms, var):
+                    return A.RecvVal(var, chan, self._cont(), span=self._span(tok))
             self.next()
             inner = self.process()
             self.expect(")")
             return inner
         if tok.kind == "ident":
             chan = self.next().text
-            if self.at("."):
-                self.next()
-                label = self.expect_label().text
-                self.expect(";")
-                return A.SendLabel(chan, label, self.process(), span=self._span(tok))
-            anno: Optional[A.SType] = None
-            if self.at(":"):
-                self.next()
-                anno = self.type_()
-            if self.at("<-"):
-                self.next()
+            if self.accept("."):
+                return A.SendLabel(chan, self.label(), self._cont(), span=self._span(tok))
+            anno = self.type_() if self.accept(":") else None
+            if self.accept("<-"):
                 return self._spawn_or_recv(chan, anno, tok)
             nxt = self.peek()
-            raise SillSyntaxError(
-                f"found {nxt.text!r} after channel {chan!r}",
-                nxt.line, nxt.col, expected=("'.'", "':'", "'<-'"),
-            )
-        raise SillSyntaxError(
-            f"found {tok.text!r}", tok.line, tok.col, expected=("a process",)
-        )
+            raise found(nxt, "'.'", "':'", "'<-'", got=f"{nxt.text!r} after channel {chan!r}")
+        raise found(tok, "a process")
 
-    def _send(self) -> A.Process:
-        tok = self.next()  # 'send'
-        chan = self.expect_ident("a channel name").text
+    def _send(self, tok: Token, chan: str) -> A.Process:
+        """``send chan b; P`` or ``send chan (M); P``."""
         arg = self.peek()
-        if self.at("shift"):
-            self.next()
-            self.expect(";")
-            return A.SendShift(chan, self.process(), span=self._span(tok))
-        if self.at("unfold"):
-            self.next()
-            self.expect(";")
-            return A.SendUnfold(chan, self.process(), span=self._span(tok))
         if arg.kind == "ident":
-            sent = self.next().text
-            self.expect(";")
-            return A.SendChan(chan, sent, self.process(), span=self._span(tok))
-        if arg.text == "(":
             self.next()
+            return A.SendChan(chan, arg.text, self._cont(), span=self._span(tok))
+        if self.accept("("):
             term = self.term()
             self.expect(")")
-            self.expect(";")
-            return A.SendVal(chan, term, self.process(), span=self._span(tok))
-        raise SillSyntaxError(
-            f"found {arg.text!r}", arg.line, arg.col,
-            expected=("'shift'", "'unfold'", "a channel", "'(term)'"),
-        )
+            return A.SendVal(chan, term, self._cont(), span=self._span(tok))
+        raise found(arg, "'shift'", "'unfold'", "a channel", "'(term)'")
 
     def _spawn_or_recv(self, chan: str, anno, tok: Token) -> A.Process:
-        if self.at("recv"):
-            self.next()
+        if self.accept("recv"):
             if anno is not None:
-                raise SillSyntaxError(
-                    "channel receive does not take a type annotation",
-                    tok.line, tok.col,
-                )
-            src = self.expect_ident("a channel name").text
-            self.expect(";")
-            return A.RecvChan(chan, src, self.process(), span=self._span(tok))
+                raise SillSyntaxError("channel receive does not take a type annotation",
+                                      tok.line, tok.col)
+            return A.RecvChan(chan, self.ident(), self._cont(), span=self._span(tok))
 
         nxt = self.peek()
-        left: Optional[A.Process] = None
-        if nxt.text == "{":
-            self.next()
+        if self.accept("{"):
             term = self.term()
             self.expect("}")
-            used = ()
-            if self.at("<-"):
-                self.next()
-                used = self._chan_list()
-            left = A.Unquote(chan, term, used, span=self._span(tok))
-        elif nxt.text == "(":
-            self.next()
-            inner = self.process()
+            left = A.Unquote(chan, term, self._used(self.ident), span=self._span(tok))
+        elif self.accept("("):
+            left = self.process()
             self.expect(")")
-            left = inner
             if not self.at(";"):
-                raise SillSyntaxError(
-                    "an inline spawn needs a continuation", nxt.line, nxt.col,
-                    expected=("';'",),
-                )
+                raise SillSyntaxError("an inline spawn needs a continuation",
+                                      nxt.line, nxt.col, expected=("';'",))
         elif nxt.kind == "ident":
-            name = self.next().text
-            used = ()
-            if self.at("<-"):
-                self.next()
-                used = self._chan_list()
-            left, synth = self._resolve_spawn(chan, name, used, nxt, self._span(tok))
-            if anno is None:
-                anno = synth
-        else:
-            raise SillSyntaxError(
-                f"found {nxt.text!r}", nxt.line, nxt.col,
-                expected=("'{term}'", "'(process)'", "a name"),
-            )
-
-        if self.at(";"):
             self.next()
-            right = self.process()
-            return A.Cut(chan, left, right, anno, span=self._span(tok))
+            left, synth = self._resolve_spawn(chan, nxt, self._used(self.ident), self._span(tok))
+            anno = synth if anno is None else anno
+        else:
+            raise found(nxt, "'{term}'", "'(process)'", "a name")
+
+        if self.accept(";"):
+            return A.Cut(chan, left, self.process(), anno, span=self._span(tok))
         return left
 
-    def _resolve_spawn(self, chan: str, name: str, used, tok: Token, span: A.Span):
-        """The process spawned at ``span`` by ``chan <- name <- used``."""
-        var = A.Var(name, span=self._span(tok))
-        if name in self.bound_terms:
-            return A.Unquote(chan, var, used, span=span), None
-        if name in self.proc_table:
+    def _resolve_spawn(self, chan: str, tok: Token, used, span: A.Span):
+        """The process spawned at ``span`` by ``chan <- name <- used``, where
+        ``tok`` is the name, and the type of a spawned ``proc``."""
+        name = tok.text
+        if name not in self.bound_terms and name in self.proc_table:
             decl = self.proc_table[name]
             if len(used) != len(decl.delta):
-                raise SillSyntaxError(
-                    f"proc {name!r} uses {len(decl.delta)} channel(s), got {len(used)}",
-                    tok.line, tok.col,
-                )
+                raise SillSyntaxError(f"proc {name!r} uses {len(decl.delta)} channel(s), "
+                                      f"got {len(used)}", tok.line, tok.col)
             mapping = {decl.channel: chan}
             mapping.update({old: new for (old, _), new in zip(decl.delta, used)})
             return A.rename_channels(decl.proc, mapping), decl.ty
-        if name in self.term_table:
-            return A.Unquote(chan, self.term_table[name], used, span=span), None
-        return A.Unquote(chan, var, used, span=span), None
+        return A.Unquote(chan, self._named_term(tok), used, span=span), None
 
     # -- declarations
 
@@ -647,55 +538,33 @@ class Parser:
         seen: set[str] = set()
         while self.peek().kind != "eof":
             tok = self.peek()
-            if self.at("type"):
-                self.next()
-                name = self.expect_ident("a type name").text
+            if self.accept("type"):
+                name = self.ident("a type name")
                 self.expect("=")
-                ty = self.type_()
-                decl: Decl = TypeDecl(name, ty, span=self._span(tok))
-                self.type_table[name] = ty
-            elif self.at("term"):
-                self.next()
-                name = self.expect_ident("a term name").text
-                self.expect(":")
-                ty = self.ftype()
+                decl: Decl = TypeDecl(name, self.type_(), span=self._span(tok))
+                self.type_table[name] = decl.ty
+            elif self.accept("term"):
+                name, ty = self._entry(lambda: self.ident("a term name"), ":", self.ftype)
                 self.expect("=")
                 term = self.term()
                 decl = TermDecl(name, ty, term, span=self._span(tok))
                 self.term_table[name] = A.Anno(term, ty, span=term.span)
-            elif self.at("proc"):
-                self.next()
-                name = self.expect_ident("a process name").text
+            elif self.accept("proc"):
+                name = self.ident("a process name")
                 self.expect(":")
                 self.expect("(")
-                delta: list[tuple[str, A.SType]] = []
-                if not self.at("|-"):
-                    while True:
-                        c = self.expect_ident("a channel name").text
-                        self.expect(":")
-                        delta.append((c, self.type_()))
-                        if self.at(","):
-                            self.next()
-                            continue
-                        break
+                delta = () if self.at("|-") else self._list(self._typed_channel)
                 self.expect("|-")
-                channel = self.expect_ident("a channel name").text
-                self.expect(":")
-                ty = self.type_()
+                channel, ty = self._typed_channel()
                 self.expect(")")
                 self.expect("=")
-                proc = self.process()
-                decl = ProcDecl(name, tuple(delta), channel, ty, proc, span=self._span(tok))
+                decl = ProcDecl(name, delta, channel, ty, self.process(), span=self._span(tok))
                 self.proc_table[name] = decl
             else:
-                raise SillSyntaxError(
-                    f"found {tok.text!r}", tok.line, tok.col,
-                    expected=("'type'", "'term'", "'proc'"),
-                )
+                raise found(tok, "'type'", "'term'", "'proc'")
             if decl.name in seen:
-                raise SillSyntaxError(
-                    f"duplicate declaration of {decl.name!r}", tok.line, tok.col
-                )
+                raise SillSyntaxError(f"duplicate declaration of {decl.name!r}",
+                                      tok.line, tok.col)
             seen.add(decl.name)
             decls.append(decl)
         return Program(decls)
@@ -714,9 +583,7 @@ def _parse_with(source: str, method: str, **tables):
     node = getattr(parser, method)()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise SillSyntaxError(
-            f"trailing input {tok.text!r}", tok.line, tok.col
-        )
+        raise SillSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
     return node
 
 

@@ -7,12 +7,16 @@ The output is exactly the concrete grammar accepted by the parser, so
 from __future__ import annotations
 
 from . import ast as A
+from .parser import _MESSAGES, ProcDecl, TermDecl, TypeDecl
 
 # Binary session-type operators are right associative and share one
 # precedence level; prefix shifts bind tighter.
 _BIN_LEVEL = 1
 _PREFIX_LEVEL = 2
 _ATOM_LEVEL = 3
+
+# The two words of each message class, as the parser reads them.
+_MESSAGE_WORDS = {cls: words for words, cls in _MESSAGES.items()}
 
 
 def pp_type(ty: A.SType, level: int = 0) -> str:
@@ -107,13 +111,8 @@ def _swallows_chan_list(proc: A.Process) -> bool:
             return not us
         case A.Cut(right=r):
             return _swallows_chan_list(r)
-        case A.Wait(cont=p) | A.SendShift(cont=p) | A.RecvShift(cont=p) | \
-                A.SendLabel(cont=p) | A.SendChan(cont=p) | A.RecvChan(cont=p) | \
-                A.SendVal(cont=p) | A.RecvVal(cont=p) | \
-                A.SendUnfold(cont=p) | A.RecvUnfold(cont=p):
-            return _swallows_chan_list(p)
-        case _:
-            return False
+    cont = getattr(proc, "cont", None)
+    return cont is not None and _swallows_chan_list(cont)
 
 
 def _pp_app_head(term: A.Term) -> str:
@@ -125,6 +124,9 @@ def _pp_app_head(term: A.Term) -> str:
 
 
 def pp_process(proc: A.Process) -> str:
+    if type(proc) in _MESSAGE_WORDS:
+        verb, message = _MESSAGE_WORDS[type(proc)]
+        return f"{verb} {proc.channel} {message}; {pp_process(proc.cont)}"
     match proc:
         case A.Fwd(provided=b, used=a):
             return f"fwd {b} {a}"
@@ -132,14 +134,6 @@ def pp_process(proc: A.Process) -> str:
             return f"close {a}"
         case A.Wait(channel=a, cont=p):
             return f"wait {a}; {pp_process(p)}"
-        case A.SendShift(channel=a, cont=p):
-            return f"send {a} shift; {pp_process(p)}"
-        case A.RecvShift(channel=a, cont=p):
-            return f"recv {a} shift; {pp_process(p)}"
-        case A.SendUnfold(channel=a, cont=p):
-            return f"send {a} unfold; {pp_process(p)}"
-        case A.RecvUnfold(channel=a, cont=p):
-            return f"recv {a} unfold; {pp_process(p)}"
         case A.SendLabel(channel=a, label=k, cont=p):
             return f"{a}.{k}; {pp_process(p)}"
         case A.Case(channel=a, branches=bs):
@@ -177,8 +171,6 @@ def _pp_spawn(uq: A.Unquote, anno_after: str = "") -> str:
 
 
 def pp_decl(decl) -> str:
-    from .parser import ProcDecl, TermDecl, TypeDecl
-
     if isinstance(decl, TypeDecl):
         return f"type {decl.name} = {pp_type(decl.ty)}"
     if isinstance(decl, TermDecl):

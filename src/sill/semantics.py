@@ -4,10 +4,10 @@ A well-typed process becomes a :class:`Denotation`: a pure function from
 an input row (the positive aspect of every used channel plus the negative
 aspect of the provided one) to an output row (the reverse).  Composition
 of processes is a feedback loop on the two aspects of the private channel,
-computed as a least fixed point by Kleene iteration inside the
-depth-truncated value space; truncation makes every ascending chain finite
-with a computable height bound, so iteration terminates and the result is
-the truncation of the true fixed point.  A brute-force Knaster-Tarski
+computed as a least fixed point by Kleene iteration from bottom on whole
+values.  The chain height of the depth-truncated value space bounds the
+iteration count, so iteration terminates; a chain that has not settled
+within the bound is reported as not converged.  A brute-force Knaster-Tarski
 construction of the same operator (the meet of all post-fixed points over
 an enumerated grid) is a testing oracle.  With :func:`tensor`, :func:`seq`
 (composition by key name) and :class:`wire`, :func:`trace` and
@@ -337,13 +337,14 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
     """Close a feedback loop over ``fb_keys`` by Kleene iteration from bottom.
 
     Each feedback key must be both an input and an output.  Iterates are
-    truncated at the working depth, whose finite chain height bounds the
-    iteration count; convergence is detected on the full output row, and
-    the recorded per-call iteration count is the index at which the chain
-    stopped evolving.  A key whose aspect has no ``rho`` carries finite
-    values, so it is left whole (truncating it could only lose messages of
-    a private protocol deeper than the working depth), and its full chain
-    height bounds its iterations.
+    fed back whole, never truncated.  The iteration bound is the chain
+    height of each key's domain: truncated at the working depth for a key
+    whose aspect has a ``rho``, whole for one without (its values are
+    finite).  A chain that has not settled within the bound (or the fuel)
+    sets ``cfg.diag.nonconverged``, so its result is approximate.
+    Convergence is detected on the full output row, and the recorded
+    per-call iteration count is the index at which the chain stopped
+    evolving.
     """
     fb = sorted(fb_keys)
     for k in fb:
@@ -357,7 +358,7 @@ def trace(den: Denotation, fb_keys, cfg: EvalConfig) -> Denotation:
 
     def fn(row: Row) -> Row:
         def step(y: Row) -> tuple[Row, bool]:
-            x = {k: D.truncate(y[k], cfg.depth) if k in cut else y[k] for k in fb}
+            x = {k: y[k] for k in fb}
             y2 = den(Row({**row, **x}))
             return y2, y2 == y
 

@@ -310,7 +310,7 @@ def _show_type(ty: A.SType) -> str:
 def check_process(psi: Mapping[str, A.FType], delta: Mapping[str, A.SType],
                   proc: A.Process, channel: str, ty: A.SType) -> None:
     """Decide whether ``proc`` provides ``channel : ty`` using exactly ``delta``."""
-    if channel in delta:
+    if channel in delta and isinstance(proc, A.Process):  # else _check rejects it
         raise TypeCheckError(
             "linear", "Cut",
             f"provided channel {channel!r} also appears in the context", proc.span,

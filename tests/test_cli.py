@@ -147,6 +147,16 @@ def test_eval_a_short_input_at_a_large_depth(capsys):
     assert out.splitlines()[0] == "a- = _, b+ = 0·1·_"
 
 
+def test_eval_feeds_back_a_cut_stream_whole(capsys):
+    # the stream between flip2's two flips is longer than the working depth;
+    # it is fed back whole, so all 12 bits come through exactly
+    bits = "0·1·1·0·1·0·0·1·1·1·0·1·_"
+    code, out = run(capsys, "eval", str(FIXTURES / "flip.sill"), "--proc", "flip2",
+                    "--depth", "4", "--in", f"a+ = {bits}")
+    assert code == 0
+    assert out.splitlines()[0] == f"a- = _, b+ = {bits}"
+
+
 @pytest.mark.parametrize("levels", [1200])
 def test_eval_deeply_nested_input_is_a_usage_error(capsys, levels):
     # up(...) is read in a loop; it is not a bits value, whatever its depth
@@ -307,7 +317,9 @@ def test_demo_flip_fuel_out_is_approximate(capsys):
         "approximate: a fixed point did not converge within fuel")
     code, out = run(capsys, "demo-flip", "--depth", "4", "--fuel", "0", "--json")
     assert code == 2
-    assert json.loads(out)["nonconverged"] is True
+    payload = json.loads(out)
+    assert payload["nonconverged"] is True
+    assert payload["stabilized_by_2"] is False
 
 
 def test_demo_flip_counts_the_inputs_it_checked(capsys):

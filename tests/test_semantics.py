@@ -706,17 +706,34 @@ def zero_then(v):
 FUELS = (0, 1, 2, 3, 4, 5, None)
 
 
+def zeros_loop(cap=None):
+    """u |-> 0·u, b = u; with a cap, u |-> 0·u cut after ``cap`` zeros."""
+    asp = (BITS, POS)
+    step = zero_then if cap is None else (lambda v: D.truncate(zero_then(v), cap))
+    return S.Denotation({"u": asp}, {"b": asp, "u": asp},
+                        lambda row: S.Row({"b": row["u"], "u": step(row["u"])}))
+
+
 @pytest.mark.parametrize("fuel, iters", zip(FUELS, (0, 1, 2, 3, 4, 4, 4)))
 def test_trace_fuel_counts(fuel, iters):
-    # u |-> 0·u, b = u: the chain 0·_, 0·0·_, 0·0·0·_ stops at depth 3
+    # the chain 0·_, 0·0·_, 0·0·0·_ reaches the least fixed point 0·0·0·_
     cfg = S.EvalConfig(depth=3, fuel=fuel)
-    asp = (BITS, POS)
-    den = S.Denotation({"u": asp}, {"b": asp, "u": asp},
-                       lambda row: S.Row({"b": row["u"], "u": zero_then(row["u"])}))
-    out = S.trace(den, ["u"], cfg)(S.Row({}))
+    out = S.trace(zeros_loop(cap=3), ["u"], cfg)(S.Row({}))
     assert cfg.diag.trace_iters == [iters]
     assert cfg.diag.nonconverged == (fuel is not None and fuel < 4)
     assert out["b"] == val("0·" * min(iters, 3) + "_", BITS, POS)
+
+
+@pytest.mark.parametrize("fuel", FUELS)
+def test_trace_of_an_infinite_feedback_never_converges(fuel):
+    # the least fixed point 0·0·0·... is infinite: the chain grows by one
+    # zero a step, past the working depth, until the fuel or bound runs out
+    cfg = S.EvalConfig(depth=3, fuel=fuel)
+    out = S.trace(zeros_loop(), ["u"], cfg)(S.Row({}))
+    steps = D.chain_steps(BITS, POS, 3) + 2 if fuel is None else fuel
+    assert cfg.diag.trace_iters == [steps]
+    assert cfg.diag.nonconverged
+    assert out["b"] == val("0·" * steps + "_", BITS, POS)
 
 
 @pytest.mark.parametrize("fuel, calls", zip(FUELS, (1, 2, 3, 4, 4, 4, 4)))

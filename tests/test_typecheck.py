@@ -368,7 +368,9 @@ def test_typing_diagnostics_match_golden():
     lambda: T.infer_term({}, 5),
     lambda: T.check_term({}, 5, A.ProcType("d", A.Unit(), ())),
     lambda: T.check_process({}, {}, 5, "c", A.Unit()),
-], ids=["polarity_of", "check_ftype", "infer_term", "check_term", "check_process"])
+    lambda: T.check_process({}, {"c": A.Unit()}, 5, "c", A.Unit()),
+], ids=["polarity_of", "check_ftype", "infer_term", "check_term", "check_process",
+        "check_process_provided_in_context"])
 def test_a_non_node_is_a_type_error_without_rule_or_span(check):
     with pytest.raises(TypeCheckError, match="^not a .*: 5$") as err:
         check()
