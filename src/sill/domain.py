@@ -27,24 +27,27 @@ The finite elements of an aspect are trees of values:
 * ``STAR`` is the close message.
 * ``Lift(v)`` is the image of ``v`` under lifting: one message boundary.
   ``Lift(BOT)`` is *not* ``BOT``; lifting is not strict.
-* ``Tag(k, Lift(v))`` is an element of a coalesced sum: the label ``k``
-  followed by the communication ``v``.
+* ``Tag(k, v)`` is an element of a coalesced sum of lifted domains: the
+  label ``k`` followed by the communication ``v``, one message boundary.
 * ``Pair``/``ValPair``/``Record`` are the elements of the product shapes.
-* ``Fold(v)`` marks an element of a recursive type via the canonical
-  isomorphism with its unfolding.
+
+A value carries only what its shape does not record.  The values of a
+recursive type are those of its unfolding, so the canonical isomorphism
+between the two is the identity, and a branch's lift is implied by the
+``Tag`` that names it.
 
 Values are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): a value is built once and shared, so structurally
 equal values are the same object, the domain's equality is identity and
 hashing is O(1).
 
-Observation depth counts message boundaries: every ``Lift`` is one unit.
-``Fold`` is transparent for depth, so one labelled message on a recursive
-stream costs exactly one unit; recursive occurrences reachable without
-crossing a message boundary contribute only ``BOT`` to enumeration, which
-matches the least solution of the corresponding domain equation.  Shapes
-compare by identity and :func:`aspect` never evicts, so each aspect is one
-object and a traversal finds such an occurrence by the node it revisits.
+Observation depth counts message boundaries: every ``Lift`` and every
+``Tag`` is one unit, so one labelled message on a recursive stream costs
+exactly one unit; recursive occurrences reachable without crossing a
+message boundary contribute only ``BOT``, which matches the least solution
+of the corresponding domain equation.  Shapes compare by identity and
+:func:`aspect` never evicts, so each aspect is one object and a traversal
+finds such an occurrence by the node it revisits.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ class Lift(CommValue):
 class Tag(CommValue):
     __slots__ = _fields = ("label", "inner")
     label: str
-    inner: CommValue  # always a Lift
+    inner: CommValue  # the communication after the label
 
 
 class Pair(CommValue):
@@ -173,11 +176,6 @@ class Record(CommValue):
 
     def to_dict(self) -> dict[str, CommValue]:
         return dict(self.entries)
-
-
-class Fold(CommValue):
-    __slots__ = _fields = ("inner",)
-    inner: CommValue
 
 
 BOT = BotValue()
@@ -273,21 +271,17 @@ def valpair(val: FuncValue, rest: CommValue) -> CommValue:
 
 
 def fold(v: CommValue) -> CommValue:
-    if v == BOT:
-        return BOT
-    return Fold(v)
+    """The canonical isomorphism from the unfolding of a recursive type to
+    the type: the identity, since both have the same values."""
+    return v
 
 
 def unfold(v: CommValue) -> CommValue:
-    if v == BOT:
-        return BOT
-    if isinstance(v, Fold):
-        return v.inner
-    raise DomainError(f"cannot unfold {v!r}")
+    """The inverse of :func:`fold`, and so the identity too."""
+    return v
 
 
-def tag(label: str, under_lift: CommValue) -> CommValue:
-    return Tag(label, Lift(under_lift))
+tag = Tag  # the label's lift is implied, so the class is its own constructor
 
 
 def up(v: CommValue) -> CommValue:
@@ -371,8 +365,6 @@ def leq(v: CommValue, w: CommValue) -> bool:
             if [k for k, _ in es] != [k for k, _ in fs]:
                 raise DomainError("records with different keys are unrelated")
             return all(leq(a, b) for (_, a), (_, b) in zip(es, fs))
-        case Fold(inner=a), Fold(inner=b):
-            return leq(a, b)
         case (Pair(), Record()) | (Record(), Pair()):
             raise DomainError(f"shape mismatch: {v!r} vs {w!r}")
     return False
@@ -409,8 +401,6 @@ def meet2(v: CommValue, w: CommValue) -> CommValue:
             if [k for k, _ in es] != [k for k, _ in fs]:
                 raise DomainError("records with different keys have no meet")
             return record({k: meet2(a, b) for (k, a), (_, b) in zip(es, fs)})
-        case Fold(inner=a), Fold(inner=b):
-            return fold(meet2(a, b))
     raise DomainError(f"shape mismatch: {v!r} vs {w!r}")
 
 
@@ -440,38 +430,16 @@ def _truncate(v: CommValue, depth: int) -> CommValue:
             if depth <= 0:
                 return BOT
             return Lift(truncate(a, depth - 1))
-        case Tag(label=k, inner=Lift(inner=a)):
+        case Tag(label=k, inner=a):
             if depth <= 0:
                 return BOT
-            return Tag(k, Lift(truncate(a, depth - 1)))
+            return Tag(k, truncate(a, depth - 1))
         case Pair(left=l, right=r):
             return pair(truncate(l, depth), truncate(r, depth))
         case ValPair(val=f, rest=r):
             return valpair(f, truncate(r, depth))
         case Record(entries=es):
             return record({k: truncate(a, depth) for k, a in es})
-        case Fold(inner=a):
-            return fold(truncate(a, depth))
-    raise DomainError(f"not a value: {v!r}")
-
-
-def height(v: CommValue) -> int:
-    """Number of message boundaries on the deepest path."""
-    match v:
-        case BotValue() | StarValue():
-            return 0
-        case Lift(inner=a):
-            return 1 + height(a)
-        case Tag(inner=a):
-            return height(a)
-        case Pair(left=l, right=r):
-            return max(height(l), height(r))
-        case ValPair(rest=r):
-            return height(r)
-        case Record(entries=es):
-            return max(height(a) for _, a in es)
-        case Fold(inner=a):
-            return height(a)
     raise DomainError(f"not a value: {v!r}")
 
 
@@ -573,7 +541,9 @@ def check_conforms(v: CommValue, ty: A.SType, pol: Polarity) -> None:
     _check(v, aspect(ty, pol))
 
 
-def _check(v: CommValue, s: Shape) -> None:
+def _check(v: CommValue, s: Shape, folds: frozenset = frozenset()) -> None:
+    """``folds`` are the folds met since ``v`` was reached; one met again
+    recurs without a message boundary, and only BOT conforms there."""
     if v == BOT:
         return
     match s, v:
@@ -581,7 +551,7 @@ def _check(v: CommValue, s: Shape) -> None:
             pass
         case LiftShape(inner=i), Lift(inner=x):
             _check(x, i)
-        case SumShape(branches=bs), Tag(label=k, inner=Lift(inner=x)):
+        case SumShape(branches=bs), Tag(label=k, inner=x):
             if k not in bs:
                 raise DomainError(f"label {k!r} not in {sorted(bs)}")
             _check(x, bs[k])
@@ -594,8 +564,8 @@ def _check(v: CommValue, s: Shape) -> None:
             _check(b, r)
         case ValPairShape(rest=r), ValPair(rest=x):
             _check(x, r)
-        case FoldShape(), Fold(inner=x):
-            _check(x, s.body)
+        case FoldShape(), _ if s not in folds:
+            _check(v, s.body, folds | {s})
         case _:
             raise DomainError(f"{v!r} does not conform to a {type(s).__name__}")
 
@@ -646,7 +616,7 @@ def _enumerate_in(s: Shape, depth: int, seen: frozenset) -> list[CommValue]:
         case LiftShape(inner=i):
             return [BOT, *(Lift(x) for x in _below(i, depth))]
         case SumShape(branches=bs):
-            return [BOT, *(tag(k, x) for k, b in bs.items() for x in _below(b, depth))]
+            return [BOT, *(Tag(k, x) for k, b in bs.items() for x in _below(b, depth))]
         case RecordShape(fields=fs):
             pools = [_enumerate_in(f, depth, seen) for f in fs.values()]
             return [record(zip(fs, combo)) for combo in itertools.product(*pools)]
@@ -659,7 +629,7 @@ def _enumerate_in(s: Shape, depth: int, seen: frozenset) -> list[CommValue]:
             return [valpair(f, y) for f in (FBOT, QPROC_BOT)
                     for y in _enumerate_in(r, depth, seen)]
         case FoldShape():
-            return [fold(x) for x in _enumerate_in(s.body, depth, seen)]
+            return _enumerate_in(s.body, depth, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -751,21 +721,26 @@ def format_value(v: CommValue, ty: A.SType, pol: Polarity) -> str:
 def _format(v: CommValue, s: Shape) -> str:
     """Unary wrappers (``up(``, ``fold(`` and the labels ``k·``) are printed
     in a loop, as :func:`parse_value` reads them, so a long stream or deep
-    up(up(…)) nests no call per level; pairs and records recurse."""
-    head, close = "", 0
+    up(up(…)) nests no call per level; pairs and records recurse.  As in
+    :func:`_check`, a fold met twice without a message boundary between has
+    only BOT."""
+    head, close, folds = "", 0, set()
     while True:
         match s:
             case LiftShape(inner=i) if v != BOT:
                 head += "up("
                 close += 1
-                v, s = down(v), i
+                v, s, folds = down(v), i, set()
                 continue
             case SumShape(branches=bs) if v != BOT:
                 head += f"{v.label}·"
-                v, s = v.inner.inner, bs[v.label]
+                v, s, folds = v.inner, bs[v.label], set()
                 continue
             case FoldShape(labelled=labelled) if v != BOT:
-                v, s = unfold(v), s.body
+                if s in folds:
+                    raise DomainError(f"{v!r} does not conform to a FoldShape")
+                folds.add(s)
+                s = s.body
                 if not (labelled and isinstance(v, Tag)):
                     head += "fold("
                     close += 1
@@ -955,13 +930,14 @@ class _Reader:
                     if not explicit and (s, self.pos) in implicit:
                         raise ValueNotationError(_EXPECTED[FoldShape])
                     implicit.add((s, self.pos))
-                    wrappers.append(("fold(...)" if explicit else None, fold))
+                    if explicit:
+                        wrappers.append(("fold(...)", None))
                     s, self.pos = s.body, self.pos + 2 * explicit
                     continue
                 case SumShape(branches=bs) if after == "·":
                     if tok not in bs:
                         raise ValueNotationError(f"label {tok!r} not among {sorted(bs)}")
-                    wrappers.append((None, partial(tag, tok)))
+                    wrappers.append((None, partial(Tag, tok)))
                     s, self.pos = bs[tok], self.pos + 2
                     continue
                 case LiftShape(inner=i) if tok == "up":

@@ -883,7 +883,7 @@ def _compile_process(proc: A.Process, table: dict) -> Inst:
 
             def send_label(inner, row: Row) -> Row:
                 out = inner(row.updated({i: D.split_record(row[i], labels)[k]}))
-                return Row({**out, o: D.tag(k, out[o])})
+                return Row({**out, o: D.Tag(k, out[o])})
 
             return clause(send_label, _compile_process(p, table))
 
@@ -895,7 +895,7 @@ def _compile_process(proc: A.Process, table: dict) -> Inst:
             def recv_label(inners, row: Row) -> Row:
                 v = row[i]
                 assert isinstance(v, D.Tag)
-                k, payload = v.label, v.inner.inner
+                k, payload = v.label, v.inner
                 out = inners[k](row.updated({i: payload}))
                 chosen = D.record({l: out[o] if l == k else D.BOT for l in labels})
                 return Row({**out, o: chosen})
@@ -961,14 +961,9 @@ def _compile_process(proc: A.Process, table: dict) -> Inst:
 
             return recv_val
 
-        case A.SendUnfold(channel=a, cont=p) | A.RecvUnfold(channel=a, cont=p):
-            i, o, _ = side(a)
-
-            def unfold_msg(inner, row: Row) -> Row:
-                out = inner(row.updated({i: D.unfold(row[i])}))
-                return Row({**out, o: D.fold(out[o])})
-
-            return clause(unfold_msg, _compile_process(p, table))
+        case A.SendUnfold(cont=p) | A.RecvUnfold(cont=p):
+            # a recursive type has the values of its unfolding
+            return _compile_process(p, table)
 
         case A.Unquote(provided=a, term=m, used=us):
             value = _compile_term(m, table[id(m)][1], psi, table)

@@ -75,11 +75,9 @@ def enum(ty, pol, d):
 def bits_to_list(v):
     out = []
     while v != D.BOT:
-        assert isinstance(v, D.Fold)
-        tag = v.inner
-        assert isinstance(tag, D.Tag)
-        out.append(tag.label)
-        v = tag.inner.inner
+        assert isinstance(v, D.Tag)
+        out.append(v.label)
+        v = v.inner
     return out
 
 
@@ -188,7 +186,7 @@ def test_enumeration_conforms_and_heights():
         for d in range(3):
             for v in enum(ty, pol, d):
                 assert D.conforms(v, ty, pol)
-                assert D.height(v) <= d
+                assert D.truncate(v, d) is v
 
 
 def battery_key(ty, pol):
@@ -236,8 +234,6 @@ def order_key(v):
             return (5, [D.FBOT, D.QPROC_BOT].index(f), order_key(r))
         case D.Record(entries=es):
             return (6, tuple((k, order_key(x)) for k, x in es))
-        case D.Fold(inner=a):
-            return (7, order_key(a))
     raise AssertionError(f"not a value: {v!r}")
 
 
@@ -604,9 +600,11 @@ def test_notation_reads_deep_unary_nesting():
 
 def test_notation_at_a_fold_that_reaches_itself_does_not_hang():
     # the body of rho a. down a at - is the fold itself: reading anything but
-    # _ or fold(...) there must stop rather than unfold forever
+    # _ or fold(...) there must stop rather than unfold forever, and checking
+    # or printing a value other than _ there must fail rather than recurse;
+    # rho a. up a at + is the same
     code = ("from sill import domain as D\n"
-            "from sill.ast import NEG\n"
+            "from sill.ast import NEG, POS\n"
             "from sill.parser import parse_type\n"
             "ty = parse_type('rho a. down a')\n"
             "assert D.parse_value('fold(fold(_))', ty, NEG) == D.BOT\n"
@@ -615,7 +613,16 @@ def test_notation_at_a_fold_that_reaches_itself_does_not_hang():
             "        D.parse_value(text, ty, NEG)\n"
             "    except (D.ValueNotationError, RecursionError):\n"
             "        continue\n"
-            "    raise AssertionError(text)\n")
+            "    raise AssertionError(text)\n"
+            "for ty, pol in ((ty, NEG), (parse_type('rho a. up a'), POS)):\n"
+            "    assert D.conforms(D.BOT, ty, pol)\n"
+            "    assert D.format_value(D.BOT, ty, pol) == '_'\n"
+            "    assert D.conforms(D.STAR, ty, pol) is False\n"
+            "    try:\n"
+            "        D.format_value(D.STAR, ty, pol)\n"
+            "    except D.DomainError:\n"
+            "        continue\n"
+            "    raise AssertionError(pol)\n")
     src = str(Path(D.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env={**os.environ, "PYTHONPATH": src})

@@ -451,8 +451,8 @@ def test_a_shared_inner_fix_lets_the_outer_solve_converge():
     assert not cfg.diag.nonconverged
     sent = []
     while out != D.BOT:
-        sent.append(out.inner.inner.val)
-        out = out.inner.inner.rest
+        sent.append(out.inner.val)
+        out = out.inner.rest
     assert len(sent) == 4 and len(set(map(id, sent))) == 1
 
 
