@@ -98,10 +98,11 @@ class SillSyntaxError(SyntaxError):
         self.expected = expected
 
 
-def found(tok: Token, *expected: str, got: Optional[str] = None) -> SillSyntaxError:
-    """The error for ``tok`` where one of ``expected`` should be; ``got``
-    names what was found in place of ``tok``'s text."""
-    return SillSyntaxError(f"found {got or repr(tok.text)}", tok.line, tok.col, expected)
+def found(tok: Token, *expected: str, after: str = "") -> SillSyntaxError:
+    """The error for ``tok`` where one of ``expected`` should be; ``after``
+    says where ``tok`` was found."""
+    got = "end of input" if tok.kind == "eof" else repr(tok.text)
+    return SillSyntaxError(f"found {got}{after}", tok.line, tok.col, expected)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -225,14 +226,14 @@ class Parser:
     def expect(self, text: str) -> Token:
         tok = self.tokens[self.pos]
         if tok.text != text:
-            raise found(tok, repr(text), got="end of input" if tok.kind == "eof" else None)
+            raise found(tok, repr(text))
         self.pos += 1
         return tok
 
     def ident(self, what: str = "a channel name") -> str:
         tok = self.tokens[self.pos]
         if tok.kind != "ident":
-            raise found(tok, what, got="end of input" if tok.kind == "eof" else None)
+            raise found(tok, what)
         self.pos += 1
         return tok.text
 
@@ -473,7 +474,7 @@ class Parser:
             if self.accept("<-"):
                 return self._spawn_or_recv(chan, anno, tok)
             nxt = self.peek()
-            raise found(nxt, "'.'", "':'", "'<-'", got=f"{nxt.text!r} after channel {chan!r}")
+            raise found(nxt, "'.'", "':'", "'<-'", after=f" after channel {chan!r}")
         raise found(tok, "a process")
 
     def _send(self, tok: Token, chan: str) -> A.Process:
