@@ -15,6 +15,7 @@ from sill import equiv as E
 from sill import laws as L
 from sill import semantics as S
 from sill.ast import NEG, Unit, Up
+from sill.parser import parse_program
 
 
 def pairwise_grid(aspects, depth: int) -> L.FinGrid:
@@ -269,3 +270,31 @@ def test_a_client_message_at_a_negative_type_reduces(used, redex, reduct):
     assert L.principal_reduct(redex) == reduct
     verdict = E.check_equiv(reduct, redex, {d: A.Unit() for d in used}, "c", A.Unit(), depth=3)
     assert verdict.kind == "equivalent"
+
+
+# ---------------------------------------------------------------------------
+# Commuting conversions: a message on c moves past a cut whose left side does
+# not use c.  Receives are strict, so a receive on c does not move past a left
+# side that sends on another channel before it: that send then waits for c.
+
+@pytest.mark.parametrize("ctx, cut_first, message_first, kind", [
+    ("|- c : down up 1", "x : 1 <- (close x); send c shift; recv c shift; wait x; close c",
+     "send c shift; x : 1 <- (close x); recv c shift; wait x; close c", "equivalent"),
+    ("|- c : up 1", "x : 1 <- (close x); recv c shift; wait x; close c",
+     "recv c shift; x : 1 <- (close x); wait x; close c", "equivalent"),
+    ("d : 1 |- c : +{j: 1, k: 1}", "x : 1 <- (wait d; close x); c.j; wait x; close c",
+     "c.j; x : 1 <- (wait d; close x); wait x; close c", "equivalent"),
+    ("b : 1, d : 1 |- c : 1 * 1", "x : 1 <- (wait d; close x); send c b; wait x; close c",
+     "send c b; x : 1 <- (wait d; close x); wait x; close c", "equivalent"),
+    ("d : up 1 |- c : up 1",
+     "x : 1 <- (send d shift; wait d; close x); recv c shift; wait x; close c",
+     "recv c shift; x : 1 <- (send d shift; wait d; close x); wait x; close c", "distinguished"),
+], ids=["send-shift", "recv-shift", "label", "send-channel", "strict-recv"])
+def test_a_message_commutes_past_a_cut(ctx, cut_first, message_first, kind):
+    left, right = parse_program(
+        f"proc l : ({ctx}) = {cut_first}\nproc r : ({ctx}) = {message_first}\n").procs().values()
+    verdict = E.check_equiv(left.proc, right.proc, dict(left.delta), left.channel, left.ty,
+                            depth=3)
+    assert verdict.kind == kind, verdict.describe()
+    if kind == "distinguished":
+        assert verdict.witness == {"c-": "_", "d+": "_"}
