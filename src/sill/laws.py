@@ -566,14 +566,17 @@ def random_monotone_den(rng: random.Random, in_aspects: Mapping[str, S.Aspect],
     Built by assigning outputs along a linear extension of the input order,
     restricted at each step to the outputs above those of the row's covers
     (hence above those of all its predecessors); dead ends restart the
-    assignment.  The table also seeds the denotation's memo, so a grid row
-    costs one lookup.
+    assignment.  The draw runs over the name-free shapes of the sorted keys'
+    aspects.  The table is the denotation's memo, keyed as every memo is by
+    the input values in sorted key order, so a grid row costs one lookup;
+    only the output rows assigned are named.
     """
-    gin = grid_for(in_aspects, depth)
-    gout = grid_for(out_aspects, depth)
-    covers, ups = gin.shape.covers, gout.shape.upsets
-    full = (1 << len(gout.rows)) - 1
-    assign = [0] * len(gin.rows)
+    in_keys, out_keys = tuple(sorted(in_aspects)), tuple(sorted(out_aspects))
+    gin = _grid_shape(tuple(in_aspects[k] for k in in_keys), depth)
+    gout = _grid_shape(tuple(out_aspects[k] for k in out_keys), depth)
+    covers, ups = gin.covers, gout.upsets
+    full = (1 << len(gout.order)) - 1
+    assign = [0] * len(gin.order)
     for _ in range(max_tries):
         # rows are in a linear extension: covers precede their row, so a
         # restart reads only entries it has already rewritten
@@ -583,19 +586,22 @@ def random_monotone_den(rng: random.Random, in_aspects: Mapping[str, S.Aspect],
                 mask &= ups[assign[p]]
             if not mask:
                 break
-            # the k-th set bit, drawn as ``rng.choice`` over the list of them
-            for _ in range(rng.choice(range(mask.bit_count()))):
+            # the k-th set bit, k drawn as ``rng.choice(range(n))`` draws it
+            for _ in range(rng.randrange(mask.bit_count())):
                 mask &= mask - 1
             assign[i] = (mask & -mask).bit_length() - 1
         else:
-            table = dict(zip(gin.rows, map(gout.rows.__getitem__, assign)))
             break
     else:
-        table = {r: S.bot_row(gout.keys) for r in gin.rows}
+        assign = [0] * len(assign)  # row 0, the least, is the all-bottom row
 
-    den = S.Denotation(dict(in_aspects), dict(out_aspects), table.__getitem__,
-                       label="table")
-    den._memo.update(table)
+    outs = list(itertools.product(*gout.pools))
+    named = {j: S.Row(zip(out_keys, outs[gout.order[j]])) for j in set(assign)}
+    # a memo key is the tuple of values, or the bare value over one key
+    ins = gin.pools[0] if len(gin.pools) == 1 else list(itertools.product(*gin.pools))
+    table = dict(zip(map(ins.__getitem__, gin.order), map(named.__getitem__, assign)))
+    den = S.Denotation(in_aspects, out_aspects, table.__getitem__, label="table")
+    den._memo = table
     return den
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -68,8 +69,8 @@ class Row(dict):
 
     Equality is dict equality, which compares the hash-consed values by
     identity.  The hash is computed from the items whenever it is asked
-    for, whatever their order; caching it measured slower, because about
-    half of all hash calls are a row's first.
+    for, whatever their order.  A :class:`Denotation` memoizes on its
+    input values, not on the row.
     """
 
     __slots__ = ()
@@ -104,7 +105,9 @@ def row_meet(a: Row, b: Row) -> Row:
 
 
 def row_truncate(a: Row, depth: int) -> Row:
-    return Row({k: D.truncate(v, depth) for k, v in a.items()})
+    """``a`` with each value truncated at ``depth``; ``a`` itself if none is cut."""
+    cut = {k: D.truncate(v, depth) for k, v in a.items()}
+    return a if cut == a else Row(cut)
 
 
 def row_grid(aspects: Mapping[str, Aspect], depth: int) -> Iterator[Row]:
@@ -155,31 +158,33 @@ class EvalConfig:
 
 
 class Denotation:
-    """A pure, memoized function between rows with a typed interface."""
+    """A pure function between rows with a typed interface, memoized on the
+    input values in sorted key order: a tuple, a bare value for one key."""
 
-    __slots__ = ("inputs", "outputs", "_fn", "_memo", "label")
+    __slots__ = ("inputs", "outputs", "_fn", "_key", "_memo", "label")
 
     def __init__(self, inputs: Mapping[str, Aspect], outputs: Mapping[str, Aspect],
                  fn: Callable[[Row], Row], label: str = ""):
         self.inputs = dict(inputs)
         self.outputs = dict(outputs)
         self._fn = fn
-        self._memo: dict[Row, Row] = {}
+        self._key = (operator.itemgetter(*sorted(self.inputs)) if self.inputs
+                     else lambda row: ())
+        self._memo: dict[object, Row] = {}
         self.label = label
 
     def __call__(self, row: Row | Mapping[str, D.CommValue]) -> Row:
-        if not isinstance(row, Row):
-            row = Row(row)
         if row.keys() != self.inputs.keys():
             missing = self.inputs.keys() - row.keys()
             extra = row.keys() - self.inputs.keys()
             raise ValueError(f"bad input row: missing {missing}, extra {extra}")
-        hit = self._memo.get(row)
+        key = self._key(row)
+        hit = self._memo.get(key)
         if hit is None:
-            hit = self._fn(row)
+            hit = self._fn(row if isinstance(row, Row) else Row(row))
             if not isinstance(hit, Row):
                 hit = Row(hit)
-            self._memo[row] = hit
+            self._memo[key] = hit
         return hit
 
     def __repr__(self):

@@ -152,6 +152,27 @@ def test_random_monotone_den_draws_the_reference_tables():
         assert got_rng.getstate() == want_rng.getstate(), seed
 
 
+def test_the_generator_builds_no_named_grid(monkeypatch):
+    """random_monotone_den draws over name-free shapes: the named grid cache
+    serves only the suites' checks, and holds each of their grids once."""
+    real, drawn = L.random_monotone_den, []
+
+    def watched(*args, **kwargs):
+        before = L._grid_cached.cache_info()
+        den = real(*args, **kwargs)
+        drawn.append(before == L._grid_cached.cache_info())
+        return den
+
+    monkeypatch.setattr(L, "random_monotone_den", watched)
+    L._grid_cached.cache_clear()
+    for seed in range(3):
+        assert L.trace_axiom_suite(seed=seed, rounds=4).ok
+        assert L.conway_identity_suite(seed=seed, rounds=4).ok
+    assert drawn and all(drawn)
+    info = L._grid_cached.cache_info()
+    assert info.misses == info.currsize < info.maxsize
+
+
 def test_a_suite_that_checked_nothing_does_not_pass():
     for suite in (L.trace_axiom_suite, L.conway_identity_suite, L.trace_oracle_suite):
         report = suite(seed=0, rounds=0)

@@ -490,6 +490,62 @@ def test_variable_denotes_projection():
 
 
 # ---------------------------------------------------------------------------
+# Memo keys: a denotation memoizes on its input values in sorted key order
+
+
+UNIT_POS = (A.Unit(), POS)
+
+
+def counted_den(keys):
+    """A denotation over ``keys`` that counts its calls and sends ``*``."""
+    calls = []
+
+    def fn(row):
+        calls.append(row)
+        return S.Row({"out": D.STAR})
+
+    return S.Denotation(dict.fromkeys(keys, UNIT_POS), {"out": UNIT_POS}, fn), calls
+
+
+def test_a_bad_row_is_rejected_after_its_values_were_memoized():
+    den, calls = counted_den("ab")
+    den(S.Row({"a": D.STAR, "b": D.BOT}))
+    for bad in ({"a": D.STAR}, {"a": D.STAR, "b": D.BOT, "c": D.BOT},
+                {"a": D.STAR, "c": D.BOT}):
+        with pytest.raises(ValueError, match="bad input row"):
+            den(S.Row(bad))
+    assert len(calls) == 1
+
+
+def test_rows_in_any_key_order_share_one_memo_entry():
+    den, calls = counted_den("abc")
+    ab = den(S.Row({"a": D.STAR, "b": D.BOT, "c": D.BOT}))
+    assert den(S.Row({"c": D.BOT, "b": D.BOT, "a": D.STAR})) is ab
+    assert den({"b": D.BOT, "a": D.STAR, "c": D.BOT}) is ab
+    assert len(calls) == 1
+    assert den(S.Row({"a": D.BOT, "b": D.STAR, "c": D.BOT})) is not ab
+    assert len(calls) == 2
+
+
+def test_one_and_zero_input_denotations_memoize():
+    one, calls = counted_den("a")
+    for v in (D.STAR, D.BOT, D.STAR, D.BOT):
+        assert one(S.Row({"a": v})) == S.Row({"out": D.STAR})
+    assert calls == [S.Row({"a": D.STAR}), S.Row({"a": D.BOT})]
+    none, calls = counted_den("")
+    assert none(S.Row()) is none({})
+    assert calls == [S.Row()]
+
+
+def test_row_truncate_returns_a_row_it_does_not_cut():
+    row = S.Row({"a": D.parse_value("0·1·_", BITS, POS), "b": D.STAR})
+    assert S.row_truncate(row, 2) is row
+    cut = S.row_truncate(row, 1)
+    assert cut == S.Row({"a": D.parse_value("0·_", BITS, POS), "b": D.STAR})
+    assert row["a"] == D.parse_value("0·1·_", BITS, POS)
+
+
+# ---------------------------------------------------------------------------
 # Staging: the static pass runs once per node, never per unrolling
 
 
