@@ -58,7 +58,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import ast as A
 from .ast import NEG, POS, Polarity
@@ -241,6 +241,16 @@ class Closure(FuncValue):
 
     def __hash__(self):
         return hash(("Closure", self.var, self.body))
+
+
+class Native(FuncValue):
+    """A function that is not a lambda, such as a ``fix`` applied to fewer
+    arguments than its arity: applying it calls ``fn``.  Compared by identity."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, fn: Callable[[FuncValue], FuncValue]):
+        object.__setattr__(self, "fn", fn)
 
 
 FBOT = FuncBot()
@@ -780,7 +790,7 @@ def format_func_value(f: FuncValue) -> str:
             return "<stuck>"
         case QProc():
             return "<proc>"
-        case Closure():
+        case Closure() | Native():
             return "<fun>"
     raise DomainError(f"not a functional value: {f!r}")
 

@@ -138,6 +138,6 @@ def _func_values_equal(vl: D.FuncValue, vr: D.FuncValue, ty: A.FType,
             return S.first_difference(left, right, grid, cfg.depth) is None
         except D.NotEnumerable:
             return None
-    if isinstance(vl, D.Closure) or isinstance(vr, D.Closure):
+    if isinstance(vl, (D.Closure, D.Native)) or isinstance(vr, (D.Closure, D.Native)):
         return None
     return False

@@ -15,11 +15,12 @@ an enumerated grid) is a testing oracle.  With :func:`tensor`, :func:`seq`
 and the law suites build both sides of every axiom from the set.
 
 Functional terms evaluate call-by-value into :class:`~sill.domain.FuncValue`.
-The fixed-point operator iterates from bottom.  At a quoted-process type
-it computes only the points a query observes: each input row of the
-interface is an unknown, solved together with the rows it depends on the
-first time a query asks for it, and kept for later queries.  The rows are
-swept dependencies first, so a row off a cycle is exact and only the rows
+A ``fix`` at ``A1 -> … -> An -> P`` computes only the points a query
+observes: whether it is defined at some arguments (compared by identity),
+and each input row of the quoted process that n arguments give, is an
+unknown, solved from bottom together with the unknowns it depends on the
+first time a query asks for it, and kept for later queries.  They are
+swept dependencies first, so an unknown off a cycle is exact and only those
 of a cycle iterate until they agree at the working depth.  Within one
 :class:`EvalConfig`, every instantiation of a ``fix`` node with the same
 free-variable values is one site, so each fixed point is solved once.
@@ -49,7 +50,7 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import ast as A
@@ -584,7 +585,7 @@ def _compile_term(term: A.Term, ty: A.FType, psi: dict[str, A.FType], table: dic
                 site = cfg.fixes.get(key)
                 if site is None:
                     site = cfg.fixes[key] = _FixSite(x, body, ty, env, cfg, ctx)
-                return site.instance()
+                return site.value()
 
             return fix
     raise ValueError(f"not a term: {term!r}")
@@ -594,10 +595,12 @@ def apply_func(fv: D.FuncValue, av: D.FuncValue, cfg: EvalConfig) -> D.FuncValue
     """Call-by-value application: strict in both the function and argument."""
     if fv == D.FBOT:
         return D.FBOT
-    if not isinstance(fv, D.Closure):
+    if not isinstance(fv, (D.Closure, D.Native)):
         raise ValueError(f"cannot apply {fv!r}")
     if av == D.FBOT:
         return D.FBOT
+    if isinstance(fv, D.Native):
+        return fv.fn(av)
     psi = dict(fv.psi)
     psi[fv.var] = fv.ty.arg
     body = _staged(cfg, fv.body, (fv.ty.res, tuple(psi.items())), lambda: _compile_term(
@@ -605,172 +608,159 @@ def apply_func(fv: D.FuncValue, av: D.FuncValue, cfg: EvalConfig) -> D.FuncValue
     return body(Env(dict(fv.env)).updated(fv.var, av), cfg)
 
 
-_QUOTED = object()  # a site's value-level result is its quoted :attr:`_FixSite.value`
-
-
 class _FixSite:
     """One fixed point ``fix x. body`` in one query: the ``Fix`` node, in its
-    typing context ``ctx`` (the node, ``ty`` and the types of its free
-    variables), with the values ``env`` binds to those variables.
+    typing context ``ctx`` (the node, its type ``A1 -> … -> An -> P`` with
+    ``P`` a quoted-process type, and the types of its free variables), with
+    the values ``env`` binds to those variables.
 
     While the site lives, every instantiation of the node in the same
     context with the same values (by identity) is this site:
     ``cfg.fixes`` holds it weakly under their ids, and the site holds
     ``ctx`` and ``env``, so those ids stay valid while the entry exists.
-    The value level is iterated once, at the first instantiation.
 
-    At a quoted-process type the value of the fix is :attr:`value`.  The
-    input rows of its interface are the unknowns of the fixed-point
-    equation: the first time any instantiation asks for a row,
-    :func:`_denote_fix` solves it together with the rows it depends on,
-    and keeps them in :attr:`solved` as constants for later queries.
+    Its unknowns are keyed by the ids of a tuple ``args`` of at most n
+    arguments, which :attr:`held` keeps alive: ``(ids, None)`` is whether
+    the fix applied to ``args`` is above bottom, and for n arguments
+    ``(ids, vals)`` is the output row of the process they give on the input
+    values ``vals`` in sorted key order.  The first time :meth:`value` needs
+    one, :func:`_denote_fix` solves it with the unknowns it depends on, and
+    keeps them in :attr:`solved` as constants for later queries.
     """
 
     def __init__(self, x: str, body: Inst, ty: A.FType, env: Env, cfg: EvalConfig,
                  ctx: tuple):
-        self.x, self.body, self.ty, self.env, self.cfg, self.ctx = x, body, ty, env, cfg, ctx
-        self.solved: dict[Row, Row] = {}
-        self._value: Optional[weakref.ref] = None
-        # FBOT, a closure or _QUOTED, once the value level is solved
-        self._level: object = None
+        self.x, self.body, self.env, self.cfg, self.ctx = x, body, env, cfg, ctx
+        self.arity = 0
+        while isinstance(ty, A.Arrow):
+            ty, self.arity = ty.res, self.arity + 1
+        self.inputs, self.outputs = _quoted_interface(ty)
+        self.keys = sorted(self.inputs)
+        self.solved: dict[tuple, bool | Row] = {}
+        self.held: dict[tuple, tuple] = {}
+        # the values of the fix by the ids of their arguments, held weakly:
+        # they hold the site, and a cycle would keep ``cfg`` until collected
+        self.values: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def instance(self) -> D.FuncValue:
-        """The value of the fix, from the site's one value-level solve.
-        The quoted value is not kept here: it holds the site."""
-        if self._level is None:
-            v = _denote_fix(self)
-            self._level = _QUOTED if isinstance(v, D.QProc) else v
-        return self.value if self._level is _QUOTED else self._level
+    def value(self, args: tuple = ()) -> D.FuncValue:
+        """The fix applied to ``args``, over the solved unknowns: the same
+        value for as long as anything holds it."""
+        ids = tuple(map(id, args))
+        v = self.values.get(ids)
+        if v is None:
+            v = self.values[ids] = self.curried(args, self.solve, self.value)
+        return v
 
-    def unroll(self, v: D.FuncValue) -> D.FuncValue:
-        """The body with the recursive variable bound to ``v``."""
-        return self.body(self.env.updated(self.x, v), self.cfg)
+    def solve(self, unknown: tuple) -> bool | Row:
+        hit = self.solved.get(unknown)
+        return _denote_fix(self, unknown) if hit is None else hit
 
-    @cached_property
-    def interface(self) -> tuple[dict[str, Aspect], dict[str, Aspect]]:
-        """The input and output aspects of :attr:`value`."""
-        assert isinstance(self.ty, A.ProcType)
-        return _quoted_interface(self.ty)
+    def probe(self, read: Callable[[tuple], bool | Row], args: tuple = ()) -> D.FuncValue:
+        """The fix applied to ``args`` as a sweep sees it: ``read`` answers
+        its unknowns."""
+        return self.curried(args, read, partial(self.probe, read))
 
-    @property
-    def value(self) -> D.QProc:
-        """The same quoted process for as long as anything holds it.  It
-        holds the site, so the site holds it weakly: a strong reference
-        back would make a cycle that keeps :attr:`cfg` until the cyclic
-        collector runs."""
-        value = self._value and self._value()
-        if value is None:
-            def solve(row: Row) -> Row:
-                hit = self.solved.get(row)
-                return _denote_fix(self, row) if hit is None else hit
+    def curried(self, args: tuple, answer: Callable[[tuple], bool | Row],
+                extend: Callable[[tuple], D.FuncValue]) -> D.FuncValue:
+        """The fix applied to ``args`` where ``answer`` gives the unknowns:
+        FBOT; below the arity, a function that ``extend`` applies to
+        ``args`` and its argument; at the arity, a quoted process."""
+        ids = tuple(map(id, args))
+        self.held.setdefault(ids, args)
+        if not answer((ids, None)):
+            return D.FBOT
+        if len(args) < self.arity:
+            return D.Native(lambda a: extend((*args, a)))
+        return D.QProc(Denotation(self.inputs, self.outputs, lambda row: answer(
+            (ids, tuple(map(row.__getitem__, self.keys)))), label="fix"))
 
-            value = D.QProc(Denotation(*self.interface, solve, label="fix"))
-            self._value = weakref.ref(value)
-        return value
-
-    def step(self, table: dict[Row, Row], swept: Mapping[Row, Row]
-             ) -> tuple[D.QProc, D.QProc, list[Row], list[Row]]:
-        """A probe over :attr:`solved`, ``swept`` (the rows this sweep has
-        evaluated) and ``table`` (the last outputs of the others), as a
-        quoted process; the body unrolled over it; and the lists of stale
-        and found rows, which grow as the probe is read.  A read that
-        neither :attr:`solved` nor ``swept`` answers is stale; a row that
-        ``table`` lacks too is found: it reads as bottom and is added to
-        ``table``.  The probe's memo pins the first read of each row, so
-        every read of a row in one sweep sees one value."""
-        inputs, outputs = self.interface
-        stale: list[Row] = []
-        found: list[Row] = []
-
-        def read(row: Row) -> Row:
-            hit = self.solved.get(row, swept.get(row))
-            if hit is None:
-                stale.append(row)
-                hit = table.get(row)
-                if hit is None:
-                    found.append(row)
-                    hit = table[row] = bot_row(outputs)
-            return hit
-
-        v = D.QProc(Denotation(inputs, outputs, read, label="probe"))
-        w = self.unroll(v)
-        if not isinstance(w, D.QProc):  # the stuck process
-            w = D.QProc(constant_bot(inputs, outputs))
-        return v, w, stale, found
+    def apply(self, w: D.FuncValue, unknown: tuple, applied: dict) -> bool | Row:
+        """The answer to ``unknown`` that ``w`` (the body unrolled once, or
+        FBOT for bottom) gives when applied to the arguments; ``applied``
+        keeps each application.  A stuck process outputs bottom."""
+        ids, vals = unknown
+        f = applied.get(ids)
+        if f is None:
+            f = applied[ids] = reduce(partial(apply_func, cfg=self.cfg), self.held[ids], w)
+        if vals is None:
+            return f != D.FBOT
+        if isinstance(f, D.QProc):
+            return f.den(Row(zip(self.keys, vals)))
+        return bot_row(self.outputs)
 
 
-def _denote_fix(site: _FixSite, row: Optional[Row] = None) -> D.FuncValue | Row:
-    """Kleene iteration from bottom for a ``fix``, within the fuel.
+def _denote_fix(site: _FixSite, unknown: tuple) -> bool | Row:
+    """Solve ``unknown`` of ``site`` by Kleene iteration from bottom, within
+    the fuel, and return its answer.
 
-    Without ``row``, iterate the value of the fix, and return it;
-    :meth:`_FixSite.instance` does so once per site, however many
-    instantiations share it.  Iterates
-    converge when they are equal.  At a quoted-process type only the value
-    level is iterated: once an iterate is above bottom, so is the fix, and
-    the next iterate is :attr:`_FixSite.value`, whose rows are solved on
-    demand.  It agrees with the one before on the rows solved so far: none.
+    The unknowns are ``unknown`` and each one the body reads that is not
+    solved yet, in the order they are found.  Each sweep unrolls the body
+    once over a probe, a value built like :meth:`_FixSite.value` whose
+    unknowns read this solve's answers; applies the unrolled value to each
+    unknown's arguments, in reverse order of discovery and then the unknowns
+    first read during the sweep; and writes each answer where later reads
+    of the sweep see it.  So a chain's dependencies come first.  A read of
+    an unknown the sweep has not answered yet is stale: it sees the last
+    sweep's answer, or bottom.  A sweep with no stale read computed each
+    answer from solved unknowns or ones answered before it, so by induction
+    each answer is the exact least solution, and the solve ends: a chain of
+    unknowns takes two sweeps, one that reads only solved unknowns one.
+    Every cycle has an unknown read stale in every sweep; then the solve
+    ends when the stale unknowns' new answers agree with what was read,
+    rows truncated at the working depth, and keeps the new answers.  This
+    is a local solver of the subsystem the query depends on (after Le
+    Charlier and Van Hentenryck 1992).  A solve adds at most its round bound
+    of argument tuples to the site; an unknown found past that reads as
+    bottom and is never answered, so a recursion on arguments built afresh
+    in each unfolding runs out of fuel instead of finding unknowns forever.
 
-    With ``row``, solve that input row of ``site.value`` and return its
-    output.  The unknowns are ``row`` and each row the body reads that is
-    not solved yet, in the order they are found; each is found by a read
-    from a row found before it.  Each sweep unrolls the body once over a
-    probe, evaluates the rows in reverse order of discovery, then the rows
-    first read during the sweep, and writes each output where later rows of
-    the sweep read it.  So a chain's dependencies come first.  A read of a
-    row the sweep has not evaluated yet is stale: it sees the last sweep's
-    output, or bottom.  A sweep with no stale read computed each row from
-    solved rows or rows computed before it in the sweep, so by induction
-    each output is the exact least solution, and the solve ends: a chain of
-    rows takes two sweeps, a row that reads only solved rows one.  Every
-    cycle has a row that reads stale in every sweep; then the solve ends
-    when the stale rows' new outputs agree with what was read, truncated at
-    the working depth, and keeps the new outputs.  This is a local solver
-    of the subsystem the query depends on (after Le Charlier and Van
-    Hentenryck 1992).
-
-    A round is one sweep, or one value-level iterate, and makes one
-    convergence check.  Each call appends its number of rounds to
-    ``cfg.diag.fix_rounds``, so the list has one entry per solve actually
-    run: a row that any instantiation of the site solved before adds none.
+    A round is one sweep, and makes one convergence check.  Each call
+    appends its number of rounds to ``cfg.diag.fix_rounds``, so the list
+    has one entry per solve actually run: an unknown that any instantiation
+    of the site solved before adds none.
     """
     cfg = site.cfg
     bound = max(2 * cfg.depth + 8, 32)
-    if row is None:
-        quoted = isinstance(site.ty, A.ProcType)
+    max_held = len(site.held) + bound
 
-        def iterate(v: D.FuncValue) -> tuple[D.FuncValue, bool]:
-            w = site.unroll(v) if v == D.FBOT or not quoted else site.value
-            return w, _func_converged(v, w, cfg)
+    def sweep(table: dict[tuple, bool | Row]) -> tuple[dict[tuple, bool | Row], bool]:
+        swept: dict[tuple, bool | Row] = {}
+        stale: list[tuple] = []
+        found: list[tuple] = []
 
-        v, rounds = kleene(iterate, D.FBOT, bound, cfg)
-        result = site.value if quoted and v != D.FBOT else v
-    else:
-        def sweep(table: dict[Row, Row]) -> tuple[dict[Row, Row], bool]:
-            swept: dict[Row, Row] = {}
-            v, w, stale, found = site.step(table, swept)
-            # dependencies first; ``found`` grows while it is visited
-            for r in itertools.chain(reversed(list(table)), found):
-                swept[r] = w.den(r)
-            done = _func_converged(v, w, cfg, stale)
-            table.update(swept)  # in place, so it keeps the order of discovery
-            return table, done
+        def read(u: tuple) -> bool | Row:
+            hit = site.solved.get(u, swept.get(u))
+            if hit is None:
+                stale.append(u)
+                hit = table.get(u)
+                if hit is None:
+                    hit = site.apply(D.FBOT, u, {})
+                    if len(site.held) <= max_held:
+                        found.append(u)
+                        table[u] = hit
+            return hit
 
-        table, rounds = kleene(sweep, {row: bot_row(site.interface[1])}, bound, cfg)
-        site.solved.update(table)
-        result = table[row]
+        w, applied = site.body(site.env.updated(site.x, site.probe(read)), cfg), {}
+        # dependencies first; ``found`` grows while it is visited
+        for u in itertools.chain(reversed(list(table)), found):
+            swept[u] = site.apply(w, u, applied)
+        done = _func_converged(table, swept, cfg, stale)
+        table.update(swept)  # in place, so it keeps the order of discovery
+        return table, done
+
+    table, rounds = kleene(sweep, {unknown: site.apply(D.FBOT, unknown, {})}, bound, cfg)
+    site.solved.update(table)
     cfg.diag.fix_rounds.append(rounds)
-    return result
+    return table[unknown]
 
 
-def _func_converged(v: D.FuncValue, w: D.FuncValue, cfg: EvalConfig,
-                    rows: Iterable[Row] = ()) -> bool:
-    """Whether successive iterates agree: as values, or as quoted processes
-    on ``rows``, truncated at the working depth."""
-    if v == w:
-        return True
-    if isinstance(v, D.QProc) and isinstance(w, D.QProc):
-        return first_difference(v.den, w.den, rows, cfg.depth) is None
-    return False
+def _func_converged(read: Mapping[tuple, bool | Row], new: Mapping[tuple, bool | Row],
+                    cfg: EvalConfig, unknowns: Iterable[tuple]) -> bool:
+    """Whether a sweep's ``new`` answers agree with what it ``read`` on
+    ``unknowns``, rows truncated at the working depth; an unanswered one does not."""
+    return all(u in new and (read[u] == new[u] if u[1] is None else
+               row_truncate(read[u], cfg.depth) == row_truncate(new[u], cfg.depth))
+               for u in unknowns)
 
 
 def first_difference(d1: Denotation, d2: Denotation, rows: Iterable[Row],

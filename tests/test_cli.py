@@ -401,12 +401,27 @@ def test_eval_fuel_counts(capsys, proc, given, fuel, want):
     assert code == (2 if nonconverged else 0)
 
 
-def test_eval_keeps_a_denote_time_fuel_out(tmp_path, capsys):
+def write_loopf(tmp_path) -> str:
     f = tmp_path / "loop.sill"
     f.write_text("term quit : {d : 1} = {d <- close d}\n"
                  "term loopf : {d : 1} -> {d : 1} = fix f. \\x : {d : 1}. f x\n"
                  "proc p : (|- d : 1) = d <- {loopf quit}\n")
-    code, out = run(capsys, "eval", str(f), "--proc", "p", "--json")
+    return str(f)
+
+
+def test_a_fix_at_an_arrow_type_converges(tmp_path, capsys):
+    # loopf quit is a least fixed point below every other: bottom, exactly
+    code, out = run(capsys, "eval", write_loopf(tmp_path), "--proc", "p", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["output"] == {"d+": "_"}
+    assert payload["diagnostics"]["nonconverged"] is False
+
+
+def test_eval_keeps_a_denote_time_fuel_out(tmp_path, capsys):
+    # whether loopf is defined takes two sweeps, run while denoting p
+    code, out = run(capsys, "eval", write_loopf(tmp_path), "--proc", "p",
+                    "--fuel", "1", "--json")
     assert code == 2
     diagnostics = json.loads(out)["diagnostics"]
     assert diagnostics["nonconverged"] is True

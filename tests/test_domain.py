@@ -295,6 +295,13 @@ def test_equal_values_are_one_object():
     assert D.Lift(D.BOT) is D.up(D.BOT)
 
 
+def test_native_function_values_compare_by_identity():
+    # two fixes at an arrow type are two functions, however alike
+    f, g = D.Native(lambda a: a), D.Native(lambda a: a)
+    assert f == f and f != g and hash(f) != hash(g)
+    assert D.format_func_value(f) == "<fun>"
+
+
 def test_intern_table_lets_a_quoted_process_die():
     # the value is held by the memo of the denotation it carries: a table
     # that kept the value or its arguments alive would keep this cycle too

@@ -8,7 +8,7 @@ from sill import semantics as S
 from sill.equiv import check_equiv, term_equiv
 from sill.laws import (conway_identity_suite, corpus_processes, corpus_tables,
                        law_suite, trace_axiom_suite, trace_oracle_suite)
-from sill.parser import parse_process, parse_program, parse_type
+from sill.parser import parse_process, parse_program, parse_term, parse_type
 
 BITS = parse_type("rho b. +{0: b, 1: b}")
 
@@ -120,6 +120,17 @@ def test_term_equiv_on_quoted_processes():
     ones = tbl()["terms"]["ones"]
     verdict = term_equiv(zeros, ones, zeros.ty, depth=2)
     assert verdict.kind == "distinguished"
+
+
+def test_term_equiv_of_two_fixes_at_an_arrow_type_is_approximate():
+    # functions compare by identity only, so two of them are never told apart
+    ty = A.Arrow(A.ProcType("d", A.Unit(), ()), A.ProcType("a", BITS, ()))
+    left, right = (parse_term(
+        rf"fix f. \x : {{d : 1}}. {{a <- send a unfold; a.{b}; a <- {{f x}}}}",
+        types=tbl()["types"]) for b in "01")
+    verdict = term_equiv(left, right, ty, depth=2)
+    assert verdict.kind == "approximate"
+    assert verdict.reason == "functional values are not comparable at this type"
 
 
 def test_law_suite_passes_and_counts():

@@ -343,9 +343,15 @@ def test_fix_site_does_not_outlive_its_query():
         assert value.den(S.Row({"$p": D.BOT}))["$p"] == val("0·0·0·0·0·0·0·_", BITS, POS)
         return value
 
+    def curried(cfg):
+        den = denote_parametrized("za", cfg)
+        assert den(S.Row({"a-": D.BOT}))["a+"] == val("0·1·" * 5 + "_", BITS, POS)
+        return den
+
     assert not config_outlives(flip1, 8)
     assert not config_outlives(flip2_fwdp, 6)
     assert not config_outlives(nested_fix, 6)
+    assert not config_outlives(curried, 3)
 
 
 def test_both_flips_of_flip2_share_their_row_solves(capsys):
@@ -447,13 +453,79 @@ def test_a_shared_inner_fix_lets_the_outer_solve_converge():
     cfg = S.EvalConfig(depth=3)
     value = S.denote_term(src.term, src.ty, cfg=cfg)
     out = value.den(S.Row({"$p": D.BOT}))["$p"]
-    assert cfg.diag.fix_rounds == [2, 2, 2, 4]  # G, F, G again in the row solve, F's row
+    # G twice (F's definedness unrolls F's body in both its sweeps, and only
+    # the sweep holds G), F's definedness, G again in the row solve, F's row
+    assert cfg.diag.fix_rounds == [2, 2, 2, 2, 4]
     assert not cfg.diag.nonconverged
     sent = []
     while out != D.BOT:
         sent.append(out.inner.val)
         out = out.inner.rest
     assert len(sent) == 4 and len(set(map(id, sent))) == 1
+
+
+PARAMETRIZED = parse_program(r"""
+    type bits = rho b. +{0: b, 1: b}
+    term quit : {d : 1} = {d <- close d}
+    term quit2 : {d : 1} = {d <- close d}
+    term zeros : {a : bits} = fix F. {a <- send a unfold; a.0; a <- F}
+    term alt : {a : bits} = fix F. {a <- send a unfold; a.0; send a unfold; a.1; a <- F}
+    term zf : {d : 1} -> {a : bits} =
+      fix f. \x : {d : 1}. {a <- send a unfold; a.0; a <- {f x}}
+    term altf : {d : 1} -> {d : 1} -> {a : bits} =
+      fix f. \x : {d : 1}. \y : {d : 1}.
+        {a <- send a unfold; a.0; send a unfold; a.1; a <- {f y x}}
+    term swapf : {d : 1} -> {d : 1} -> {d : 1} = fix f. \x : {d : 1}. \y : {d : 1}. f y x
+    term zfresh : {d : 1} -> {a : bits} =
+      fix f. \x : {d : 1}. {a <- send a unfold; a.0; a <- {f {d <- close d}}}
+    proc z : (|- a : bits) = a <- {zf quit}
+    proc zs : (|- a : bits) = a <- zeros
+    proc za : (|- a : bits) = a <- {altf quit quit2}
+    proc as : (|- a : bits) = a <- alt
+    proc stuck : (|- d : 1) = d <- {swapf quit quit2}
+    proc fresh : (|- a : bits) = a <- {zfresh quit}
+""")
+
+
+def denote_parametrized(name: str, cfg: S.EvalConfig) -> S.Denotation:
+    p = PARAMETRIZED.procs()[name]
+    return S.denote_process(p.proc, dict(p.delta), p.channel, p.ty, {}, S.EMPTY_ENV, cfg)
+
+
+@pytest.mark.parametrize("left, right", [("z", "zs"), ("za", "as")])
+def test_a_parametrized_fix_agrees_with_its_closed_form(left, right):
+    # the arguments are unknowns of the one row solve, so a recursive
+    # process that takes parameters converges like the stream it spells
+    for depth in range(1, 7):
+        cfg = S.EvalConfig(depth=depth)
+        dl, dr = (denote_parametrized(n, cfg) for n in (left, right))
+        grid = list(S.row_grid(dl.inputs, depth))
+        assert S.first_difference(dl, dr, grid, depth) is None, depth
+        assert not cfg.diag.nonconverged
+    p = PARAMETRIZED.procs()[left]
+    q = PARAMETRIZED.procs()[right]
+    assert check_equiv(p.proc, q.proc, {}, p.channel, p.ty).kind == "equivalent"
+
+
+def test_a_diverging_curried_fix_gives_the_stuck_process():
+    # f x y = f y x: no application is ever above bottom
+    cfg = S.EvalConfig(depth=4)
+    den = denote_parametrized("stuck", cfg)
+    assert den(S.Row({"d-": D.BOT}))["d+"] == D.BOT
+    assert not cfg.diag.nonconverged
+    term = parse_term("swapf quit quit2", terms={
+        n: A.Anno(d.term, d.ty) for n, d in PARAMETRIZED.terms().items()})
+    assert S.denote_term(term, A.ProcType("d", A.Unit(), ()), cfg=cfg) == D.FBOT
+
+
+def test_a_recursion_on_fresh_arguments_runs_out_of_fuel():
+    # each unfolding passes a quote built afresh, and arguments compare by
+    # identity, so every sweep finds a new unknown.  One solve finds at most
+    # as many argument tuples as its round bound, so each sweep ends
+    cfg = S.EvalConfig(depth=3)
+    out = denote_parametrized("fresh", cfg)(S.Row({"a-": D.BOT}))["a+"]
+    assert cfg.diag.nonconverged and cfg.diag.fix_rounds[-1] == 32
+    assert D.leq(out, val("0·0·0·0·_", BITS, POS))
 
 
 def test_quoted_stuck_process_is_not_bottom():
